@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race race-quick conformance serve-smoke bench bench-json bench-serve bench-smoke bench-stack bench-train fuzz-smoke
+.PHONY: check build fmt vet test race race-quick conformance serve-smoke bench bench-json bench-serve bench-smoke bench-stack bench-train benchmark benchmark-compare fuzz-smoke
 
 check: fmt vet build test race-quick fuzz-smoke bench-smoke
 
@@ -88,6 +88,18 @@ bench-json:
 # parity enforced. Results are recorded in BENCH.md / BENCH_SERVE.json.
 bench-serve:
 	$(GO) run ./cmd/icsbench -servebench
+
+# The gated wire-to-verdict benchmark (benchmark/README.md, BENCHMARK.json):
+# all five workloads, end-to-end metrics only, into benchmark/out/result.json.
+# Copy that file aside, change code, run again, and hand both to
+# benchmark-compare, which exits non-zero when a metric worsens beyond its
+# bound: make benchmark-compare OLD=old.json NEW=benchmark/out/result.json
+benchmark:
+	bash benchmark/run.sh --trace 0
+
+benchmark-compare:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make benchmark-compare OLD=old.json NEW=new.json"; exit 2; }
+	$(GO) run ./benchmark -compare $(OLD) $(NEW)
 
 # Short coverage-guided runs of the Modbus codec fuzzers, seeded from the
 # golden corpus frames (decode→encode must stay stable, no panics on

@@ -396,16 +396,62 @@ func BenchmarkEngineThroughput(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				e.Stop() // timed: drains every queued package
-				b.StopTimer()
-				st := e.Stats()
-				if st.Packages != uint64(b.N) {
-					b.Fatalf("engine classified %d of %d packages", st.Packages, b.N)
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkg/s")
-				b.ReportMetric(st.MeanBatch(), "pkg/batch")
+				finishEngineBench(b, e)
 			})
 		}
+	}
+}
+
+// finishEngineBench ends an engine benchmark's timed region — Stop drains
+// every queued package — checks that all b.N packages were classified, and
+// reports the rate and the mean advance-batch width.
+func finishEngineBench(b *testing.B, e *engine.Engine) {
+	b.Helper()
+	e.Stop()
+	b.StopTimer()
+	st := e.Stats()
+	if st.Packages != uint64(b.N) {
+		b.Fatalf("engine classified %d of %d packages", st.Packages, b.N)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkg/s")
+	b.ReportMetric(st.MeanBatch(), "pkg/batch")
+}
+
+// BenchmarkEngineNarrow is the few-streams regime the serving daemon runs
+// in (the shape of benchmark/'s serve-replay-default): two streams on two
+// shards fed 256-package bursts, the default two-level stack on the trained
+// default model at both precisions. Every advance flush is one or two
+// streams wide, so this times the batched step's narrow route and the
+// per-wave scheduling cost, where BenchmarkEngineThroughput times the GEMM.
+func BenchmarkEngineNarrow(b *testing.B) {
+	env := benchEnvironment(b)
+	test := env.Split.Test
+	const width = 256
+	streams := []string{"link-a", "link-b"}
+	for _, prec := range []core.Precision{core.PrecisionF64, core.PrecisionF32} {
+		prec := prec
+		b.Run(string(prec), func(b *testing.B) {
+			spec := core.DefaultStackSpec()
+			spec.Precision = prec
+			e, err := engine.New(env.Framework, engine.Config{Shards: 2, Stack: spec}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			sent := 0
+			for n := 0; sent < b.N; n++ {
+				// The engine owns a submitted burst: a fresh slice each time.
+				burst := make([]*dataset.Package, min(width, b.N-sent))
+				for i := range burst {
+					burst[i] = test[(sent+i)%len(test)]
+				}
+				if err := e.SubmitBatch(streams[n%len(streams)], burst); err != nil {
+					b.Fatal(err)
+				}
+				sent += len(burst)
+			}
+			finishEngineBench(b, e)
+		})
 	}
 }
 

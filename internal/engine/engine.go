@@ -12,9 +12,10 @@
 //	                      tick: drain queued packets
 //	                        precompute batchable Check scores (window
 //	                          levels: PCA/GMM batched kernels)
-//	                        per-stream Session Check phase, sequential
-//	                        micro-batched Advance passes (LSTM steps via
-//	                          nn.StepBatchLogits); scalar stages inline
+//	                        waves of one package per queued stream:
+//	                          per-stream Session Check phase, sequential
+//	                          micro-batched Advance passes (LSTM steps via
+//	                            nn.StepBatchLogitsOneHot); scalar stages inline
 //
 // Each stream is pinned to one shard by a hash of its ID, so per-stream
 // package order — and therefore per-stream verdicts — are exactly those of
@@ -123,20 +124,17 @@ type Handler func(Result)
 
 // packet is one queued unit of work: a package of a stream (with the
 // framework that classifies it; nil means the engine default), a burst of
-// packages of one stream (pkgs non-nil, enqueued by the batch submit
-// paths as a single channel operation), a barrier marker (barrier
-// non-nil) that the worker acknowledges once everything queued before it
-// has been classified and flushed, or a release marker (release non-nil)
-// that drops the stream's shard state the same way.
+// packages of one stream (pkgs non-nil and never empty, enqueued by the
+// batch submit paths as a single channel operation), a barrier marker
+// (barrier non-nil) that the worker acknowledges once everything queued
+// before it has been classified and flushed, or a release marker (release
+// non-nil) that drops the stream's shard state the same way.
 type packet struct {
 	stream string
 	pkg    *dataset.Package
 	// pkgs is a burst: the stream's packages in submission order. The
 	// engine owns the slice once the packet is enqueued.
-	pkgs []*dataset.Package
-	// pos is the worker-side wave cursor: how many packages of the packet
-	// have been classified this tick (1 marks a plain pkg done).
-	pos     int
+	pkgs    []*dataset.Package
 	fw      *core.Framework
 	barrier *sync.WaitGroup
 	release *sync.WaitGroup
@@ -632,14 +630,21 @@ type shard struct {
 	// a stream's first packet of the tick — later packets depend on state
 	// the earlier ones will move).
 	tick uint64
-	// wave stamps streams within one wave of burst processing: a tick that
-	// contains bursts interleaves one package per stream per wave, so the
-	// micro-batch width of a multi-stream tick survives burst submission
-	// (processing a burst to completion would force a flush per package —
-	// the second package of a stream depends on the first one's queued
-	// Advance step).
-	wave  uint64
+	// lanes and next are processRun's scratch: the run's streams in
+	// first-appearance order, and per packet the index of the same stream's
+	// next packet in the run (-1 for its last).
+	lanes []lane
+	next  []int
 	stats shardCounters
+}
+
+// lane is one stream's share of a marker-free run of packets: a cursor over
+// the stream's packets in queue order and the packages inside them.
+type lane struct {
+	st *stream
+	// cur and last index the run: the packet the stream is consuming and
+	// its final one. pos is the next package within cur.
+	cur, last, pos int
 }
 
 // fwBatch is the micro-batch state of one (framework, precision) pair
@@ -660,6 +665,7 @@ type fwBatch struct {
 
 // stream is the engine's per-stream state.
 type stream struct {
+	id   string
 	sess *core.Session
 	// fb is the micro-batch of the framework this stream is bound to.
 	fb  *fwBatch
@@ -670,9 +676,9 @@ type stream struct {
 	pending bool
 	// tickStamp marks the tick that already precomputed for this stream.
 	tickStamp uint64
-	// waveStamp marks the wave that already classified a package of this
-	// stream (burst interleaving; see shard.wave).
-	waveStamp uint64
+	// lane is 1 + the stream's index in shard.lanes while processRun is
+	// working through a run that carries it, 0 otherwise.
+	lane int
 }
 
 func newShard(id int, e *Engine) *shard {
@@ -713,15 +719,15 @@ func (s *shard) batchFor(fw *core.Framework, prec core.Precision) *fwBatch {
 // run is the shard worker loop: block for one packet, drain whatever else
 // is queued into the tick buffer (bounded by the queue depth), precompute
 // the tick's batchable Check scores, classify every packet, and flush the
-// batched Advance passes before blocking again. A tick without bursts
-// takes the plain per-packet pass; one with a burst goes through
-// processBurst so cross-stream micro-batching survives. Either way the
-// tick ends with a flush and, when configured, the TickEnd callback.
+// batched Advance passes before blocking again. The tick splits into runs
+// of package-carrying packets separated by barrier/release markers: each
+// run is fully classified before its following marker is honoured, so
+// marker ordering ("everything queued before") is exact. The tick ends with
+// a flush and, when configured, the TickEnd callback.
 func (s *shard) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for pkt := range s.in {
 		tick := append(s.tickBuf[:0], pkt)
-		burst := pkt.pkgs != nil
 	drain:
 		for len(tick) < cap(tick) {
 			select {
@@ -730,23 +736,31 @@ func (s *shard) run(wg *sync.WaitGroup) {
 					break drain
 				}
 				tick = append(tick, more)
-				burst = burst || more.pkgs != nil
 			default:
 				break drain
 			}
 		}
 		s.safe(func() { s.precompute(tick) })
-		if burst {
-			s.processBurst(tick)
-		} else {
-			for _, p := range tick {
-				s.process(p)
+		for i := 0; i < len(tick); {
+			if tick[i].barrier != nil || tick[i].release != nil {
+				s.marker(tick[i])
+				i++
+				continue
 			}
+			j := i + 1
+			for j < len(tick) && tick[j].barrier == nil && tick[j].release == nil {
+				j++
+			}
+			s.processRun(tick[i:j])
+			i = j
 		}
 		s.safe(s.flush)
 		if fn := s.e.cfg.TickEnd; fn != nil {
 			s.safe(func() { fn(s.id) })
 		}
+		// Drop the consumed packets: an idle shard must not pin the last
+		// tick's packages (a drained flood tick references megabytes).
+		clear(tick)
 	}
 	s.safe(s.flush)
 	if fn := s.e.cfg.TickEnd; fn != nil {
@@ -754,112 +768,86 @@ func (s *shard) run(wg *sync.WaitGroup) {
 	}
 }
 
-// processBurst classifies one tick that contains at least one burst
-// packet. The tick splits into runs of package-carrying packets separated
-// by barrier/release markers: each run is fully classified before its
-// following marker is processed, so marker ordering ("everything queued
-// before") holds exactly as in the per-packet pass.
-func (s *shard) processBurst(tick []packet) {
-	for i := 0; i < len(tick); {
-		if tick[i].barrier != nil || tick[i].release != nil {
-			s.process(tick[i])
-			i++
+// processRun classifies a marker-free run of packets in waves of one
+// package per stream, so the streams of the run keep advancing together
+// through the micro-batch (one flush per wave) however their packages were
+// queued — processing a burst to completion would force a flush per
+// package, because a stream's next package depends on the previous one's
+// queued Advance step. The run is grouped by stream once, resolving each
+// packet's stream state with its only map lookup; every wave then takes
+// exactly one package from each stream that still has one — its earliest
+// unclassified, so per-stream order is submission order — and costs
+// O(live streams), not O(queued packets).
+//
+// Each package classifies behind the panic guard: a panicking Handler (or
+// stage) must not kill the shard goroutine — every stream pinned to this
+// shard would wedge while Submit keeps blocking on the full queue. The
+// panic is counted in HandlerPanics, the first one is kept for Stop, and the
+// package is skipped like a classified one. Its own stream may be left with
+// a partially advanced session; every other stream keeps exact sequential
+// semantics.
+func (s *shard) processRun(run []packet) {
+	lanes, next := s.lanes[:0], s.next[:0]
+	for i := range run {
+		next = append(next, -1)
+		var st *stream
+		s.safe(func() { st = s.streamFor(run[i].stream, run[i].fw) })
+		if st == nil {
+			// Building the stream's stack panicked (counted by safe); submit
+			// validated the framework, so this is a stage bug — drop the
+			// packet rather than wedge the shard.
 			continue
 		}
-		j := i + 1
-		for j < len(tick) && tick[j].barrier == nil && tick[j].release == nil {
-			j++
-		}
-		s.processRun(tick[i:j])
-		i = j
-	}
-}
-
-// processRun classifies a marker-free run of packets in waves: each wave
-// walks the run in queue order and classifies at most one package per
-// stream, so the streams of the run keep advancing together through the
-// micro-batch (one flush per wave, not one per package) while per-stream
-// order is exact — a stream's earliest non-exhausted packet always wins
-// the wave, so packages classify in submission order.
-func (s *shard) processRun(run []packet) {
-	remaining := 0
-	for i := range run {
-		if run[i].pkgs != nil {
-			remaining += len(run[i].pkgs)
+		if st.lane == 0 {
+			lanes = append(lanes, lane{st: st, cur: i, last: i})
+			st.lane = len(lanes)
 		} else {
-			remaining++
+			l := &lanes[st.lane-1]
+			next[l.last], l.last = i, i
 		}
 	}
-	for remaining > 0 {
-		s.wave++
-		for i := range run {
-			p := &run[i]
-			var pkg *dataset.Package
+	for live := lanes; len(live) > 0; {
+		n := 0
+		for _, l := range live {
+			p := &run[l.cur]
+			pkg := p.pkg
 			if p.pkgs != nil {
-				if p.pos >= len(p.pkgs) {
-					continue
-				}
-				pkg = p.pkgs[p.pos]
-			} else {
-				if p.pos > 0 {
-					continue
-				}
-				pkg = p.pkg
+				pkg = p.pkgs[l.pos]
 			}
-			if st := s.streams[p.stream]; st != nil && st.waveStamp == s.wave {
+			s.safe(func() { s.classify(l.st, pkg) })
+			if l.pos++; l.pos >= len(p.pkgs) {
+				l.cur, l.pos = next[l.cur], 0
+			}
+			if l.cur < 0 {
+				l.st.lane = 0
 				continue
 			}
-			st := s.processOne(p.stream, pkg, p.fw)
-			p.pos++
-			remaining--
-			if st != nil {
-				st.waveStamp = s.wave
-			}
+			live[n] = l
+			n++
 		}
+		live = live[:n]
 	}
+	clear(lanes)
+	s.lanes, s.next = lanes, next
 }
 
-// processOne is handleOne behind the shard's panic guard (the burst-path
-// counterpart of process): it returns the stream's state so the wave loop
-// can stamp it even when the handler panicked mid-package.
-func (s *shard) processOne(id string, pkg *dataset.Package, fw *core.Framework) (st *stream) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.recovered(r)
-			st = s.streams[id]
-		}
-	}()
-	return s.handleOne(id, pkg, fw)
+// marker honours a barrier or release marker. Shard FIFO ordered it behind
+// every package queued before it, and those are classified; flushing
+// completes their batched steps, so a barrier acknowledges finished work
+// and a released session is never advanced afterwards. A panicking flush is
+// counted and the marker is still honoured, so Barrier and Release cannot
+// deadlock on a panicked tick.
+func (s *shard) marker(pkt packet) {
+	s.safe(s.flush)
+	if pkt.release != nil {
+		s.dropStream(pkt.stream)
+		pkt.release.Done()
+		return
+	}
+	pkt.barrier.Done()
 }
 
-// process runs handle behind a panic guard: a panicking Handler (or stage)
-// must not kill the shard goroutine — every stream pinned to this shard
-// would wedge while Submit keeps blocking on the full queue. The panic is
-// counted in HandlerPanics, the first one is kept for Stop, and barrier and
-// release markers are still acknowledged so Barrier and Release cannot
-// deadlock on a panicked tick. The panicking package's own stream may be
-// left with a partially advanced session; every other stream keeps exact
-// sequential semantics.
-func (s *shard) process(pkt packet) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.recovered(r)
-			switch {
-			case pkt.barrier != nil:
-				pkt.barrier.Done()
-			case pkt.release != nil:
-				// The marker must still release: the panic came from the
-				// pre-release flush, not from the map drop.
-				s.dropStream(pkt.stream)
-				pkt.release.Done()
-			}
-		}
-	}()
-	s.handle(pkt)
-}
-
-// safe runs fn behind the same panic guard as process, for the shared
-// per-tick phases (precompute, flush) that are not tied to one packet.
+// safe runs fn behind the shard's panic guard (see processRun).
 func (s *shard) safe(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -942,41 +930,25 @@ func (s *shard) precompute(tick []packet) {
 	}
 }
 
-// handle classifies one package against its stream's session and defers the
-// batchable Advance steps into the micro-batch.
-func (s *shard) handle(pkt packet) {
-	if pkt.barrier != nil {
-		// Everything queued before the barrier has been handled (shard FIFO);
-		// flush so their batched steps are complete before acknowledging.
-		s.flush()
-		pkt.barrier.Done()
-		return
-	}
-	if pkt.release != nil {
-		// Shard FIFO ordered the marker behind every in-flight package of
-		// the stream; flushing completes their batched steps before the
-		// state drops, so a released session is never advanced afterwards.
-		s.flush()
-		s.dropStream(pkt.stream)
-		pkt.release.Done()
-		return
-	}
-	s.handleOne(pkt.stream, pkt.pkg, pkt.fw)
-}
-
-// handleOne classifies one package of one stream: the shared per-package
-// core of the per-packet and burst-wave paths.
-func (s *shard) handleOne(id string, pkg *dataset.Package, fw *core.Framework) *stream {
-	if fw == nil {
-		fw = s.e.fw
-	}
+// streamFor returns the shard state of a stream, opening it under fw (nil
+// means the engine default) on its first package.
+func (s *shard) streamFor(id string, fw *core.Framework) *stream {
 	st := s.streams[id]
 	if st == nil {
+		if fw == nil {
+			fw = s.e.fw
+		}
 		fb := s.batchFor(fw, s.e.precisionOf(id))
-		st = &stream{sess: fb.stack.NewSession(), fb: fb}
+		st = &stream{id: id, sess: fb.stack.NewSession(), fb: fb}
 		s.streams[id] = st
 		s.stats.streams.Add(1)
 	}
+	return st
+}
+
+// classify classifies one package against its stream's session and defers
+// the batchable Advance steps into the micro-batch.
+func (s *shard) classify(st *stream, pkg *dataset.Package) {
 	if st.pending || st.fb.batch.AdvanceFull() {
 		s.flush()
 	}
@@ -989,10 +961,9 @@ func (s *shard) handleOne(id string, pkg *dataset.Package, fw *core.Framework) *
 	s.stats.packages.Add(1)
 	s.stats.byLevel[levelIndex(v.Level)].Add(1)
 	if s.e.handler != nil {
-		s.e.handler(Result{Stream: id, Seq: st.seq, Shard: s.id, Package: pkg, Verdict: v})
+		s.e.handler(Result{Stream: st.id, Seq: st.seq, Shard: s.id, Package: pkg, Verdict: v})
 	}
 	st.seq++
-	return st
 }
 
 // flush advances every queued stream through one batched pass per stage

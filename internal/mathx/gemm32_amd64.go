@@ -84,6 +84,16 @@ func gemvLanes32() int {
 	}
 }
 
+// GEMMBlock32 is GEMMBlock for the f32 kernels: 8, the AVX2 tile and the
+// AVX-512 row-pair tile (16-wide blocks peel first), or 0 on the scalar
+// tier. Below it Matrix32.MulRowsT has only the Go 4-wide tile and Dot32.
+func GEMMBlock32() int {
+	if hasAVX {
+		return 8
+	}
+	return 0
+}
+
 // gemv32SIMD dispatches the packed f32 single-vector product to the tier
 // the pack was built for; it reports false (pack unusable, caller falls
 // back to the scalar rows) when that tier is no longer enabled.

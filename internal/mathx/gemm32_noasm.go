@@ -9,6 +9,8 @@ package mathx
 
 func gemvLanes32() int { return 0 }
 
+func GEMMBlock32() int { return 0 }
+
 func gemv32SIMD(p *PackedGEMV32, dst, x, bias []float32, mode int, tiles int) bool {
 	return false
 }

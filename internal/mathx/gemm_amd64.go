@@ -113,6 +113,19 @@ func gemvLanes() int {
 	}
 }
 
+// GEMMBlock returns the narrowest stream block MulRowsT runs on a SIMD
+// kernel at the effective tier: 4, the AVX tile (the AVX-512 tier peels
+// 8-wide blocks first and finishes on it), or 0 on the scalar tier. The
+// n mod GEMMBlock() streams past the last block get one scalar Dot per
+// weight row from MulRowsT, so a caller holding a PackedGEMV of the same
+// matrix routes them through Apply instead — same bits, vector speed.
+func GEMMBlock() int {
+	if hasAVX {
+		return 4
+	}
+	return 0
+}
+
 // gemvSIMD dispatches the packed single-vector product to the tier the pack
 // was built for; it reports false (pack unusable, caller falls back to the
 // scalar rows) when that tier is no longer enabled.

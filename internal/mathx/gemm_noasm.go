@@ -24,6 +24,9 @@ func chain4SIMD(dst []float64, scal, vp []float64, steps, c int) bool {
 // Apply always runs the scalar per-row Dot path.
 func gemvLanes() int { return 0 }
 
+// GEMMBlock reports that MulRowsT runs no SIMD block on this architecture.
+func GEMMBlock() int { return 0 }
+
 // gemvSIMD reports that no packed-GEMV kernel is available.
 func gemvSIMD(p *PackedGEMV, dst, x, bias []float64, mode int, tiles int) bool {
 	return false

@@ -6,56 +6,107 @@ import (
 	"icsdetect/internal/mathx"
 )
 
-// BatchBuffer is the reusable scratch memory for StepBatch: per-layer gate
-// buffers and the batched logits, sized once for a maximum batch width.
-// Owning one buffer per worker goroutine removes every per-step allocation
-// from the batched inference path; a buffer must not be shared between
-// concurrent StepBatch calls.
-type BatchBuffer struct {
+// batchScratch is the storage behind BatchBuffer and BatchBuffer32: per-layer
+// gate rows, logit rows and input row pointers for one GEMM-covered block
+// of streams. It starts empty and grows to the widest block actually
+// stepped — a shard that only ever sees a handful of streams never pays for
+// maxBatch rows per layer.
+type batchScratch[T float32 | float64] struct {
 	maxBatch int
+	// gates[l] is layer l's 4H row width and classes the logit row width:
+	// the strides grow sizes the rows by.
+	gates   []int
+	classes int
 	// z[l] holds the concatenated 4H gate pre-activations of layer l for the
-	// whole batch, row-major with stride 4H (one row per stream); zu[l] is
+	// whole block, row-major with stride 4H (one row per stream); zu[l] is
 	// the recurrent U·h product, combined into z elementwise so both
 	// products can use the overwriting GEMM kernel.
-	z, zu [][]float64
-	// logits holds the batched dense-head outputs, stride Classes().
-	logits []float64
-	// xs collects the per-stream input slices handed to the GEMM kernels.
-	xs [][]float64
+	z, zu [][]T
+	// logits holds the batched dense-head outputs, stride classes.
+	logits []T
+	// xs collects the per-stream input slices handed to the GEMM kernels;
+	// its length is the block width the scratch currently holds.
+	xs [][]T
 }
 
-// NewBatchBuffer allocates scratch for batches of up to maxBatch streams.
+func newBatchScratch[T float32 | float64](maxBatch int, gates []int, classes int) batchScratch[T] {
+	return batchScratch[T]{
+		maxBatch: max(maxBatch, 1),
+		gates:    gates,
+		classes:  classes,
+		z:        make([][]T, len(gates)),
+		zu:       make([][]T, len(gates)),
+	}
+}
+
+// MaxBatch returns the widest batch the buffer accepts.
+func (b *batchScratch[T]) MaxBatch() int { return b.maxBatch }
+
+// grow makes room for a block of n ≤ maxBatch streams, at least doubling so
+// a widening shard reallocates O(log maxBatch) times. The old rows are
+// scratch and are dropped, not copied.
+func (b *batchScratch[T]) grow(n int) {
+	if n <= len(b.xs) {
+		return
+	}
+	w := min(max(n, 2*len(b.xs)), b.maxBatch)
+	for l, g := range b.gates {
+		b.z[l] = make([]T, w*g)
+		b.zu[l] = make([]T, w*g)
+	}
+	b.logits = make([]T, w*b.classes)
+	b.xs = make([][]T, w)
+}
+
+// split validates a batch of n streams against the buffer and returns how
+// many leading streams the tier's SIMD GEMM blocks (width block, 0 on the
+// scalar tier) cover, with the scratch grown to hold them. The n mod block
+// streams past that — the whole batch when it is narrower than one block —
+// have no GEMM kernel: MulRowsT would hand them one scalar Dot per weight
+// row, so the callers advance them through the sequential packed-GEMV step
+// instead, which the sequential≡batched contract makes bitwise-free. The
+// scalar tier has no vector GEMV either and keeps the whole batch on
+// MulRowsT's four-stream register tile.
+func (b *batchScratch[T]) split(n, inputs, scores, block int) int {
+	if inputs != n || scores != n {
+		panic(fmt.Sprintf("nn: batch size mismatch (states=%d inputs=%d scores=%d)", n, inputs, scores))
+	}
+	if n > b.maxBatch {
+		panic(fmt.Sprintf("nn: batch of %d exceeds buffer capacity %d", n, b.maxBatch))
+	}
+	wide := n
+	if block > 0 {
+		wide -= n % block
+	}
+	b.grow(wide)
+	return wide
+}
+
+// BatchBuffer is the reusable scratch memory for StepBatch. Owning one
+// buffer per worker goroutine removes every per-step allocation from the
+// batched inference path once the buffer has grown to the worker's widest
+// batch; a buffer must not be shared between concurrent StepBatch calls.
+type BatchBuffer struct{ batchScratch[float64] }
+
+// NewBatchBuffer returns scratch for batches of up to maxBatch streams.
 func (c *Classifier) NewBatchBuffer(maxBatch int) *BatchBuffer {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	b := &BatchBuffer{
-		maxBatch: maxBatch,
-		z:        make([][]float64, len(c.Layers)),
-		zu:       make([][]float64, len(c.Layers)),
-		logits:   make([]float64, maxBatch*c.Out.OutputSize),
-		xs:       make([][]float64, maxBatch),
-	}
+	gates := make([]int, len(c.Layers))
 	for i, l := range c.Layers {
-		b.z[i] = make([]float64, maxBatch*numGates*l.HiddenSize)
-		b.zu[i] = make([]float64, maxBatch*numGates*l.HiddenSize)
+		gates[i] = numGates * l.HiddenSize
 	}
-	return b
+	return &BatchBuffer{newBatchScratch[float64](maxBatch, gates, c.Out.OutputSize)}
 }
-
-// MaxBatch returns the batch width the buffer was sized for.
-func (b *BatchBuffer) MaxBatch() int { return b.maxBatch }
 
 // StepBatch advances n = len(states) independent recurrent states through
 // one batched forward pass and writes each stream's class probability
 // vector into probs[i] (len = Classes()). inputs[i] is stream i's input
 // vector; states are updated in place. It is the batched equivalent of
 // calling Step once per stream, and by construction produces bitwise
-// identical hidden states and probabilities: every output element is the
-// same mathx.Dot in the same order, only the loop nesting changes so that
-// each weight row is streamed from memory once per batch instead of once
-// per stream (one matrix-matrix pass per layer instead of n matrix-vector
-// passes).
+// identical hidden states and probabilities: every output element is
+// accumulated in mathx.Dot's association, only the loop nesting changes so
+// that each weight row is streamed from memory once per GEMM block of
+// streams instead of once per stream (one matrix-matrix pass per layer
+// instead of n matrix-vector passes).
 //
 // buf must come from NewBatchBuffer on this classifier with
 // MaxBatch() >= n, and must not be used concurrently.
@@ -73,21 +124,15 @@ func (c *Classifier) StepBatch(buf *BatchBuffer, states []*State, inputs [][]flo
 // this variant to skip Classes() exponentials per stream per step.
 func (c *Classifier) StepBatchLogits(buf *BatchBuffer, states []*State, inputs [][]float64, scores [][]float64) {
 	n := len(states)
-	if n == 0 {
-		return
+	wide := buf.split(n, len(inputs), len(scores), mathx.GEMMBlock())
+	if wide > 0 {
+		copy(buf.xs[:wide], inputs)
+		c.stepBatchLayers(buf, states, wide, 0)
+		c.stepBatchHead(buf, scores, wide)
 	}
-	if len(inputs) != n || len(scores) != n {
-		panic(fmt.Sprintf("nn: batch size mismatch (states=%d inputs=%d scores=%d)",
-			n, len(inputs), len(scores)))
+	for i := wide; i < n; i++ {
+		c.StepLogits(states[i], inputs[i], scores[i])
 	}
-	if n > buf.maxBatch {
-		panic(fmt.Sprintf("nn: batch of %d exceeds buffer capacity %d", n, buf.maxBatch))
-	}
-
-	xs := buf.xs[:n]
-	copy(xs, inputs)
-	c.stepBatchLayers(buf, states, n, 0)
-	c.stepBatchHead(buf, scores, n)
 }
 
 // StepBatchLogitsOneHot is StepBatchLogits with the first layer's inputs
@@ -96,38 +141,32 @@ func (c *Classifier) StepBatchLogits(buf *BatchBuffer, states []*State, inputs [
 // column gather per stream (a handful of contiguous vector adds each); the
 // recurrent product, combine and gate epilogue are the shared batched code,
 // so the verdicts stay bitwise-identical to the dense batched pass and to
-// the sequential StepLogitsOneHot.
+// the sequential StepLogitsOneHot — which is what the streams no GEMM block
+// covers run (see split).
 func (c *Classifier) StepBatchLogitsOneHot(buf *BatchBuffer, states []*State, idxs [][]int, scores [][]float64) {
 	n := len(states)
-	if n == 0 {
-		return
+	wide := buf.split(n, len(idxs), len(scores), mathx.GEMMBlock())
+	if wide > 0 {
+		l0 := c.Layers[0]
+		G := numGates * l0.HiddenSize
+		z := buf.z[0][:wide*G]
+		wt := l0.wtrans()
+		for i := 0; i < wide; i++ {
+			mathx.OneHotGather(z[i*G:(i+1)*G], wt, idxs[i])
+			buf.xs[i] = states[i].h[0]
+		}
+		zu := buf.zu[0][:wide*G]
+		l0.U.MulRowsT(zu, buf.xs[:wide])
+		for i := 0; i < wide; i++ {
+			l0.combineGatesCellUpdate(z[i*G:(i+1)*G], zu[i*G:(i+1)*G], states[i].h[0], states[i].c[0])
+			buf.xs[i] = states[i].h[0]
+		}
+		c.stepBatchLayers(buf, states, wide, 1)
+		c.stepBatchHead(buf, scores, wide)
 	}
-	if len(idxs) != n || len(scores) != n {
-		panic(fmt.Sprintf("nn: batch size mismatch (states=%d inputs=%d scores=%d)",
-			n, len(idxs), len(scores)))
+	for i := wide; i < n; i++ {
+		c.StepLogitsOneHot(states[i], idxs[i], scores[i])
 	}
-	if n > buf.maxBatch {
-		panic(fmt.Sprintf("nn: batch of %d exceeds buffer capacity %d", n, buf.maxBatch))
-	}
-
-	l0 := c.Layers[0]
-	H := l0.HiddenSize
-	z := buf.z[0][:n*numGates*H]
-	wt := l0.wtrans()
-	for i := 0; i < n; i++ {
-		mathx.OneHotGather(z[i*numGates*H:(i+1)*numGates*H], wt, idxs[i])
-		buf.xs[i] = states[i].h[0]
-	}
-	zu := buf.zu[0][:n*numGates*H]
-	l0.U.MulRowsT(zu, buf.xs[:n])
-	for i := 0; i < n; i++ {
-		row := z[i*numGates*H : (i+1)*numGates*H]
-		urow := zu[i*numGates*H : (i+1)*numGates*H]
-		l0.combineGatesCellUpdate(row, urow, states[i].h[0], states[i].c[0])
-		buf.xs[i] = states[i].h[0]
-	}
-	c.stepBatchLayers(buf, states, n, 1)
-	c.stepBatchHead(buf, scores, n)
 }
 
 // stepBatchLayers advances layers [from, len) for a batch of n streams.

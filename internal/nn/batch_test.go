@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"sync"
 	"testing"
 
 	"icsdetect/internal/mathx"
@@ -178,4 +179,97 @@ func TestStepBatchShapePanics(t *testing.T) {
 
 	// Empty batch is a no-op.
 	c.StepBatch(buf, nil, nil, nil)
+}
+
+// TestBatchBufferGrowsOnDemand: a buffer starts with no rows and grows to
+// the widest GEMM-covered block actually stepped — doubling, capped at
+// MaxBatch, never shrinking — so a worker that only sees narrow batches
+// never pays for MaxBatch rows per layer.
+func TestBatchBufferGrowsOnDemand(t *testing.T) {
+	c, err := NewClassifier(13, []int{11, 8}, 9, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := c.NewBatchBuffer(20)
+	if buf.MaxBatch() != 20 || len(buf.xs) != 0 || buf.logits != nil {
+		t.Fatalf("fresh buffer: MaxBatch %d, %d rows, logits %d", buf.MaxBatch(), len(buf.xs), len(buf.logits))
+	}
+	if mathx.GEMMBlock() > 0 {
+		// Narrower than one GEMM block: stepped on the stream's own state.
+		c.StepBatchLogitsOneHot(buf, []*State{c.NewState()}, [][]int{{3}}, [][]float64{make([]float64, 9)})
+		if len(buf.xs) != 0 {
+			t.Fatalf("a one-stream step grew the buffer to %d rows", len(buf.xs))
+		}
+	}
+	for _, step := range []struct{ n, rows int }{
+		{1, 1}, {2, 2}, {3, 4}, {9, 9}, {10, 18}, {19, 20}, {5, 20},
+	} {
+		buf.grow(step.n)
+		if len(buf.xs) != step.rows {
+			t.Fatalf("grow(%d): %d rows, want %d", step.n, len(buf.xs), step.rows)
+		}
+		for l, g := range buf.gates {
+			if len(buf.z[l]) != step.rows*g || len(buf.zu[l]) != step.rows*g {
+				t.Fatalf("grow(%d): layer %d holds %d/%d gate values, want %d", step.n, l, len(buf.z[l]), len(buf.zu[l]), step.rows*g)
+			}
+		}
+		if len(buf.logits) != step.rows*9 {
+			t.Fatalf("grow(%d): %d logits, want %d", step.n, len(buf.logits), step.rows*9)
+		}
+	}
+}
+
+// TestLazyInferenceCachesPublishOnce: goroutines racing on a cold model —
+// shards hitting their first flush together — must all come back with the
+// same f32 snapshot, the same GEMV packs and the same transposed W. Before
+// the caches published by CompareAndSwap each racer kept its own build: a
+// duplicate copy of the weights per shard, and under -race a reported race
+// on nothing worse than wasted memory.
+func TestLazyInferenceCachesPublishOnce(t *testing.T) {
+	const racers, rounds = 8, 20
+	for round := 0; round < rounds; round++ {
+		c, err := NewClassifier(57, []int{16, 16}, 11, uint64(round)+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type seen struct {
+			m32        *InferModel32
+			wt         *mathx.Matrix
+			u0, w1, hd *mathx.PackedGEMV
+			u032       *mathx.PackedGEMV32
+		}
+		got := make([]seen, racers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < racers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				<-start
+				// The calls a shard's first narrow flush makes.
+				state := c.NewState()
+				c.StepLogitsOneHot(state, []int{r}, make([]float64, 11))
+				m := c.Infer32()
+				m.StepLogitsOneHot(m.NewState(), []int{r}, make([]float32, 11))
+				got[r] = seen{
+					m32:  m,
+					wt:   c.Layers[0].wtrans(),
+					u0:   lazyPack(&c.Layers[0].packU, c.Layers[0].U),
+					w1:   lazyPack(&c.Layers[1].packW, c.Layers[1].W),
+					hd:   lazyPack(&c.Out.pack, c.Out.W),
+					u032: lazyPack32(&m.layers[0].packU, m.layers[0].u),
+				}
+			}(r)
+		}
+		close(start)
+		wg.Wait()
+		for r := 1; r < racers; r++ {
+			if got[r] != got[0] {
+				t.Fatalf("round %d: racer %d holds %+v, racer 0 holds %+v", round, r, got[r], got[0])
+			}
+		}
+		if c.Layers[0].packW.Load() != nil {
+			t.Fatal("the one-hot step packed layer 0's W, which it never multiplies")
+		}
+	}
 }

@@ -1,65 +1,62 @@
 package nn
 
 import (
+	"sync/atomic"
+
 	"icsdetect/internal/mathx"
 )
 
-// Inference weight caches. The sequential hot path spends nearly all of its
-// time in single-vector products (W·x, U·h, the dense head), which the
-// row-major matrices serve one Dot at a time; packing the weights into
-// mathx.PackedGEMV tiles lets the SIMD kernels vectorize across output rows
-// instead. The packs (and the transposed W the one-hot gather walks) are
-// derived data: they are built lazily on first use, cached on the layer
-// behind atomic pointers, dropped by InvalidateInference whenever the
-// optimizer mutates the weights, and rebuilt when a kernel-tier override
-// makes them stale. Concurrent builders may race benignly — every build
-// produces identical bits, the last store wins.
+// Inference weight caches. A single-vector product (W·x, U·h, the dense
+// head) vectorizes across output rows once the weights are packed into
+// mathx.PackedGEMV tiles; the sequential step runs on those, and so does
+// every stream of a batched step that no SIMD GEMM block covers (batch.go).
+// The packs (and the transposed W the one-hot gather walks) are derived
+// data: each is built lazily the first time its matrix is multiplied — the
+// one-hot step never multiplies layer 0's W, so that pack is never built
+// for it — cached behind an atomic pointer, dropped by InvalidateInference
+// whenever the optimizer mutates the weights, and rebuilt when a
+// kernel-tier override makes it stale. Builders racing on a cold slot
+// publish by CompareAndSwap and all return the winner, so concurrent
+// shards share one copy.
 //
 // None of this changes any result: PackedGEMV.Apply and OneHotGather are
 // bitwise-identical to the MulVec/MulVecAdd reference per element, and the
 // fused gate epilogue below performs exactly the same per-element operation
 // chain as the unfused activation + cell loops it replaces.
 
-// lstmPacks is one layer's packed inference weights.
-type lstmPacks struct {
-	w, u *mathx.PackedGEMV
-}
-
-// inferPacks returns the layer's packed weights, building them on first use
-// or after a kernel-tier change.
-func (l *LSTMLayer) inferPacks() *lstmPacks {
-	p := l.packs.Load()
-	if p == nil || p.w.Stale() {
-		p = &lstmPacks{w: mathx.PackGEMV(l.W), u: mathx.PackGEMV(l.U)}
-		l.packs.Store(p)
+// lazyPack returns m's GEMV pack for the current kernel tier from slot,
+// packing on first use or after a tier change.
+func lazyPack(slot *atomic.Pointer[mathx.PackedGEMV], m *mathx.Matrix) *mathx.PackedGEMV {
+	for {
+		p := slot.Load()
+		if p != nil && !p.Stale() {
+			return p
+		}
+		slot.CompareAndSwap(p, mathx.PackGEMV(m))
 	}
-	return p
 }
 
 // wtrans returns Wᵀ for the one-hot gather, building it on first use.
 func (l *LSTMLayer) wtrans() *mathx.Matrix {
-	wt := l.wt.Load()
-	if wt == nil {
-		wt = l.W.Transpose()
-		l.wt.Store(wt)
+	for {
+		if wt := l.wt.Load(); wt != nil {
+			return wt
+		}
+		l.wt.CompareAndSwap(nil, l.W.Transpose())
 	}
-	return wt
-}
-
-// inferPack returns the dense head's packed weights.
-func (d *Dense) inferPack() *mathx.PackedGEMV {
-	p := d.pack.Load()
-	if p == nil || p.Stale() {
-		p = mathx.PackGEMV(d.W)
-		d.pack.Store(p)
-	}
-	return p
 }
 
 // forwardInfer is Forward through the packed weights: logits = W·h + b with
 // the bias add fused into the GEMV epilogue, bitwise-identical to Forward.
 func (d *Dense) forwardInfer(dst, h []float64) {
-	d.inferPack().Apply(dst, h, d.B, mathx.GemvSetBias)
+	lazyPack(&d.pack, d.W).Apply(dst, h, d.B, mathx.GemvSetBias)
+}
+
+// invalidate drops the layer's cached inference layouts.
+func (l *LSTMLayer) invalidate() {
+	l.packW.Store(nil)
+	l.packU.Store(nil)
+	l.wt.Store(nil)
 }
 
 // InvalidateInference drops every cached inference layout (packed GEMV
@@ -68,8 +65,7 @@ func (d *Dense) forwardInfer(dst, h []float64) {
 // same. GrowClasses replaces the head wholesale, so its caches start empty.
 func (c *Classifier) InvalidateInference() {
 	for _, l := range c.Layers {
-		l.packs.Store(nil)
-		l.wt.Store(nil)
+		l.invalidate()
 	}
 	c.Out.pack.Store(nil)
 	c.m32.Store(nil)
@@ -110,7 +106,7 @@ func (l *LSTMLayer) gatesCellUpdate(z, h, c []float64) {
 // equal to stepInfer on the equivalent dense vector.
 func (l *LSTMLayer) stepInferOneHot(z []float64, idx []int, h, c []float64) {
 	mathx.OneHotGather(z, l.wtrans(), idx)
-	l.inferPacks().u.Apply(z, h, l.B, mathx.GemvAddBias)
+	lazyPack(&l.packU, l.U).Apply(z, h, l.B, mathx.GemvAddBias)
 	l.gatesCellUpdate(z, h, c)
 }
 

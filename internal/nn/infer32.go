@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"icsdetect/internal/mathx"
@@ -26,11 +25,6 @@ type InferModel32 struct {
 	out    *dense32
 }
 
-// lstmPacks32 is one layer's packed f32 inference weights.
-type lstmPacks32 struct {
-	w, u *mathx.PackedGEMV32
-}
-
 // inferLayer32 is the frozen f32 mirror of one LSTMLayer.
 type inferLayer32 struct {
 	inputSize  int
@@ -42,7 +36,9 @@ type inferLayer32 struct {
 	// GEMV packs their layout is tier-independent, so they are built once at
 	// snapshot time and never go stale.
 	wg, ug *mathx.PackedGEMM32
-	packs  atomic.Pointer[lstmPacks32]
+	// packW/packU are the tier-dependent GEMV packs of w/u, each built when
+	// first multiplied (see lazyPack).
+	packW, packU atomic.Pointer[mathx.PackedGEMV32]
 }
 
 // dense32 is the frozen f32 mirror of the Dense head.
@@ -94,13 +90,15 @@ func newInferModel32(c *Classifier) *InferModel32 {
 
 // Infer32 returns the classifier's f32 inference snapshot, converting on
 // first use. The snapshot is valid until the next InvalidateInference.
+// Callers racing on a cold model all get the one snapshot that won the
+// CompareAndSwap, so shards never pin duplicate copies of the weights.
 func (c *Classifier) Infer32() *InferModel32 {
-	m := c.m32.Load()
-	if m == nil {
-		m = newInferModel32(c)
-		c.m32.Store(m)
+	for {
+		if m := c.m32.Load(); m != nil {
+			return m
+		}
+		c.m32.CompareAndSwap(nil, newInferModel32(c))
 	}
-	return m
 }
 
 // InputSize returns the expected input vector length.
@@ -109,31 +107,21 @@ func (m *InferModel32) InputSize() int { return m.layers[0].inputSize }
 // Classes returns |S|, the logit width.
 func (m *InferModel32) Classes() int { return m.out.outputSize }
 
-// inferPacks returns the layer's packed f32 weights, building them on
-// first use or after a kernel-tier change.
-func (l *inferLayer32) inferPacks() *lstmPacks32 {
-	p := l.packs.Load()
-	if p == nil || p.w.Stale() {
-		p = &lstmPacks32{w: mathx.PackGEMV32(l.w), u: mathx.PackGEMV32(l.u)}
-		l.packs.Store(p)
+// lazyPack32 is lazyPack for the f32 packs.
+func lazyPack32(slot *atomic.Pointer[mathx.PackedGEMV32], m *mathx.Matrix32) *mathx.PackedGEMV32 {
+	for {
+		p := slot.Load()
+		if p != nil && !p.Stale() {
+			return p
+		}
+		slot.CompareAndSwap(p, mathx.PackGEMV32(m))
 	}
-	return p
-}
-
-// inferPack returns the head's packed f32 weights.
-func (d *dense32) inferPack() *mathx.PackedGEMV32 {
-	p := d.pack.Load()
-	if p == nil || p.Stale() {
-		p = mathx.PackGEMV32(d.w)
-		d.pack.Store(p)
-	}
-	return p
 }
 
 // forwardInfer computes logits = W·h + b with the bias add fused into the
 // GEMV epilogue.
 func (d *dense32) forwardInfer(dst, h []float32) {
-	d.inferPack().Apply(dst, h, d.b, mathx.GemvSetBias)
+	lazyPack32(&d.pack, d.w).Apply(dst, h, d.b, mathx.GemvSetBias)
 }
 
 // State32 is the f32 recurrent state of a streaming session running on an
@@ -211,9 +199,8 @@ func (l *inferLayer32) combineGatesCellUpdate(row, urow, h, c []float32) {
 
 // stepInfer advances one timestep on the packed f32 weights.
 func (l *inferLayer32) stepInfer(z, x, h, c []float32) {
-	p := l.inferPacks()
-	p.w.Apply(z, x, nil, mathx.GemvSet)
-	p.u.Apply(z, h, l.b, mathx.GemvAddBias)
+	lazyPack32(&l.packW, l.w).Apply(z, x, nil, mathx.GemvSet)
+	lazyPack32(&l.packU, l.u).Apply(z, h, l.b, mathx.GemvAddBias)
 	l.gatesCellUpdate(z, h, c)
 }
 
@@ -221,7 +208,7 @@ func (l *inferLayer32) stepInfer(z, x, h, c []float32) {
 // column indices (strictly ascending).
 func (l *inferLayer32) stepInferOneHot(z []float32, idx []int, h, c []float32) {
 	mathx.OneHotGather32(z, l.wt, idx)
-	l.inferPacks().u.Apply(z, h, l.b, mathx.GemvAddBias)
+	lazyPack32(&l.packU, l.u).Apply(z, h, l.b, mathx.GemvAddBias)
 	l.gatesCellUpdate(z, h, c)
 }
 
@@ -252,56 +239,33 @@ func (m *InferModel32) StepLogitsOneHot(state *State32, idx []int, scores []floa
 
 // BatchBuffer32 is the reusable f32 scratch for the batched paths — the
 // mirror of BatchBuffer, usable only with the snapshot that allocated it.
-type BatchBuffer32 struct {
-	maxBatch int
-	z, zu    [][]float32
-	logits   []float32
-	xs       [][]float32
-}
+type BatchBuffer32 struct{ batchScratch[float32] }
 
-// NewBatchBuffer allocates f32 scratch for batches of up to maxBatch
-// streams.
+// NewBatchBuffer returns f32 scratch for batches of up to maxBatch streams.
 func (m *InferModel32) NewBatchBuffer(maxBatch int) *BatchBuffer32 {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	b := &BatchBuffer32{
-		maxBatch: maxBatch,
-		z:        make([][]float32, len(m.layers)),
-		zu:       make([][]float32, len(m.layers)),
-		logits:   make([]float32, maxBatch*m.out.outputSize),
-		xs:       make([][]float32, maxBatch),
-	}
+	gates := make([]int, len(m.layers))
 	for i, l := range m.layers {
-		b.z[i] = make([]float32, maxBatch*numGates*l.hiddenSize)
-		b.zu[i] = make([]float32, maxBatch*numGates*l.hiddenSize)
+		gates[i] = numGates * l.hiddenSize
 	}
-	return b
+	return &BatchBuffer32{newBatchScratch[float32](maxBatch, gates, m.out.outputSize)}
 }
-
-// MaxBatch returns the batch width the buffer was sized for.
-func (b *BatchBuffer32) MaxBatch() int { return b.maxBatch }
 
 // StepBatchLogits advances n = len(states) independent f32 states through
 // one batched forward pass, writing each stream's raw logit vector into
 // scores[i]. Bitwise-identical to calling StepLogits once per stream, by
-// the same association contract as the f64 batched path.
+// the same association contract as the f64 batched path — and like it,
+// streams past the last SIMD GEMM block take exactly that sequential step.
 func (m *InferModel32) StepBatchLogits(buf *BatchBuffer32, states []*State32, inputs [][]float32, scores [][]float32) {
 	n := len(states)
-	if n == 0 {
-		return
+	wide := buf.split(n, len(inputs), len(scores), mathx.GEMMBlock32())
+	if wide > 0 {
+		copy(buf.xs[:wide], inputs)
+		m.stepBatchLayers(buf, states, wide, 0)
+		m.stepBatchHead(buf, scores, wide)
 	}
-	if len(inputs) != n || len(scores) != n {
-		panic(fmt.Sprintf("nn: f32 batch size mismatch (states=%d inputs=%d scores=%d)",
-			n, len(inputs), len(scores)))
+	for i := wide; i < n; i++ {
+		m.StepLogits(states[i], inputs[i], scores[i])
 	}
-	if n > buf.maxBatch {
-		panic(fmt.Sprintf("nn: f32 batch of %d exceeds buffer capacity %d", n, buf.maxBatch))
-	}
-	xs := buf.xs[:n]
-	copy(xs, inputs)
-	m.stepBatchLayers(buf, states, n, 0)
-	m.stepBatchHead(buf, scores, n)
 }
 
 // StepBatchLogitsOneHot is StepBatchLogits with the first layer's inputs
@@ -309,33 +273,27 @@ func (m *InferModel32) StepBatchLogits(buf *BatchBuffer32, states []*State32, in
 // path.
 func (m *InferModel32) StepBatchLogitsOneHot(buf *BatchBuffer32, states []*State32, idxs [][]int, scores [][]float32) {
 	n := len(states)
-	if n == 0 {
-		return
+	wide := buf.split(n, len(idxs), len(scores), mathx.GEMMBlock32())
+	if wide > 0 {
+		l0 := m.layers[0]
+		G := numGates * l0.hiddenSize
+		z := buf.z[0][:wide*G]
+		for i := 0; i < wide; i++ {
+			mathx.OneHotGather32(z[i*G:(i+1)*G], l0.wt, idxs[i])
+			buf.xs[i] = states[i].h[0]
+		}
+		zu := buf.zu[0][:wide*G]
+		l0.ug.MulRowsT(zu, buf.xs[:wide])
+		for i := 0; i < wide; i++ {
+			l0.combineGatesCellUpdate(z[i*G:(i+1)*G], zu[i*G:(i+1)*G], states[i].h[0], states[i].c[0])
+			buf.xs[i] = states[i].h[0]
+		}
+		m.stepBatchLayers(buf, states, wide, 1)
+		m.stepBatchHead(buf, scores, wide)
 	}
-	if len(idxs) != n || len(scores) != n {
-		panic(fmt.Sprintf("nn: f32 batch size mismatch (states=%d inputs=%d scores=%d)",
-			n, len(idxs), len(scores)))
+	for i := wide; i < n; i++ {
+		m.StepLogitsOneHot(states[i], idxs[i], scores[i])
 	}
-	if n > buf.maxBatch {
-		panic(fmt.Sprintf("nn: f32 batch of %d exceeds buffer capacity %d", n, buf.maxBatch))
-	}
-	l0 := m.layers[0]
-	H := l0.hiddenSize
-	z := buf.z[0][:n*numGates*H]
-	for i := 0; i < n; i++ {
-		mathx.OneHotGather32(z[i*numGates*H:(i+1)*numGates*H], l0.wt, idxs[i])
-		buf.xs[i] = states[i].h[0]
-	}
-	zu := buf.zu[0][:n*numGates*H]
-	l0.ug.MulRowsT(zu, buf.xs[:n])
-	for i := 0; i < n; i++ {
-		row := z[i*numGates*H : (i+1)*numGates*H]
-		urow := zu[i*numGates*H : (i+1)*numGates*H]
-		l0.combineGatesCellUpdate(row, urow, states[i].h[0], states[i].c[0])
-		buf.xs[i] = states[i].h[0]
-	}
-	m.stepBatchLayers(buf, states, n, 1)
-	m.stepBatchHead(buf, scores, n)
 }
 
 // stepBatchLayers advances layers [from, len) for a batch of n streams.

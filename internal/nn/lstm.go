@@ -43,11 +43,12 @@ type LSTMLayer struct {
 	U          *mathx.Matrix
 	B          []float64
 
-	// Cached inference layouts (infer.go): packed GEMV tiles of W/U and
-	// the transposed W the one-hot gather walks. Unexported so gob skips
-	// them; dropped by Classifier.InvalidateInference on weight mutation.
-	packs atomic.Pointer[lstmPacks]
-	wt    atomic.Pointer[mathx.Matrix]
+	// Cached inference layouts (infer.go): packed GEMV tiles of W and U,
+	// each built when first multiplied, and the transposed W the one-hot
+	// gather walks. Unexported so gob skips them; dropped by
+	// Classifier.InvalidateInference on weight mutation.
+	packW, packU atomic.Pointer[mathx.PackedGEMV]
+	wt           atomic.Pointer[mathx.Matrix]
 }
 
 // NewLSTMLayer allocates a layer with Xavier/Glorot-uniform weights and the
@@ -112,9 +113,8 @@ type lstmStepCache struct {
 // the training-forward path and to the batched StepBatchLogits (which
 // also updates h/c in place).
 func (l *LSTMLayer) stepInfer(z, x, h, c []float64) {
-	p := l.inferPacks()
-	p.w.Apply(z, x, nil, mathx.GemvSet)
-	p.u.Apply(z, h, l.B, mathx.GemvAddBias)
+	lazyPack(&l.packW, l.W).Apply(z, x, nil, mathx.GemvSet)
+	lazyPack(&l.packU, l.U).Apply(z, h, l.B, mathx.GemvAddBias)
 	l.gatesCellUpdate(z, h, c)
 }
 

@@ -3,8 +3,8 @@
 // bitwise-identical — logits, hidden states and cell states — to the dense
 // StepLogits / StepBatchLogits on the equivalent one-hot vectors, for every
 // layer shape the detection stacks use and on every kernel tier. The
-// batched test drives ragged widths (a different subset of streams each
-// step), the shape the engine produces when streams join and leave shards.
+// batched test sweeps every batch width the GEMM-block/GEMV routing
+// distinguishes, against the sequential step as the reference.
 package nn
 
 import (
@@ -122,13 +122,33 @@ func TestStepLogitsOneHotMatchesDense(t *testing.T) {
 	}
 }
 
+// sweepWidths is the batch-width schedule of the batched parity tests:
+// every width from 1 to 2·widest+3 ascending — so each GEMM block size, each
+// tail length beside it and both sides of every routing boundary occur, and
+// a buffer that starts empty grows several times mid-sequence — then a
+// ragged shuffle, the shape the engine produces when streams join and leave
+// shards. widest is the tier family's widest GEMM block.
+func sweepWidths(widest int) []int {
+	top := 2*widest + 3
+	var ws []int
+	for n := 1; n <= top; n++ {
+		ws = append(ws, n)
+	}
+	return append(ws, 1, top, 4, 7, 2, 8, 3, top, 1, 5, 6, widest+1, top)
+}
+
 // TestStepBatchLogitsOneHotMatchesDense: the batched sparse path against
-// both the batched dense path and the sequential sparse path, under ragged
-// batch widths — each step advances a different prefix of the streams, so
-// batch rows, GEMM tile edges and gather groups all shift between steps.
+// both the batched dense path and the sequential sparse path, on every
+// width the routing distinguishes (sweepWidths), several steps per width
+// with the states persisting throughout — each step advances a different
+// prefix of the streams, so batch rows, GEMM tile edges, the sequentially
+// stepped tail and the gather groups all shift between steps. One batched
+// replica runs on a buffer that starts empty and grows as the widths rise,
+// the other on one grown to full width up front: growth must change nothing.
 func TestStepBatchLogitsOneHotMatchesDense(t *testing.T) {
-	const maxStreams = 9
-	widths := []int{1, maxStreams, 4, 7, 2, 8, 3, maxStreams, 1, 5, 6, maxStreams}
+	const widest, stepsPerWidth = 8, 3
+	widths := sweepWidths(widest)
+	maxStreams := 2*widest + 3
 	for _, shape := range onehotShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			forEachKernelTier(t, func(t *testing.T) {
@@ -138,33 +158,43 @@ func TestStepBatchLogitsOneHotMatchesDense(t *testing.T) {
 				}
 				rng := mathx.NewRNG(7)
 				buf := c.NewBatchBuffer(maxStreams)
+				grownBuf := c.NewBatchBuffer(maxStreams)
+				grownBuf.grow(maxStreams)
 				denseBuf := c.NewBatchBuffer(maxStreams)
 				sparse := make([]*State, maxStreams)
+				grown := make([]*State, maxStreams)
 				dense := make([]*State, maxStreams)
 				seq := make([]*State, maxStreams)
 				for i := range sparse {
-					sparse[i], dense[i], seq[i] = c.NewState(), c.NewState(), c.NewState()
+					sparse[i], grown[i], dense[i], seq[i] = c.NewState(), c.NewState(), c.NewState(), c.NewState()
 				}
 				seqScores := make([]float64, shape.classes)
 				for _, n := range widths {
-					idxs := make([][]int, n)
-					xs := make([][]float64, n)
-					sparseScores := make([][]float64, n)
-					denseScores := make([][]float64, n)
-					for i := 0; i < n; i++ {
-						idxs[i] = randomOneHot(rng, shape.in)
-						xs[i] = denseOneHot(shape.in, idxs[i])
-						sparseScores[i] = make([]float64, shape.classes)
-						denseScores[i] = make([]float64, shape.classes)
-					}
-					c.StepBatchLogitsOneHot(buf, sparse[:n], idxs, sparseScores)
-					c.StepBatchLogits(denseBuf, dense[:n], xs, denseScores)
-					for i := 0; i < n; i++ {
-						c.StepLogitsOneHot(seq[i], idxs[i], seqScores)
-						requireBitsEqual(t, "batch-vs-dense logits", sparseScores[i], denseScores[i])
-						requireBitsEqual(t, "batch-vs-seq logits", sparseScores[i], seqScores)
-						requireStatesEqual(t, sparse[i], dense[i])
-						requireStatesEqual(t, sparse[i], seq[i])
+					for step := 0; step < stepsPerWidth; step++ {
+						idxs := make([][]int, n)
+						xs := make([][]float64, n)
+						sparseScores := make([][]float64, n)
+						grownScores := make([][]float64, n)
+						denseScores := make([][]float64, n)
+						for i := 0; i < n; i++ {
+							idxs[i] = randomOneHot(rng, shape.in)
+							xs[i] = denseOneHot(shape.in, idxs[i])
+							sparseScores[i] = make([]float64, shape.classes)
+							grownScores[i] = make([]float64, shape.classes)
+							denseScores[i] = make([]float64, shape.classes)
+						}
+						c.StepBatchLogitsOneHot(buf, sparse[:n], idxs, sparseScores)
+						c.StepBatchLogitsOneHot(grownBuf, grown[:n], idxs, grownScores)
+						c.StepBatchLogits(denseBuf, dense[:n], xs, denseScores)
+						for i := 0; i < n; i++ {
+							c.StepLogitsOneHot(seq[i], idxs[i], seqScores)
+							requireBitsEqual(t, "batch-vs-seq logits", sparseScores[i], seqScores)
+							requireBitsEqual(t, "grown-vs-seq logits", grownScores[i], seqScores)
+							requireBitsEqual(t, "dense-vs-seq logits", denseScores[i], seqScores)
+							requireStatesEqual(t, sparse[i], seq[i])
+							requireStatesEqual(t, grown[i], seq[i])
+							requireStatesEqual(t, dense[i], seq[i])
+						}
 					}
 				}
 			})

@@ -284,10 +284,8 @@ func (m *AutoEncoder) newGrads() reconGrads {
 }
 
 func (m *AutoEncoder) invalidate() {
-	m.Enc.packs.Store(nil)
-	m.Enc.wt.Store(nil)
-	m.Dec.packs.Store(nil)
-	m.Dec.wt.Store(nil)
+	m.Enc.invalidate()
+	m.Dec.invalidate()
 	m.Out.pack.Store(nil)
 }
 
@@ -541,10 +539,8 @@ func (m *Seq2Seq) newGrads() reconGrads {
 }
 
 func (m *Seq2Seq) invalidate() {
-	m.Enc.packs.Store(nil)
-	m.Enc.wt.Store(nil)
-	m.Dec.packs.Store(nil)
-	m.Dec.wt.Store(nil)
+	m.Enc.invalidate()
+	m.Dec.invalidate()
 	m.Out.pack.Store(nil)
 }
 

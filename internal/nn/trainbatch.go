@@ -103,6 +103,8 @@ func newBatchTrainer(c *Classifier, maxB, maxT int) *batchTrainer {
 		act:   make([]int, 0, maxB),
 		sact:  make([]int, 0, maxB),
 	}
+	// The trainer indexes the scratch rows itself, always maxB wide.
+	bt.buf.grow(maxB)
 	for l, layer := range c.Layers {
 		H := layer.HiddenSize
 		G := numGates * H

@@ -401,6 +401,12 @@ func TestServeLiveIngest(t *testing.T) {
 	defer conn.Close()
 
 	// One polling cycle: command (unseen TID) then response (same TID).
+	// The first command goes alone and the rest wait until the handler is
+	// blocked on it: the shard worker then sits in the handler with a
+	// one-packet tick, so the queue fills and the live path must shed the
+	// overflow rather than stall — and every shed decision falls after the
+	// last admission (a worker still draining its queue while frames arrive
+	// would free slots mid-stream and shed from the middle).
 	const frames = 20
 	for i := 0; i < frames/2; i++ {
 		tid := uint16(i + 1)
@@ -415,14 +421,14 @@ func TestServeLiveIngest(t *testing.T) {
 		if err := modbus.WriteTCPFrame(conn, cmd); err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			<-blocked
+		}
 		if err := modbus.WriteTCPFrame(conn, resp); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// The handler is blocked on the first package: the shard queue fills
-	// and the live path must shed the overflow rather than stall.
-	<-blocked
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		st := srv.Stats()
