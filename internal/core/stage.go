@@ -325,13 +325,17 @@ func (b *seriesAdvanceBatch) Queue(state StageState, pc *PackageContext, v *Verd
 }
 
 // Flush advances every queued stream's recurrent state through one batched
-// matrix-matrix pass — sparse one-hot inputs, same bits as the sequential
-// path — and empties the batch.
+// pass — sparse one-hot inputs, same bits as the sequential path — and
+// empties the batch, dropping its references to the flushed streams so a
+// released stream's state is not kept alive by a slot nothing overwrites.
 func (b *seriesAdvanceBatch) Flush() {
 	if b.n == 0 {
 		return
 	}
 	b.stage.Detector.Model.StepBatchLogitsOneHot(b.buf, b.rnns[:b.n], b.idxs[:b.n], b.scores[:b.n])
+	clear(b.rnns[:b.n])
+	clear(b.idxs[:b.n])
+	clear(b.scores[:b.n])
 	b.n = 0
 }
 
@@ -384,12 +388,15 @@ func (b *seriesAdvanceBatch32) Queue(state StageState, pc *PackageContext, v *Ve
 }
 
 // Flush advances every queued stream through one batched f32 pass and
-// empties the batch.
+// empties the batch, dropping its references to the flushed streams.
 func (b *seriesAdvanceBatch32) Flush() {
 	if b.n == 0 {
 		return
 	}
 	b.model.StepBatchLogitsOneHot(b.buf, b.rnns[:b.n], b.idxs[:b.n], b.scores[:b.n])
+	clear(b.rnns[:b.n])
+	clear(b.idxs[:b.n])
+	clear(b.scores[:b.n])
 	b.n = 0
 }
 

@@ -980,6 +980,9 @@ func (s *shard) flush() {
 		for _, st := range fb.inBatch {
 			st.pending = false
 		}
+		// Cleared, not just truncated: the backing array must not keep a
+		// stream alive after Release.
+		clear(fb.inBatch)
 		fb.inBatch = fb.inBatch[:0]
 	}
 }

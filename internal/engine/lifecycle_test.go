@@ -12,6 +12,7 @@ import (
 	_ "icsdetect/internal/baselines"
 	"icsdetect/internal/core"
 	"icsdetect/internal/engine"
+	"icsdetect/internal/nn"
 )
 
 // cloneFramework round-trips a framework through Save/Load, producing a
@@ -124,6 +125,71 @@ func TestEngineReleaseResetsStreamState(t *testing.T) {
 	e.Stop()
 	if err := e.Release("conn-1"); err == nil {
 		t.Error("Release after Stop did not error")
+	}
+}
+
+// TestEngineReleaseFreesBatchedStreams: Release must make a stream's state
+// garbage even when its last package advanced through a batched pass. The
+// flush used to leave the pass's scratch (the advance batch's state, input
+// and score tables, the shard's pending-stream list) pointing at the
+// streams it had just stepped, so up to MaxBatch released sessions per
+// shard per framework stayed reachable until a later wave happened to
+// overwrite their slots. The model is the paper's 2x256 shape — 24 KB of
+// recurrent state per stream — so 64 pinned sessions stand well clear of
+// the slack.
+func TestEngineReleaseFreesBatchedStreams(t *testing.T) {
+	trained, split := testFramework(t)
+	fw := cloneFramework(t, trained)
+	wide, err := nn.NewClassifier(fw.Series.Model.InputSize(), []int{256, 256}, fw.Series.Model.Classes(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Series.Model = wide
+	const (
+		streams = 64
+		slackKB = 256
+	)
+	// The handler passes only while the test does not hold the gate.
+	var gate sync.RWMutex
+	e, err := engine.New(fw, engine.Config{Shards: 1, MaxBatch: streams, QueueDepth: streams + 2}, func(engine.Result) {
+		gate.RLock()
+		gate.RUnlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	// wave submits one package to each of n fresh streams behind a gated
+	// handler, so they drain as one tick and advance in one batched pass,
+	// then releases them all.
+	wave := func(round string, n int) {
+		gate.Lock()
+		for i := 0; i < n; i++ {
+			if err := e.Submit(fmt.Sprintf("%s-%03d", round, i), split.Test[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gate.Unlock()
+		if err := e.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := e.Release(fmt.Sprintf("%s-%03d", round, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm-up with a single stream: the packed weights and the shard's
+	// scratch exist, at most one stream can be pinned.
+	wave("warm", 1)
+	before := settledHeap()
+	wave("churn", streams)
+	if n := e.Stats().ActiveStreams(); n != 0 {
+		t.Fatalf("%d streams still open after releasing all", n)
+	}
+	if after := settledHeap(); after > before+slackKB<<10 {
+		t.Errorf("engine holds %d KB more after %d streams came and went than before them",
+			(after-before)>>10, streams)
 	}
 }
 

@@ -214,6 +214,15 @@ func TestEngineRandomSchedules(t *testing.T) {
 	}
 }
 
+// settledHeap is the live heap after two full collections.
+func settledHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // TestEngineDrainedHoldsNoPackages: a drained engine must not pin the
 // packages of its last tick. The handler gates the worker until the whole
 // flood is queued, so one tick carries all of it; after a Barrier the
@@ -248,14 +257,6 @@ func TestEngineDrainedHoldsNoPackages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-
 	// Warm-up: streams open and scratch grows to its working size, one
 	// burst per tick so the reading is taken with (almost) nothing queued
 	// behind it whether or not ticks are cleared.
@@ -265,7 +266,7 @@ func TestEngineDrainedHoldsNoPackages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := heap()
+	before := settledHeap()
 
 	// The first package blocks in the handler; everything else queues
 	// behind it and drains as one tick once the gate opens.
@@ -280,7 +281,7 @@ func TestEngineDrainedHoldsNoPackages(t *testing.T) {
 	if err := e.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	after := heap()
+	after := settledHeap()
 	if after > before+slackKB<<10 {
 		t.Errorf("drained engine holds %d KB more than before the flood of %d packages",
 			(after-before)>>10, bursts*width)

@@ -42,6 +42,36 @@ func gemv4avx(p *float64, tiles, cols int, x *float64, dst *float64, bias *float
 //go:noescape
 func gemv8avx512(p *float64, tiles, cols int, x *float64, dst *float64, bias *float64, mode int)
 
+// gemvbatch4avx runs the packed product for n streams in one pass over the
+// tiles (gemvbatch_amd64.s): xs and dsts point at n slice headers, every
+// stream's result bitwise-identical to gemv4avx on that stream.
+//
+//go:noescape
+func gemvbatch4avx(p *float64, tiles, cols int, xs, dsts *[]float64, n int, bias *float64, mode int)
+
+// gemvbatch8avx512 is the 512-bit twin of gemvbatch4avx: eight output rows
+// per zmm, stream blocks of eight.
+//
+//go:noescape
+func gemvbatch8avx512(p *float64, tiles, cols int, xs, dsts *[]float64, n int, bias *float64, mode int)
+
+// vgroupadd4f64 is the one-hot gather group kernel (gemm_amd64.s):
+// dst = [dst +] ((r0 + r1) + r2) + r3 truncated to rows addends, four
+// lanes per step over the 4-divisible prefix; returns the count handled.
+//
+//go:noescape
+func vgroupadd4f64(dst, r0, r1, r2, r3 *float64, rows, n int, assign bool) int
+
+// vgroupAddSIMD runs the gather-group combine over the SIMD-divisible
+// prefix and reports how much it covered; the caller finishes the tail
+// with the identical per-element expression.
+func vgroupAddSIMD(dst, r0, r1, r2, r3 []float64, rows int, assign bool) int {
+	if !hasAVX || len(dst) < 4 {
+		return 0
+	}
+	return vgroupadd4f64(&dst[0], &r0[0], &r1[0], &r2[0], &r3[0], rows, len(dst), assign)
+}
+
 // Kernel-tier state: the cpu* flags are immutable hardware facts, the
 // *Enabled flags are test/benchmark overrides, and hasAVX/hasAVX512 are the
 // effective tier the kernels consult. Overrides are not safe to flip
@@ -113,43 +143,28 @@ func gemvLanes() int {
 	}
 }
 
-// GEMMBlock returns the narrowest stream block MulRowsT runs on a SIMD
-// kernel at the effective tier: 4, the AVX tile (the AVX-512 tier peels
-// 8-wide blocks first and finishes on it), or 0 on the scalar tier. The
-// n mod GEMMBlock() streams past the last block get one scalar Dot per
-// weight row from MulRowsT, so a caller holding a PackedGEMV of the same
-// matrix routes them through Apply instead — same bits, vector speed.
-func GEMMBlock() int {
-	if hasAVX {
-		return 4
-	}
-	return 0
-}
-
-// gemvSIMD dispatches the packed single-vector product to the tier the pack
-// was built for; it reports false (pack unusable, caller falls back to the
-// scalar rows) when that tier is no longer enabled.
-func gemvSIMD(p *PackedGEMV, dst, x, bias []float64, mode int, tiles int) bool {
-	if p.cols == 0 {
+// gemvSIMD dispatches the packed product of len(xs) ≥ 1 validated streams
+// to the tier the pack was built for — the single-vector kernel for one
+// stream, the one-pass multi-stream kernel for more; it reports false (pack
+// unusable, caller falls back to the portable rows) when that tier is no
+// longer enabled.
+func gemvSIMD(p *PackedGEMV, dst, xs [][]float64, bias []float64, mode int, tiles int) bool {
+	if p.cols == 0 || (p.lanes == 8 && !hasAVX512) || !hasAVX {
 		return false
 	}
-	bp := &dst[0] // unread by modes without a bias; keeps the asm branch-free
+	bp := &dst[0][0] // unread by modes without a bias; keeps the asm branch-free
 	if bias != nil {
 		bp = &bias[0]
 	}
-	switch p.lanes {
-	case 8:
-		if !hasAVX512 {
-			return false
-		}
-		gemv8avx512(&p.data[0], tiles, p.cols, &x[0], &dst[0], bp, mode)
-	case 4:
-		if !hasAVX {
-			return false
-		}
-		gemv4avx(&p.data[0], tiles, p.cols, &x[0], &dst[0], bp, mode)
+	switch n := len(xs); {
+	case p.lanes == 8 && n == 1:
+		gemv8avx512(&p.data[0], tiles, p.cols, &xs[0][0], &dst[0][0], bp, mode)
+	case p.lanes == 8:
+		gemvbatch8avx512(&p.data[0], tiles, p.cols, &xs[0], &dst[0], n, bp, mode)
+	case n == 1:
+		gemv4avx(&p.data[0], tiles, p.cols, &xs[0][0], &dst[0][0], bp, mode)
 	default:
-		return false
+		gemvbatch4avx(&p.data[0], tiles, p.cols, &xs[0], &dst[0], n, bp, mode)
 	}
 	return true
 }

@@ -24,13 +24,13 @@ func chain4SIMD(dst []float64, scal, vp []float64, steps, c int) bool {
 // Apply always runs the scalar per-row Dot path.
 func gemvLanes() int { return 0 }
 
-// GEMMBlock reports that MulRowsT runs no SIMD block on this architecture.
-func GEMMBlock() int { return 0 }
-
 // gemvSIMD reports that no packed-GEMV kernel is available.
-func gemvSIMD(p *PackedGEMV, dst, x, bias []float64, mode int, tiles int) bool {
+func gemvSIMD(p *PackedGEMV, dst, xs [][]float64, bias []float64, mode int, tiles int) bool {
 	return false
 }
+
+// vgroupAddSIMD reports that no gather-group kernel covered anything.
+func vgroupAddSIMD(dst, r0, r1, r2, r3 []float64, rows int, assign bool) int { return 0 }
 
 // SetSIMDEnabled is a no-op without SIMD kernels; it reports false (the
 // previous — and only — state).

@@ -120,6 +120,23 @@ func TestOneHotGatherMatchesMulVec(t *testing.T) {
 	}
 }
 
+// gemvReference is the dense reference of one Apply over a pre-filled dst:
+// MulVec / MulVecAdd followed by the bias loop.
+func gemvReference(m *Matrix, base, x, bias []float64, mode int) []float64 {
+	want := append([]float64(nil), base...)
+	if mode == GemvSet || mode == GemvSetBias {
+		m.MulVec(want, x)
+	} else {
+		m.MulVecAdd(want, x)
+	}
+	if mode >= GemvAddBias {
+		for i := range want {
+			want[i] += bias[i]
+		}
+	}
+	return want
+}
+
 // TestPackedGEMVMatchesMulVec: Apply must be bitwise-identical to the
 // MulVec / MulVecAdd + bias-loop reference in all four epilogue modes, on
 // every kernel tier, across shapes with row tails (rows % lanes) and odd
@@ -135,24 +152,7 @@ func TestPackedGEMVMatchesMulVec(t *testing.T) {
 			bias := randomVec(rng, rows)
 			base := randomVec(rng, rows)
 			for mode := GemvSet; mode <= GemvSetBias; mode++ {
-				want := make([]float64, rows)
-				copy(want, base)
-				switch mode {
-				case GemvSet:
-					m.MulVec(want, x)
-				case GemvAdd:
-					m.MulVecAdd(want, x)
-				case GemvAddBias:
-					m.MulVecAdd(want, x)
-					for i := range want {
-						want[i] += bias[i]
-					}
-				case GemvSetBias:
-					m.MulVec(want, x)
-					for i := range want {
-						want[i] += bias[i]
-					}
-				}
+				want := gemvReference(m, base, x, bias, mode)
 				got := make([]float64, rows)
 				copy(got, base)
 				p.Apply(got, x, bias, mode)
@@ -222,5 +222,131 @@ func TestMulRowsTWideBatches(t *testing.T) {
 				}
 			}
 		}
+	})
+}
+
+// applyBatchWidths are the stream counts the multi-stream kernel is swept
+// over: one stream (the single-vector kernel), every width up to two full
+// eight-stream blocks plus a partial one, and multi-block waves.
+func applyBatchWidths() []int {
+	var ws []int
+	for n := 1; n <= 2*8+3; n++ {
+		ws = append(ws, n)
+	}
+	return append(ws, 33, 64)
+}
+
+// requireApplyBatch runs one ApplyBatch of n streams through p in every
+// mode over pre-filled dst rows and requires each stream bitwise-equal to
+// both Apply on that stream and the MulVec reference.
+func requireApplyBatch(t *testing.T, rng *RNG, m *Matrix, p *PackedGEMV, n int) {
+	t.Helper()
+	xs, base := make([][]float64, n), make([][]float64, n)
+	for s := range xs {
+		xs[s], base[s] = randomVec(rng, m.Cols), randomVec(rng, m.Rows)
+	}
+	bias := randomVec(rng, m.Rows)
+	for mode := GemvSet; mode <= GemvSetBias; mode++ {
+		got := make([][]float64, n)
+		for s := range got {
+			got[s] = append([]float64(nil), base[s]...)
+		}
+		p.ApplyBatch(got, xs, bias, mode)
+		for s := range got {
+			want := gemvReference(m, base[s], xs[s], bias, mode)
+			single := append([]float64(nil), base[s]...)
+			p.Apply(single, xs[s], bias, mode)
+			for i := range want {
+				if !bitsEqual(got[s][i], want[i]) || !bitsEqual(single[i], want[i]) {
+					t.Fatalf("%dx%d n=%d mode %d stream %d row %d: batch %v, apply %v, reference %v",
+						m.Rows, m.Cols, n, mode, s, i, got[s][i], single[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestApplyBatchMatchesApply: the one-pass multi-stream product against
+// per-stream Apply and MulVec, bitwise, on every tier — shapes with a row
+// tail (rows mod lanes), every column-tail length, no columns at all,
+// column counts past any chunk boundary, and every stream count from the
+// single-vector kernel through partial, full and multiple stream blocks.
+func TestApplyBatchMatchesApply(t *testing.T) {
+	cols := []int{255, 256, 259, 515}
+	for c := 0; c <= 19; c++ {
+		cols = append(cols, c)
+	}
+	forEachTier(t, func(t *testing.T) {
+		rng := NewRNG(77)
+		for _, c := range cols {
+			for _, rows := range []int{1 + rng.Intn(7), 8 + rng.Intn(9), 17 + rng.Intn(24)} {
+				m := randomMatrix(rng, rows, c)
+				p := PackGEMV(m)
+				for _, n := range applyBatchWidths() {
+					requireApplyBatch(t, rng, m, p, n)
+				}
+			}
+		}
+	})
+}
+
+// TestApplyBatchStalePack: a pack built under one tier and applied under
+// another — its own kernel switched off, or a wider one switched on — must
+// take whatever route is still valid and produce the same bits.
+func TestApplyBatchStalePack(t *testing.T) {
+	rng := NewRNG(78)
+	m := randomMatrix(rng, 21, 13)
+	forEachTier(t, func(t *testing.T) {
+		p := PackGEMV(m)
+		forEachTier(t, func(t *testing.T) {
+			for _, n := range []int{1, 3, 8, 13} {
+				requireApplyBatch(t, rng, m, p, n)
+			}
+		})
+	})
+}
+
+// TestApplyBatchShapePanics: every length mismatch — batch sizes, one
+// stream's x or dst, a short bias under a bias mode — panics before any
+// stream is written, so no mismatched pointer can have reached a kernel.
+func TestApplyBatchShapePanics(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		rng := NewRNG(79)
+		const rows, cols, n = 16, 12, 9
+		p := PackGEMV(randomMatrix(rng, rows, cols))
+		fresh := func() (dst, xs [][]float64) {
+			dst, xs = make([][]float64, n), make([][]float64, n)
+			for s := range xs {
+				dst[s], xs[s] = make([]float64, rows), randomVec(rng, cols)
+			}
+			return dst, xs
+		}
+		for name, f := range map[string]func(dst, xs [][]float64){
+			"batch size": func(dst, xs [][]float64) { p.ApplyBatch(dst[:n-1], xs, nil, GemvSet) },
+			"short x":    func(dst, xs [][]float64) { xs[5] = xs[5][:cols-1]; p.ApplyBatch(dst, xs, nil, GemvSet) },
+			"long x":     func(dst, xs [][]float64) { xs[8] = make([]float64, cols+1); p.ApplyBatch(dst, xs, nil, GemvSet) },
+			"short dst":  func(dst, xs [][]float64) { dst[7] = dst[7][:rows-1]; p.ApplyBatch(dst, xs, nil, GemvSet) },
+			"nil bias":   func(dst, xs [][]float64) { p.ApplyBatch(dst, xs, nil, GemvAddBias) },
+			"short bias": func(dst, xs [][]float64) { p.ApplyBatch(dst, xs, make([]float64, rows-1), GemvSetBias) },
+		} {
+			dst, xs := fresh()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s mismatch did not panic", name)
+					}
+				}()
+				f(dst, xs)
+			}()
+			for s := range dst {
+				for i, v := range dst[s] {
+					if v != 0 {
+						t.Fatalf("%s mismatch: stream %d row %d written (%v) before the panic", name, s, i, v)
+					}
+				}
+			}
+		}
+		// An empty wave is a no-op.
+		p.ApplyBatch(nil, nil, nil, GemvSet)
 	})
 }

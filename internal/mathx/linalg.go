@@ -114,25 +114,26 @@ func (m *Matrix) MulVecT(dst, x []float64) {
 // Every output element is accumulated in exactly Dot's association (groups
 // of four summed left-to-right, then a sequential tail), so the result is
 // bitwise identical to calling MulVec once per row of X — the batched
-// inference path depends on this for exact verdict equivalence. What makes
-// it a genuine GEMM rather than repeated GEMV is the register tiling: four
-// input rows advance together per weight row, so each weight element is
-// loaded once per four dot products and the four accumulator chains hide
-// floating-point add latency. That is the kernel-level source of the
-// batched engine's speedup; a GEMV retires roughly one multiply-add per
-// two loads, while the tiled kernel retires four per five.
+// trainer, Conv1D and the CNN scorer depend on this for exact equivalence
+// with their per-sample references. What makes it a genuine GEMM rather
+// than repeated GEMV is the register tiling: four (AVX-512: eight) input
+// rows advance together per weight row, so each weight element is loaded
+// once per block of dot products and the independent accumulator chains
+// hide floating-point add latency. It streams the weights once per block
+// of streams, one row at a time over interleaved inputs; f64 batched
+// inference does not run here but on PackedGEMV.ApplyBatch, which walks
+// the packed tiles once per wave.
 // Only the overwriting form exists: an accumulate-into-dst variant would
 // need a different summation association (dst + full dot) that the chunked
-// SIMD kernel cannot reproduce bitwise, so batched callers that need a sum
-// of products (like the LSTM's Wx + Uh) compute separate products and
-// combine them elementwise instead (see nn.StepBatchLogits).
+// SIMD kernel cannot reproduce bitwise, so callers that need a sum of
+// products (like the trainer's Wx + Uh) compute separate products and
+// combine them elementwise instead.
 func (m *Matrix) MulRowsT(dst []float64, xs [][]float64) {
 	R, C := m.Rows, m.Cols
 	if len(dst) != len(xs)*R {
 		panic(fmt.Sprintf("mathx: gemm shape mismatch (%d rows of %d into %d)",
 			len(xs), R, len(dst)))
 	}
-	n := C &^ 3
 	i := 0
 	// AVX-512 first: eight streams per zmm lane. The kernel's per-lane
 	// association is Dot's, so peeling 8-wide blocks before the 4-wide
@@ -143,38 +144,12 @@ func (m *Matrix) MulRowsT(dst []float64, xs [][]float64) {
 		}
 	}
 	for ; i+4 <= len(xs); i += 4 {
-		// Reslice to exactly C elements so the bounds-check eliminator can
-		// prove every k+3 access below in bounds.
 		x0, x1, x2, x3 := xs[i][:C], xs[i+1][:C], xs[i+2][:C], xs[i+3][:C]
 		if mulRows4SIMD(m, dst[i*R:(i+4)*R], x0, x1, x2, x3) {
 			continue
 		}
-		d0 := dst[i*R : (i+1)*R]
-		d1 := dst[(i+1)*R : (i+2)*R]
-		d2 := dst[(i+2)*R : (i+3)*R]
-		d3 := dst[(i+3)*R : (i+4)*R]
-		for j := 0; j < R; j++ {
-			row := m.Data[j*C : (j+1)*C : (j+1)*C][:C]
-			var s0, s1, s2, s3 float64
-			for k := 0; k+3 < C; k += 4 {
-				w0, w1, w2, w3 := row[k], row[k+1], row[k+2], row[k+3]
-				s0 += w0*x0[k] + w1*x0[k+1] + w2*x0[k+2] + w3*x0[k+3]
-				s1 += w0*x1[k] + w1*x1[k+1] + w2*x1[k+2] + w3*x1[k+3]
-				s2 += w0*x2[k] + w1*x2[k+1] + w2*x2[k+2] + w3*x2[k+3]
-				s3 += w0*x3[k] + w1*x3[k+1] + w2*x3[k+2] + w3*x3[k+3]
-			}
-			for k := n; k < C; k++ {
-				w := row[k]
-				s0 += w * x0[k]
-				s1 += w * x1[k]
-				s2 += w * x2[k]
-				s3 += w * x3[k]
-			}
-			d0[j] = s0
-			d1[j] = s1
-			d2[j] = s2
-			d3[j] = s3
-		}
+		m.mulRows4(dst[i*R:(i+1)*R], dst[(i+1)*R:(i+2)*R], dst[(i+2)*R:(i+3)*R], dst[(i+3)*R:(i+4)*R],
+			x0, x1, x2, x3, nil, GemvSet)
 	}
 	for ; i < len(xs); i++ {
 		x := xs[i]
@@ -182,6 +157,42 @@ func (m *Matrix) MulRowsT(dst []float64, xs [][]float64) {
 		for j := 0; j < R; j++ {
 			d[j] = Dot(m.Data[j*C:(j+1)*C], x)
 		}
+	}
+}
+
+// mulRows4 is the portable four-stream register tile: d_s = m·x_s combined
+// per the Gemv* mode epilogue (pack.go) for four streams at once, each
+// weight element loaded once per four dot products, every sum in Dot's
+// association. MulRowsT runs its scalar blocks on it and PackedGEMV's
+// batched product falls back to it where no SIMD pack applies.
+func (m *Matrix) mulRows4(d0, d1, d2, d3, x0, x1, x2, x3, bias []float64, mode int) {
+	R, C := m.Rows, m.Cols
+	n := C &^ 3
+	// Reslice to exactly C (R) elements so the bounds-check eliminator can
+	// prove every access below in bounds.
+	x0, x1, x2, x3 = x0[:C], x1[:C], x2[:C], x3[:C]
+	d0, d1, d2, d3 = d0[:R], d1[:R], d2[:R], d3[:R]
+	for j := 0; j < R; j++ {
+		row := m.Data[j*C : (j+1)*C : (j+1)*C][:C]
+		var s0, s1, s2, s3 float64
+		for k := 0; k+3 < C; k += 4 {
+			w0, w1, w2, w3 := row[k], row[k+1], row[k+2], row[k+3]
+			s0 += w0*x0[k] + w1*x0[k+1] + w2*x0[k+2] + w3*x0[k+3]
+			s1 += w0*x1[k] + w1*x1[k+1] + w2*x1[k+2] + w3*x1[k+3]
+			s2 += w0*x2[k] + w1*x2[k+1] + w2*x2[k+2] + w3*x2[k+3]
+			s3 += w0*x3[k] + w1*x3[k+1] + w2*x3[k+2] + w3*x3[k+3]
+		}
+		for k := n; k < C; k++ {
+			w := row[k]
+			s0 += w * x0[k]
+			s1 += w * x1[k]
+			s2 += w * x2[k]
+			s3 += w * x3[k]
+		}
+		d0[j] = gemvOut(d0[j], s0, bias, j, mode)
+		d1[j] = gemvOut(d1[j], s1, bias, j, mode)
+		d2[j] = gemvOut(d2[j], s2, bias, j, mode)
+		d3[j] = gemvOut(d3[j], s3, bias, j, mode)
 	}
 }
 

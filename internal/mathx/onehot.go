@@ -94,51 +94,61 @@ func OneHotGather(dst []float64, wt *Matrix, idx []int) {
 	}
 }
 
-// gatherGroup adds one aligned group's subtotal — the active columns summed
-// left-to-right — into dst (or assigns it, for the first group, matching
-// the accumulator's zero start). A one-hot block group holds at most four
-// actives.
+// gatherGroup adds one aligned group's subtotal — the active columns
+// summed left-to-right — into dst (or assigns it, for the first group,
+// matching the accumulator's zero start). The SIMD prefix computes the
+// same per-element expression — subtotal chained left-to-right, then
+// dst + subtotal — so it is bitwise-identical to the scalar tail by
+// construction (elementwise, nothing reassociates).
 func gatherGroup(dst []float64, wt *Matrix, idx []int, assign bool) {
 	r0 := wt.Row(idx[0])
+	r1, r2, r3 := r0, r0, r0
+	if len(idx) > 1 {
+		r1 = wt.Row(idx[1])
+	}
+	if len(idx) > 2 {
+		r2 = wt.Row(idx[2])
+	}
+	if len(idx) > 3 {
+		r3 = wt.Row(idx[3])
+	}
+	k := vgroupAddSIMD(dst, r0, r1, r2, r3, len(idx), assign)
 	switch len(idx) {
 	case 1:
 		if assign {
-			copy(dst, r0)
+			copy(dst[k:], r0[k:len(dst)])
 		} else {
-			for k := range dst {
+			for ; k < len(dst); k++ {
 				dst[k] += r0[k]
 			}
 		}
 	case 2:
-		r1 := wt.Row(idx[1])
 		if assign {
-			for k := range dst {
+			for ; k < len(dst); k++ {
 				dst[k] = r0[k] + r1[k]
 			}
 		} else {
-			for k := range dst {
+			for ; k < len(dst); k++ {
 				dst[k] += r0[k] + r1[k]
 			}
 		}
 	case 3:
-		r1, r2 := wt.Row(idx[1]), wt.Row(idx[2])
 		if assign {
-			for k := range dst {
+			for ; k < len(dst); k++ {
 				dst[k] = r0[k] + r1[k] + r2[k]
 			}
 		} else {
-			for k := range dst {
+			for ; k < len(dst); k++ {
 				dst[k] += r0[k] + r1[k] + r2[k]
 			}
 		}
 	default:
-		r1, r2, r3 := wt.Row(idx[1]), wt.Row(idx[2]), wt.Row(idx[3])
 		if assign {
-			for k := range dst {
+			for ; k < len(dst); k++ {
 				dst[k] = r0[k] + r1[k] + r2[k] + r3[k]
 			}
 		} else {
-			for k := range dst {
+			for ; k < len(dst); k++ {
 				dst[k] += r0[k] + r1[k] + r2[k] + r3[k]
 			}
 		}

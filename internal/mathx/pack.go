@@ -12,8 +12,9 @@ var simdEpoch atomic.Uint64
 // SIMDEpoch returns the current kernel-tier epoch.
 func SIMDEpoch() uint64 { return simdEpoch.Load() }
 
-// PackedGEMV is a tile-packed read-only copy of a Matrix for the
-// single-vector product m·x, laid out so SIMD kernels can vectorize across
+// PackedGEMV is a tile-packed read-only copy of a Matrix for the product
+// m·x — of one vector (Apply) or of every stream of a wave in one pass over
+// the tiles (ApplyBatch) — laid out so SIMD kernels can vectorize across
 // output rows: tiles of `lanes` consecutive rows, column-major within the
 // tile (data[(t*cols+k)*lanes + l] = m[t*lanes+l, k]). One ymm/zmm lane per
 // output row turns the GEMV into dense vertical multiply-adds with
@@ -79,27 +80,63 @@ func (p *PackedGEMV) Stale() bool { return p.epoch != simdEpoch.Load() }
 // to the MulVec/MulVecAdd + bias-loop reference. bias may be nil for
 // GemvSet/GemvAdd.
 func (p *PackedGEMV) Apply(dst, x, bias []float64, mode int) {
-	if len(dst) != p.rows || len(x) != p.cols {
-		panic("mathx: packed gemv shape mismatch")
+	p.ApplyBatch([][]float64{dst}, [][]float64{x}, bias, mode)
+}
+
+// ApplyBatch is Apply(dst[s], xs[s], bias, mode) for every stream s of a
+// wave, bitwise-identical per stream, in one pass over the packed tiles:
+// each tile is fetched once and serves every stream (blocks of eight or
+// four streams per tile on the SIMD tiers), where per-stream Apply calls
+// re-stream the whole matrix once per stream. Without a usable SIMD pack
+// (scalar tier, or a stale pack whose tier is switched off) streams advance
+// four at a time through the register tile MulRowsT runs on.
+func (p *PackedGEMV) ApplyBatch(dst, xs [][]float64, bias []float64, mode int) {
+	if len(dst) != len(xs) {
+		panic("mathx: packed gemv batch size mismatch")
 	}
-	done := 0
+	for s := range xs {
+		if len(dst[s]) != p.rows || len(xs[s]) != p.cols {
+			panic("mathx: packed gemv shape mismatch")
+		}
+	}
+	if mode >= GemvAddBias && len(bias) != p.rows {
+		panic("mathx: packed gemv bias length mismatch")
+	}
+	if len(xs) == 0 {
+		return
+	}
+	done, s := 0, 0
 	if p.lanes > 0 {
-		tiles := p.rows / p.lanes
-		if tiles > 0 && gemvSIMD(p, dst, x, bias, mode, tiles) {
+		if tiles := p.rows / p.lanes; tiles > 0 && gemvSIMD(p, dst, xs, bias, mode, tiles) {
 			done = tiles * p.lanes
 		}
 	}
-	for i := done; i < p.rows; i++ {
-		s := Dot(p.src.Row(i), x)
-		switch mode {
-		case GemvSet:
-			dst[i] = s
-		case GemvAdd:
-			dst[i] = dst[i] + s
-		case GemvAddBias:
-			dst[i] = (dst[i] + s) + bias[i]
-		default: // GemvSetBias
-			dst[i] = s + bias[i]
+	if done == 0 {
+		for ; s+4 <= len(xs); s += 4 {
+			p.src.mulRows4(dst[s], dst[s+1], dst[s+2], dst[s+3], xs[s], xs[s+1], xs[s+2], xs[s+3], bias, mode)
 		}
+	}
+	// What no tile covered: the row tail of every stream after a SIMD pass,
+	// every row of the streams past the last four-stream block without one.
+	for ; s < len(xs); s++ {
+		d, x := dst[s], xs[s]
+		for i := done; i < p.rows; i++ {
+			d[i] = gemvOut(d[i], Dot(p.src.Row(i), x), bias, i, mode)
+		}
+	}
+}
+
+// gemvOut combines one output element's old value d and fresh dot product s
+// per the mode epilogue.
+func gemvOut(d, s float64, bias []float64, i, mode int) float64 {
+	switch mode {
+	case GemvSet:
+		return s
+	case GemvAdd:
+		return d + s
+	case GemvAddBias:
+		return (d + s) + bias[i]
+	default: // GemvSetBias
+		return s + bias[i]
 	}
 }

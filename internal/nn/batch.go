@@ -6,11 +6,11 @@ import (
 	"icsdetect/internal/mathx"
 )
 
-// batchScratch is the storage behind BatchBuffer and BatchBuffer32: per-layer
-// gate rows, logit rows and input row pointers for one GEMM-covered block
-// of streams. It starts empty and grows to the widest block actually
-// stepped — a shard that only ever sees a handful of streams never pays for
-// maxBatch rows per layer.
+// batchScratch is the storage behind BatchBuffer32 and the batched trainer:
+// per-layer gate rows, logit rows and input row pointers for one
+// GEMM-covered block of streams. It starts empty and grows to the widest
+// block actually stepped — a shard that only ever sees a handful of streams
+// never pays for maxBatch rows per layer.
 type batchScratch[T float32 | float64] struct {
 	maxBatch int
 	// gates[l] is layer l's 4H row width and classes the logit row width:
@@ -58,6 +58,17 @@ func (b *batchScratch[T]) grow(n int) {
 	b.xs = make([][]T, w)
 }
 
+// checkBatch panics unless a batch of n streams has one input and one score
+// row per stream and fits a buffer of capacity maxBatch.
+func checkBatch(n, inputs, scores, maxBatch int) {
+	if inputs != n || scores != n {
+		panic(fmt.Sprintf("nn: batch size mismatch (states=%d inputs=%d scores=%d)", n, inputs, scores))
+	}
+	if n > maxBatch {
+		panic(fmt.Sprintf("nn: batch of %d exceeds buffer capacity %d", n, maxBatch))
+	}
+}
+
 // split validates a batch of n streams against the buffer and returns how
 // many leading streams the tier's SIMD GEMM blocks (width block, 0 on the
 // scalar tier) cover, with the scratch grown to hold them. The n mod block
@@ -68,12 +79,7 @@ func (b *batchScratch[T]) grow(n int) {
 // scalar tier has no vector GEMV either and keeps the whole batch on
 // MulRowsT's four-stream register tile.
 func (b *batchScratch[T]) split(n, inputs, scores, block int) int {
-	if inputs != n || scores != n {
-		panic(fmt.Sprintf("nn: batch size mismatch (states=%d inputs=%d scores=%d)", n, inputs, scores))
-	}
-	if n > b.maxBatch {
-		panic(fmt.Sprintf("nn: batch of %d exceeds buffer capacity %d", n, b.maxBatch))
-	}
+	checkBatch(n, inputs, scores, b.maxBatch)
 	wide := n
 	if block > 0 {
 		wide -= n % block
@@ -82,20 +88,32 @@ func (b *batchScratch[T]) split(n, inputs, scores, block int) int {
 	return wide
 }
 
-// BatchBuffer is the reusable scratch memory for StepBatch. Owning one
-// buffer per worker goroutine removes every per-step allocation from the
-// batched inference path once the buffer has grown to the worker's widest
-// batch; a buffer must not be shared between concurrent StepBatch calls.
-type BatchBuffer struct{ batchScratch[float64] }
+// BatchBuffer is the reusable scratch of the f64 batched step: the row
+// tables — each stream's gate row, hidden and cell vector per layer — that
+// the multi-stream packed product walks. The rows themselves are the
+// streams' own State scratch, so a buffer holds no gate or logit rows.
+// Owning one buffer per worker goroutine keeps the batched inference path
+// allocation-free; a buffer must not be shared between concurrent StepBatch
+// calls. Every step clears the tables behind it, so a buffer never keeps a
+// released stream's state reachable.
+type BatchBuffer struct {
+	zs, cs [][]float64
+	// hs alternates per layer: a layer's hidden-vector table is the next
+	// layer's input table.
+	hs [2][][]float64
+}
 
 // NewBatchBuffer returns scratch for batches of up to maxBatch streams.
 func (c *Classifier) NewBatchBuffer(maxBatch int) *BatchBuffer {
-	gates := make([]int, len(c.Layers))
-	for i, l := range c.Layers {
-		gates[i] = numGates * l.HiddenSize
+	n := max(maxBatch, 1)
+	return &BatchBuffer{
+		zs: make([][]float64, n), cs: make([][]float64, n),
+		hs: [2][][]float64{make([][]float64, n), make([][]float64, n)},
 	}
-	return &BatchBuffer{newBatchScratch[float64](maxBatch, gates, c.Out.OutputSize)}
 }
+
+// MaxBatch returns the widest batch the buffer accepts.
+func (b *BatchBuffer) MaxBatch() int { return len(b.zs) }
 
 // StepBatch advances n = len(states) independent recurrent states through
 // one batched forward pass and writes each stream's class probability
@@ -104,9 +122,8 @@ func (c *Classifier) NewBatchBuffer(maxBatch int) *BatchBuffer {
 // calling Step once per stream, and by construction produces bitwise
 // identical hidden states and probabilities: every output element is
 // accumulated in mathx.Dot's association, only the loop nesting changes so
-// that each weight row is streamed from memory once per GEMM block of
-// streams instead of once per stream (one matrix-matrix pass per layer
-// instead of n matrix-vector passes).
+// that each packed weight tile is fetched once per wave instead of once per
+// stream.
 //
 // buf must come from NewBatchBuffer on this classifier with
 // MaxBatch() >= n, and must not be used concurrently.
@@ -123,109 +140,59 @@ func (c *Classifier) StepBatch(buf *BatchBuffer, states []*State, inputs [][]flo
 // ranks over probabilities; hot inference paths that only need ranks use
 // this variant to skip Classes() exponentials per stream per step.
 func (c *Classifier) StepBatchLogits(buf *BatchBuffer, states []*State, inputs [][]float64, scores [][]float64) {
-	n := len(states)
-	wide := buf.split(n, len(inputs), len(scores), mathx.GEMMBlock())
-	if wide > 0 {
-		copy(buf.xs[:wide], inputs)
-		c.stepBatchLayers(buf, states, wide, 0)
-		c.stepBatchHead(buf, scores, wide)
-	}
-	for i := wide; i < n; i++ {
-		c.StepLogits(states[i], inputs[i], scores[i])
-	}
+	checkBatch(len(states), len(inputs), len(scores), buf.MaxBatch())
+	c.stepBatch(buf, states, inputs, scores)
 }
 
 // StepBatchLogitsOneHot is StepBatchLogits with the first layer's inputs
 // given as one-hot active-column index sets instead of dense vectors — the
-// batched engine's per-package hot path. The W GEMM of layer 0 becomes one
-// column gather per stream (a handful of contiguous vector adds each); the
-// recurrent product, combine and gate epilogue are the shared batched code,
-// so the verdicts stay bitwise-identical to the dense batched pass and to
-// the sequential StepLogitsOneHot — which is what the streams no GEMM block
-// covers run (see split).
+// batched engine's per-package hot path. Layer 0's W product becomes one
+// column gather per stream (a handful of contiguous vector adds each);
+// everything after it is the shared batched step, so the verdicts stay
+// bitwise-identical to the dense batched pass and to the sequential
+// StepLogitsOneHot.
 func (c *Classifier) StepBatchLogitsOneHot(buf *BatchBuffer, states []*State, idxs [][]int, scores [][]float64) {
+	checkBatch(len(states), len(idxs), len(scores), buf.MaxBatch())
+	wt := c.Layers[0].wtrans()
+	for i, s := range states {
+		mathx.OneHotGather(s.z[0], wt, idxs[i])
+	}
+	c.stepBatch(buf, states, nil, scores)
+}
+
+// stepBatch is the sequential step applied to n streams at once: per layer
+// stepInfer's three lines — W product into the gate rows (already there,
+// as layer 0's one-hot gather, when xs is nil), U product with the bias on
+// top, gate epilogue — and the dense head, each product one pass over its
+// packed tiles for the whole wave. The rows are the streams' own: gate
+// pre-activations land in State.z, logits in scores.
+func (c *Classifier) stepBatch(buf *BatchBuffer, states []*State, xs, scores [][]float64) {
 	n := len(states)
-	wide := buf.split(n, len(idxs), len(scores), mathx.GEMMBlock())
-	if wide > 0 {
-		l0 := c.Layers[0]
-		G := numGates * l0.HiddenSize
-		z := buf.z[0][:wide*G]
-		wt := l0.wtrans()
-		for i := 0; i < wide; i++ {
-			mathx.OneHotGather(z[i*G:(i+1)*G], wt, idxs[i])
-			buf.xs[i] = states[i].h[0]
+	zs, cs := buf.zs[:n], buf.cs[:n]
+	for li, l := range c.Layers {
+		hs := buf.hs[li&1][:n]
+		for i, s := range states {
+			zs[i], hs[i], cs[i] = s.z[li], s.h[li], s.c[li]
 		}
-		zu := buf.zu[0][:wide*G]
-		l0.U.MulRowsT(zu, buf.xs[:wide])
-		for i := 0; i < wide; i++ {
-			l0.combineGatesCellUpdate(z[i*G:(i+1)*G], zu[i*G:(i+1)*G], states[i].h[0], states[i].c[0])
-			buf.xs[i] = states[i].h[0]
-		}
-		c.stepBatchLayers(buf, states, wide, 1)
-		c.stepBatchHead(buf, scores, wide)
+		l.stepInferBatch(zs, xs, hs, cs)
+		xs = hs
 	}
-	for i := wide; i < n; i++ {
-		c.StepLogitsOneHot(states[i], idxs[i], scores[i])
-	}
+	c.Out.forwardInferBatch(scores, xs)
+	clear(zs)
+	clear(cs)
+	clear(buf.hs[0][:n])
+	clear(buf.hs[1][:n])
 }
 
-// stepBatchLayers advances layers [from, len) for a batch of n streams.
-// buf.xs must hold each stream's input to layer `from`; on return it holds
-// the top layer's fresh hidden vectors.
-func (c *Classifier) stepBatchLayers(buf *BatchBuffer, states []*State, n, from int) {
-	for li := from; li < len(c.Layers); li++ {
-		l := c.Layers[li]
-		H := l.HiddenSize
-		z := buf.z[li][:n*numGates*H]
-		zu := buf.zu[li][:n*numGates*H]
-
-		// Gate pre-activations for the whole batch: z = X·Wᵀ + H_prev·Uᵀ + B.
-		// The two products run as separate overwriting GEMMs and combine
-		// elementwise in Step's exact order (Wx, then +Uh, then +B), so the
-		// SIMD kernel applies to both and the sums stay bitwise identical.
-		l.W.MulRowsT(z, buf.xs[:n])
-		for i := 0; i < n; i++ {
-			buf.xs[i] = states[i].h[li]
-		}
-		l.U.MulRowsT(zu, buf.xs[:n])
-
-		// Combine, activations and cell update, in place on each stream's
-		// state. The pre-activations for the whole layer are complete, so
-		// overwriting h/c here cannot feed back into this layer's gates.
-		for i := 0; i < n; i++ {
-			row := z[i*numGates*H : (i+1)*numGates*H]
-			urow := zu[i*numGates*H : (i+1)*numGates*H]
-			l.combineGatesCellUpdate(row, urow, states[i].h[li], states[i].c[li])
-			// The next layer reads this layer's fresh hidden vector.
-			buf.xs[i] = states[i].h[li]
-		}
+// stepInferBatch is stepInfer for the streams whose gate rows, hidden and
+// cell vectors are zs, hs and cs; xs nil means the gate rows already hold
+// the input product (stepInferOneHot's gather).
+func (l *LSTMLayer) stepInferBatch(zs, xs, hs, cs [][]float64) {
+	if xs != nil {
+		lazyPack(&l.packW, l.W).ApplyBatch(zs, xs, nil, mathx.GemvSet)
 	}
-}
-
-// combineGatesCellUpdate fuses the batched epilogue into one pass per
-// stream: combine the two GEMM products with the bias ((wx + uh) + b, the
-// exact order of the unfused loops), activate the four gates and update
-// c/h — without a second traversal of the 4H pre-activation rows and
-// without writing activated gates back. Per element the operation chain is
-// identical to the unfused form, so the fusion is bitwise-free.
-func (l *LSTMLayer) combineGatesCellUpdate(row, urow, h, c []float64) {
-	for j := range row {
-		row[j] = (row[j] + urow[j]) + l.B[j]
-	}
-	l.gatesCellUpdate(row, h, c)
-}
-
-// stepBatchHead runs the batched dense head: logits = H_top·Wᵀ + B, reading
-// the top hidden vectors from buf.xs.
-func (c *Classifier) stepBatchHead(buf *BatchBuffer, scores [][]float64, n int) {
-	K := c.Out.OutputSize
-	logits := buf.logits[:n*K]
-	c.Out.W.MulRowsT(logits, buf.xs[:n])
-	for i := 0; i < n; i++ {
-		row := logits[i*K : (i+1)*K]
-		for j := range row {
-			row[j] += c.Out.B[j]
-		}
-		copy(scores[i], row)
+	lazyPack(&l.packU, l.U).ApplyBatch(zs, hs, l.B, mathx.GemvAddBias)
+	for i, z := range zs {
+		l.gatesCellUpdate(z, hs[i], cs[i])
 	}
 }

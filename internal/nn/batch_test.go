@@ -131,28 +131,42 @@ func TestStepBatchLogitsRanksMatchProbs(t *testing.T) {
 }
 
 // TestStepBatchNoAllocations pins the zero-allocation property of the
-// batched hot path.
+// batched hot path at widths on both sides of every stream-block boundary:
+// a partial block, a full block plus a partial one, and whole blocks only.
+// The buffer's tables are sized at construction and the rows are the
+// streams' own, so not even the first step allocates.
 func TestStepBatchNoAllocations(t *testing.T) {
-	const n = 16
+	const maxN = 16
 	c, err := NewClassifier(12, []int{16, 16}, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := make([]*State, n)
-	inputs := make([][]float64, n)
-	probs := make([][]float64, n)
-	for i := 0; i < n; i++ {
+	states := make([]*State, maxN)
+	inputs := make([][]float64, maxN)
+	idxs := make([][]int, maxN)
+	probs := make([][]float64, maxN)
+	for i := range states {
 		states[i] = c.NewState()
 		inputs[i] = make([]float64, 12)
 		inputs[i][i%12] = 1
+		idxs[i] = []int{i % 12}
 		probs[i] = make([]float64, 10)
 	}
-	buf := c.NewBatchBuffer(n)
-	allocs := testing.AllocsPerRun(50, func() {
-		c.StepBatchLogits(buf, states, inputs, probs)
-	})
-	if allocs != 0 {
-		t.Errorf("StepBatchLogits allocates %v times per call, want 0", allocs)
+	// Warm the lazily built packs and the transposed W.
+	c.StepBatchLogits(c.NewBatchBuffer(1), states[:1], inputs[:1], probs[:1])
+	c.StepBatchLogitsOneHot(c.NewBatchBuffer(1), states[:1], idxs[:1], probs[:1])
+	for _, n := range []int{3, 11, 16} {
+		buf := c.NewBatchBuffer(maxN)
+		if allocs := testing.AllocsPerRun(50, func() {
+			c.StepBatchLogits(buf, states[:n], inputs[:n], probs[:n])
+		}); allocs != 0 {
+			t.Errorf("StepBatchLogits allocates %v times per %d-stream call, want 0", allocs, n)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			c.StepBatchLogitsOneHot(buf, states[:n], idxs[:n], probs[:n])
+		}); allocs != 0 {
+			t.Errorf("StepBatchLogitsOneHot allocates %v times per %d-stream call, want 0", allocs, n)
+		}
 	}
 }
 
@@ -181,40 +195,56 @@ func TestStepBatchShapePanics(t *testing.T) {
 	c.StepBatch(buf, nil, nil, nil)
 }
 
-// TestBatchBufferGrowsOnDemand: a buffer starts with no rows and grows to
-// the widest GEMM-covered block actually stepped — doubling, capped at
-// MaxBatch, never shrinking — so a worker that only sees narrow batches
-// never pays for MaxBatch rows per layer.
+// TestBatchBufferGrowsOnDemand: the f64 buffer holds row tables only — the
+// gate and logit rows are the streams' own, so there is nothing to grow —
+// and every step leaves the tables empty, so the buffer pins no stream. The
+// scratch that still owns rows (the f32 buffer and the batched trainer's)
+// starts with none and grows to the widest GEMM-covered block actually
+// stepped — doubling, capped at MaxBatch, never shrinking — so a worker that
+// only sees narrow batches never pays for MaxBatch rows per layer.
 func TestBatchBufferGrowsOnDemand(t *testing.T) {
 	c, err := NewClassifier(13, []int{11, 8}, 9, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := c.NewBatchBuffer(20)
-	if buf.MaxBatch() != 20 || len(buf.xs) != 0 || buf.logits != nil {
-		t.Fatalf("fresh buffer: MaxBatch %d, %d rows, logits %d", buf.MaxBatch(), len(buf.xs), len(buf.logits))
+	if buf.MaxBatch() != 20 {
+		t.Fatalf("fresh buffer: MaxBatch %d, want 20", buf.MaxBatch())
 	}
-	if mathx.GEMMBlock() > 0 {
-		// Narrower than one GEMM block: stepped on the stream's own state.
-		c.StepBatchLogitsOneHot(buf, []*State{c.NewState()}, [][]int{{3}}, [][]float64{make([]float64, 9)})
-		if len(buf.xs) != 0 {
-			t.Fatalf("a one-stream step grew the buffer to %d rows", len(buf.xs))
+	states, idxs, scores := make([]*State, 7), make([][]int, 7), make([][]float64, 7)
+	for i := range states {
+		states[i], idxs[i], scores[i] = c.NewState(), []int{i}, make([]float64, 9)
+	}
+	c.StepBatchLogitsOneHot(buf, states, idxs, scores)
+	for name, table := range map[string][][]float64{"zs": buf.zs, "cs": buf.cs, "hs0": buf.hs[0], "hs1": buf.hs[1]} {
+		if len(table) != 20 {
+			t.Fatalf("table %s holds %d rows, want MaxBatch", name, len(table))
 		}
+		for i, row := range table {
+			if row != nil {
+				t.Fatalf("table %s still points at stream %d's state after the step", name, i)
+			}
+		}
+	}
+
+	scratch := newBatchScratch[float64](20, []int{44, 32}, 9)
+	if scratch.MaxBatch() != 20 || len(scratch.xs) != 0 || scratch.logits != nil {
+		t.Fatalf("fresh scratch: MaxBatch %d, %d rows, logits %d", scratch.MaxBatch(), len(scratch.xs), len(scratch.logits))
 	}
 	for _, step := range []struct{ n, rows int }{
 		{1, 1}, {2, 2}, {3, 4}, {9, 9}, {10, 18}, {19, 20}, {5, 20},
 	} {
-		buf.grow(step.n)
-		if len(buf.xs) != step.rows {
-			t.Fatalf("grow(%d): %d rows, want %d", step.n, len(buf.xs), step.rows)
+		scratch.grow(step.n)
+		if len(scratch.xs) != step.rows {
+			t.Fatalf("grow(%d): %d rows, want %d", step.n, len(scratch.xs), step.rows)
 		}
-		for l, g := range buf.gates {
-			if len(buf.z[l]) != step.rows*g || len(buf.zu[l]) != step.rows*g {
-				t.Fatalf("grow(%d): layer %d holds %d/%d gate values, want %d", step.n, l, len(buf.z[l]), len(buf.zu[l]), step.rows*g)
+		for l, g := range scratch.gates {
+			if len(scratch.z[l]) != step.rows*g || len(scratch.zu[l]) != step.rows*g {
+				t.Fatalf("grow(%d): layer %d holds %d/%d gate values, want %d", step.n, l, len(scratch.z[l]), len(scratch.zu[l]), step.rows*g)
 			}
 		}
-		if len(buf.logits) != step.rows*9 {
-			t.Fatalf("grow(%d): %d logits, want %d", step.n, len(buf.logits), step.rows*9)
+		if len(scratch.logits) != step.rows*9 {
+			t.Fatalf("grow(%d): %d logits, want %d", step.n, len(scratch.logits), step.rows*9)
 		}
 	}
 }

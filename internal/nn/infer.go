@@ -6,10 +6,11 @@ import (
 	"icsdetect/internal/mathx"
 )
 
-// Inference weight caches. A single-vector product (W·x, U·h, the dense
-// head) vectorizes across output rows once the weights are packed into
-// mathx.PackedGEMV tiles; the sequential step runs on those, and so does
-// every stream of a batched step that no SIMD GEMM block covers (batch.go).
+// Inference weight caches. A product (W·x, U·h, the dense head)
+// vectorizes across output rows once the weights are packed into
+// mathx.PackedGEMV tiles; the sequential step runs on those one vector at
+// a time, the f64 batched step (batch.go) every stream of a wave in one
+// pass over them.
 // The packs (and the transposed W the one-hot gather walks) are derived
 // data: each is built lazily the first time its matrix is multiplied — the
 // one-hot step never multiplies layer 0's W, so that pack is never built
@@ -50,6 +51,12 @@ func (l *LSTMLayer) wtrans() *mathx.Matrix {
 // the bias add fused into the GEMV epilogue, bitwise-identical to Forward.
 func (d *Dense) forwardInfer(dst, h []float64) {
 	lazyPack(&d.pack, d.W).Apply(dst, h, d.B, mathx.GemvSetBias)
+}
+
+// forwardInferBatch is forwardInfer for every stream of a wave in one pass
+// over the packed head.
+func (d *Dense) forwardInferBatch(dsts, hs [][]float64) {
+	lazyPack(&d.pack, d.W).ApplyBatch(dsts, hs, d.B, mathx.GemvSetBias)
 }
 
 // invalidate drops the layer's cached inference layouts.

@@ -143,7 +143,7 @@ func TestInfer32BatchMatchesSequential(t *testing.T) {
 					sparse[i], grown[i], dense[i], seq[i] = m.NewState(), m.NewState(), m.NewState(), m.NewState()
 				}
 				seqScores := make([]float32, shape.classes)
-				for _, n := range widths {
+				for _, n := range shape.sweep(widths) {
 					for step := 0; step < stepsPerWidth; step++ {
 						idxs := make([][]int, n)
 						xs := make([][]float32, n)

@@ -3,7 +3,7 @@
 // bitwise-identical — logits, hidden states and cell states — to the dense
 // StepLogits / StepBatchLogits on the equivalent one-hot vectors, for every
 // layer shape the detection stacks use and on every kernel tier. The
-// batched test sweeps every batch width the GEMM-block/GEMV routing
+// batched test sweeps every batch width the stream-block routing
 // distinguishes, against the sequential step as the reference.
 package nn
 
@@ -38,20 +38,45 @@ func forEachKernelTier(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// onehotShapes covers the layer geometries the stacks instantiate: the
-// paper's 2x32 model over the gas-pipeline one-hot width, a single narrow
-// layer, a deep ragged pyramid, and hidden sizes that are not multiples of
-// the 4/8-wide kernel blocks.
-var onehotShapes = []struct {
-	name    string
-	in      int
-	hidden  []int
-	classes int
-}{
+// onehotShapes covers the layer geometries the stacks instantiate: the 2x32
+// corpus model over the gas-pipeline one-hot width, a single narrow layer, a
+// deep ragged pyramid, hidden sizes that are not multiples of the 4/8-wide
+// kernel blocks, a head whose row count is not a multiple of the tile height
+// over a hidden size that leaves a column tail, and the paper's own 2x256
+// network as the engine-wide-f64 benchmark workload trains it.
+var onehotShapes = []onehotShape{
 	{"paper-2x32", 138, []int{32, 32}, 49},
 	{"single-16", 57, []int{16}, 11},
 	{"deep-24-16-8", 91, []int{24, 16, 8}, 23},
 	{"odd-13-7", 45, []int{13, 7}, 9},
+	{"ragged-18-10", 29, []int{18, 10}, 13},
+	{"wide-2x256", 51, []int{256, 256}, 56},
+}
+
+type onehotShape struct {
+	name    string
+	in      int
+	hidden  []int
+	classes int
+}
+
+// sweep thins a batch-width schedule for the paper-sized shape, where one
+// step costs a hundred times the small shapes': every third width (every
+// ninth under -short, which is how the race detector runs it), which still
+// lands on partial, full and multiple stream blocks of every tier.
+func (s onehotShape) sweep(widths []int) []int {
+	if s.hidden[0] < 256 {
+		return widths
+	}
+	stride := 3
+	if testing.Short() {
+		stride = 9
+	}
+	var thin []int
+	for i := 1; i < len(widths); i += stride {
+		thin = append(thin, widths[i])
+	}
+	return thin
 }
 
 // randomOneHot draws a strictly ascending active-index set over dim
@@ -123,11 +148,11 @@ func TestStepLogitsOneHotMatchesDense(t *testing.T) {
 }
 
 // sweepWidths is the batch-width schedule of the batched parity tests:
-// every width from 1 to 2·widest+3 ascending — so each GEMM block size, each
-// tail length beside it and both sides of every routing boundary occur, and
-// a buffer that starts empty grows several times mid-sequence — then a
-// ragged shuffle, the shape the engine produces when streams join and leave
-// shards. widest is the tier family's widest GEMM block.
+// every width from 1 to 2·widest+3 ascending — so each stream-block size,
+// each partial block beside it and both sides of every routing boundary
+// occur, and a buffer that starts empty grows several times mid-sequence —
+// then a ragged shuffle, the shape the engine produces when streams join
+// and leave shards. widest is the tier family's widest stream block.
 func sweepWidths(widest int) []int {
 	top := 2*widest + 3
 	var ws []int
@@ -139,16 +164,13 @@ func sweepWidths(widest int) []int {
 
 // TestStepBatchLogitsOneHotMatchesDense: the batched sparse path against
 // both the batched dense path and the sequential sparse path, on every
-// width the routing distinguishes (sweepWidths), several steps per width
+// width the routing distinguishes (sweepWidths, plus 33 and 64: several
+// stream blocks with and without a partial one), several steps per width
 // with the states persisting throughout — each step advances a different
-// prefix of the streams, so batch rows, GEMM tile edges, the sequentially
-// stepped tail and the gather groups all shift between steps. One batched
-// replica runs on a buffer that starts empty and grows as the widths rise,
-// the other on one grown to full width up front: growth must change nothing.
+// prefix of the streams, so stream blocks, their partial tails and the
+// gather groups all shift between steps.
 func TestStepBatchLogitsOneHotMatchesDense(t *testing.T) {
-	const widest, stepsPerWidth = 8, 3
-	widths := sweepWidths(widest)
-	maxStreams := 2*widest + 3
+	const widest, stepsPerWidth, maxStreams = 8, 3, 64
 	for _, shape := range onehotShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			forEachKernelTier(t, func(t *testing.T) {
@@ -158,41 +180,33 @@ func TestStepBatchLogitsOneHotMatchesDense(t *testing.T) {
 				}
 				rng := mathx.NewRNG(7)
 				buf := c.NewBatchBuffer(maxStreams)
-				grownBuf := c.NewBatchBuffer(maxStreams)
-				grownBuf.grow(maxStreams)
 				denseBuf := c.NewBatchBuffer(maxStreams)
 				sparse := make([]*State, maxStreams)
-				grown := make([]*State, maxStreams)
 				dense := make([]*State, maxStreams)
 				seq := make([]*State, maxStreams)
 				for i := range sparse {
-					sparse[i], grown[i], dense[i], seq[i] = c.NewState(), c.NewState(), c.NewState(), c.NewState()
+					sparse[i], dense[i], seq[i] = c.NewState(), c.NewState(), c.NewState()
 				}
 				seqScores := make([]float64, shape.classes)
-				for _, n := range widths {
+				for _, n := range append(shape.sweep(sweepWidths(widest)), 33, maxStreams) {
 					for step := 0; step < stepsPerWidth; step++ {
 						idxs := make([][]int, n)
 						xs := make([][]float64, n)
 						sparseScores := make([][]float64, n)
-						grownScores := make([][]float64, n)
 						denseScores := make([][]float64, n)
 						for i := 0; i < n; i++ {
 							idxs[i] = randomOneHot(rng, shape.in)
 							xs[i] = denseOneHot(shape.in, idxs[i])
 							sparseScores[i] = make([]float64, shape.classes)
-							grownScores[i] = make([]float64, shape.classes)
 							denseScores[i] = make([]float64, shape.classes)
 						}
 						c.StepBatchLogitsOneHot(buf, sparse[:n], idxs, sparseScores)
-						c.StepBatchLogitsOneHot(grownBuf, grown[:n], idxs, grownScores)
 						c.StepBatchLogits(denseBuf, dense[:n], xs, denseScores)
 						for i := 0; i < n; i++ {
 							c.StepLogitsOneHot(seq[i], idxs[i], seqScores)
 							requireBitsEqual(t, "batch-vs-seq logits", sparseScores[i], seqScores)
-							requireBitsEqual(t, "grown-vs-seq logits", grownScores[i], seqScores)
 							requireBitsEqual(t, "dense-vs-seq logits", denseScores[i], seqScores)
 							requireStatesEqual(t, sparse[i], seq[i])
-							requireStatesEqual(t, grown[i], seq[i])
 							requireStatesEqual(t, dense[i], seq[i])
 						}
 					}

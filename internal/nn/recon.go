@@ -16,11 +16,12 @@ import (
 //
 // Every network has two inference paths with one bitwise contract:
 // Score (the sequential per-window path, packed GEMV kernels) and
-// NewBatch().Score (the engine's micro-batched path, MulRowsT GEMM) must
+// NewBatch().Score (the engine's micro-batched path: the multi-stream
+// packed product for the LSTM nets, the MulRowsT GEMM for the CNN) must
 // produce identical bits for every window on every kernel tier. The
 // contract is inherited from the LSTM step kernels (stepInfer vs
-// combineGatesCellUpdate), the dense head (forwardInfer vs
-// MulRowsT+bias, both dot+bias), and Conv1D/Conv1DBatch — and pinned by
+// stepInferBatch), the dense head (forwardInfer vs forwardInferBatch and
+// MulRowsT+bias, all dot+bias), and Conv1D/Conv1DBatch — and pinned by
 // tests in recon_test.go. Error accumulation uses the same loop order on
 // both paths (timesteps ascending, features ascending, one divide at the
 // end).
@@ -136,32 +137,35 @@ func (m *AutoEncoder) Score(x, scratch []float64) float64 {
 	return sum / float64(m.T*m.D)
 }
 
+// lstmReconBatch is the scratch of the engine-side batched LSTM scorers
+// (autoencoder and seq2seq): one gate row, encoder and decoder state and
+// prediction row per window, as the row tables stepInferBatch walks.
+type lstmReconBatch struct {
+	zs, hs, cs, hds, cds [][]float64
+	preds, ins           [][]float64
+	errs                 []float64
+}
+
+func newLSTMReconBatch(maxBatch, h, d int) lstmReconBatch {
+	return lstmReconBatch{
+		zs: stateRows(maxBatch, numGates*h),
+		hs: stateRows(maxBatch, h), cs: stateRows(maxBatch, h),
+		hds: stateRows(maxBatch, h), cds: stateRows(maxBatch, h),
+		preds: stateRows(maxBatch, d),
+		ins:   make([][]float64, maxBatch),
+		errs:  make([]float64, maxBatch),
+	}
+}
+
 // aeBatch is the engine-side batched autoencoder scorer.
 type aeBatch struct {
-	m                *AutoEncoder
-	z, zu            []float64 // maxBatch×4H GEMM outputs
-	hs, cs, hds, cds [][]float64
-	preds            []float64 // maxBatch×D
-	ins              [][]float64
-	errs             []float64
+	m *AutoEncoder
+	lstmReconBatch
 }
 
 // NewBatch allocates a batched scorer for up to maxBatch windows.
 func (m *AutoEncoder) NewBatch(maxBatch int) ReconBatch {
-	H := m.Enc.HiddenSize
-	b := &aeBatch{
-		m:     m,
-		z:     make([]float64, maxBatch*numGates*H),
-		zu:    make([]float64, maxBatch*numGates*H),
-		preds: make([]float64, maxBatch*m.D),
-		ins:   make([][]float64, maxBatch),
-		errs:  make([]float64, maxBatch),
-	}
-	b.hs = stateRows(maxBatch, H)
-	b.cs = stateRows(maxBatch, H)
-	b.hds = stateRows(maxBatch, H)
-	b.cds = stateRows(maxBatch, H)
-	return b
+	return &aeBatch{m, newLSTMReconBatch(maxBatch, m.Enc.HiddenSize, m.D)}
 }
 
 // stateRows allocates n H-wide rows over one backing array.
@@ -178,57 +182,27 @@ func stateRows(n, h int) [][]float64 {
 // sequential Score per window.
 func (b *aeBatch) Score(dst []float64, xs [][]float64) {
 	m := b.m
-	H := m.Enc.HiddenSize
 	n := len(xs)
-	z := b.z[:n*numGates*H]
-	zu := b.zu[:n*numGates*H]
+	zs, hs, cs, hds, cds := b.zs[:n], b.hs[:n], b.cs[:n], b.hds[:n], b.cds[:n]
+	preds, ins := b.preds[:n], b.ins[:n]
 	for i := 0; i < n; i++ {
-		mathx.Fill(b.hs[i], 0)
-		mathx.Fill(b.cs[i], 0)
-		mathx.Fill(b.hds[i], 0)
-		mathx.Fill(b.cds[i], 0)
+		mathx.Fill(hs[i], 0)
+		mathx.Fill(cs[i], 0)
+		mathx.Fill(hds[i], 0)
+		mathx.Fill(cds[i], 0)
 		b.errs[i] = 0
 	}
 	for t := 0; t < m.T; t++ {
 		for i := 0; i < n; i++ {
-			b.ins[i] = xs[i][t*m.D : (t+1)*m.D]
+			ins[i] = xs[i][t*m.D : (t+1)*m.D]
 		}
-		m.Enc.W.MulRowsT(z, b.ins[:n])
-		for i := 0; i < n; i++ {
-			b.ins[i] = b.hs[i]
-		}
-		m.Enc.U.MulRowsT(zu, b.ins[:n])
-		for i := 0; i < n; i++ {
-			row := z[i*numGates*H : (i+1)*numGates*H]
-			urow := zu[i*numGates*H : (i+1)*numGates*H]
-			m.Enc.combineGatesCellUpdate(row, urow, b.hs[i], b.cs[i])
-		}
+		m.Enc.stepInferBatch(zs, ins, hs, cs)
 	}
-	preds := b.preds[:n*m.D]
 	for t := 0; t < m.T; t++ {
+		m.Dec.stepInferBatch(zs, hs, hds, cds)
+		m.Out.forwardInferBatch(preds, hds)
 		for i := 0; i < n; i++ {
-			b.ins[i] = b.hs[i]
-		}
-		m.Dec.W.MulRowsT(z, b.ins[:n])
-		for i := 0; i < n; i++ {
-			b.ins[i] = b.hds[i]
-		}
-		m.Dec.U.MulRowsT(zu, b.ins[:n])
-		for i := 0; i < n; i++ {
-			row := z[i*numGates*H : (i+1)*numGates*H]
-			urow := zu[i*numGates*H : (i+1)*numGates*H]
-			m.Dec.combineGatesCellUpdate(row, urow, b.hds[i], b.cds[i])
-		}
-		for i := 0; i < n; i++ {
-			b.ins[i] = b.hds[i]
-		}
-		m.Out.W.MulRowsT(preds, b.ins[:n])
-		for i := 0; i < n; i++ {
-			row := preds[i*m.D : (i+1)*m.D]
-			for j := range row {
-				row[j] += m.Out.B[j]
-			}
-			b.errs[i] += sqErr(row, xs[i][t*m.D:(t+1)*m.D])
+			b.errs[i] += sqErr(preds[i], xs[i][t*m.D:(t+1)*m.D])
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -413,94 +387,46 @@ func (m *Seq2Seq) Score(x, scratch []float64) float64 {
 
 // s2sBatch is the engine-side batched seq2seq scorer.
 type s2sBatch struct {
-	m                *Seq2Seq
-	z, zu            []float64
-	hs, cs, hds, cds [][]float64
-	preds            []float64
-	ins              [][]float64
-	errs             []float64
+	m *Seq2Seq
+	lstmReconBatch
 }
 
 // NewBatch allocates a batched scorer for up to maxBatch windows.
 func (m *Seq2Seq) NewBatch(maxBatch int) ReconBatch {
-	H := m.Enc.HiddenSize
-	b := &s2sBatch{
-		m:     m,
-		z:     make([]float64, maxBatch*numGates*H),
-		zu:    make([]float64, maxBatch*numGates*H),
-		preds: make([]float64, maxBatch*m.D),
-		ins:   make([][]float64, maxBatch),
-		errs:  make([]float64, maxBatch),
-	}
-	b.hs = stateRows(maxBatch, H)
-	b.cs = stateRows(maxBatch, H)
-	b.hds = stateRows(maxBatch, H)
-	b.cds = stateRows(maxBatch, H)
-	return b
+	return &s2sBatch{m, newLSTMReconBatch(maxBatch, m.Enc.HiddenSize, m.D)}
 }
 
 // Score scores len(xs) windows into dst, bitwise-identical to the
 // sequential Score per window.
 func (b *s2sBatch) Score(dst []float64, xs [][]float64) {
 	m := b.m
-	H := m.Enc.HiddenSize
 	n := len(xs)
-	z := b.z[:n*numGates*H]
-	zu := b.zu[:n*numGates*H]
+	zs, hs, cs, hds, cds := b.zs[:n], b.hs[:n], b.cs[:n], b.hds[:n], b.cds[:n]
+	preds, ins := b.preds[:n], b.ins[:n]
 	for i := 0; i < n; i++ {
-		mathx.Fill(b.hs[i], 0)
-		mathx.Fill(b.cs[i], 0)
+		mathx.Fill(hs[i], 0)
+		mathx.Fill(cs[i], 0)
 		b.errs[i] = 0
 	}
 	for t := 0; t < m.Warm; t++ {
 		for i := 0; i < n; i++ {
-			b.ins[i] = xs[i][t*m.D : (t+1)*m.D]
+			ins[i] = xs[i][t*m.D : (t+1)*m.D]
 		}
-		m.Enc.W.MulRowsT(z, b.ins[:n])
-		for i := 0; i < n; i++ {
-			b.ins[i] = b.hs[i]
-		}
-		m.Enc.U.MulRowsT(zu, b.ins[:n])
-		for i := 0; i < n; i++ {
-			row := z[i*numGates*H : (i+1)*numGates*H]
-			urow := zu[i*numGates*H : (i+1)*numGates*H]
-			m.Enc.combineGatesCellUpdate(row, urow, b.hs[i], b.cs[i])
-		}
+		m.Enc.stepInferBatch(zs, ins, hs, cs)
 	}
-	preds := b.preds[:n*m.D]
 	for i := 0; i < n; i++ {
-		copy(b.hds[i], b.hs[i])
-		copy(b.cds[i], b.cs[i])
+		copy(hds[i], hs[i])
+		copy(cds[i], cs[i])
+		ins[i] = xs[i][(m.Warm-1)*m.D : m.Warm*m.D]
 	}
 	for t := m.Warm; t < m.T; t++ {
+		m.Dec.stepInferBatch(zs, ins, hds, cds)
+		m.Out.forwardInferBatch(preds, hds)
 		for i := 0; i < n; i++ {
-			if t == m.Warm {
-				b.ins[i] = xs[i][(m.Warm-1)*m.D : m.Warm*m.D]
-			} else {
-				b.ins[i] = preds[i*m.D : (i+1)*m.D]
-			}
+			b.errs[i] += sqErr(preds[i], xs[i][t*m.D:(t+1)*m.D])
 		}
-		m.Dec.W.MulRowsT(z, b.ins[:n])
-		for i := 0; i < n; i++ {
-			b.ins[i] = b.hds[i]
-		}
-		m.Dec.U.MulRowsT(zu, b.ins[:n])
-		for i := 0; i < n; i++ {
-			row := z[i*numGates*H : (i+1)*numGates*H]
-			urow := zu[i*numGates*H : (i+1)*numGates*H]
-			m.Dec.combineGatesCellUpdate(row, urow, b.hds[i], b.cds[i])
-		}
-		for i := 0; i < n; i++ {
-			b.ins[i] = b.hds[i]
-		}
-		m.Out.W.MulRowsT(preds, b.ins[:n])
-		for i := 0; i < n; i++ {
-			row := preds[i*m.D : (i+1)*m.D]
-			for j := range row {
-				row[j] += m.Out.B[j]
-			}
-			b.errs[i] += sqErr(row, xs[i][t*m.D:(t+1)*m.D])
-		}
+		// Free-running: each prediction is the next step's input.
+		ins = preds
 	}
 	for i := 0; i < n; i++ {
 		dst[i] = b.errs[i] / float64((m.T-m.Warm)*m.D)

@@ -41,7 +41,7 @@ import (
 type batchTrainer struct {
 	c     *Classifier
 	grads *GradBuffer
-	buf   *BatchBuffer // lock-step gate/logit scratch shared with inference
+	buf   batchScratch[float64] // lock-step gate/logit rows, always maxB wide
 
 	maxB int
 
@@ -76,13 +76,15 @@ func newBatchTrainer(c *Classifier, maxB, maxT int) *batchTrainer {
 	K := c.Out.OutputSize
 	Htop := c.Layers[L-1].HiddenSize
 	maxH := 0
-	for _, l := range c.Layers {
+	gateWidths := make([]int, L)
+	for i, l := range c.Layers {
 		maxH = max(maxH, l.HiddenSize)
+		gateWidths[i] = numGates * l.HiddenSize
 	}
 	bt := &batchTrainer{
 		c:     c,
 		grads: c.NewGradBuffer(),
-		buf:   c.NewBatchBuffer(maxB),
+		buf:   newBatchScratch[float64](maxB, gateWidths, K),
 		maxB:  maxB,
 		gates: make([][][]float64, L),
 		cells: make([][][]float64, L),
@@ -103,7 +105,6 @@ func newBatchTrainer(c *Classifier, maxB, maxT int) *batchTrainer {
 		act:   make([]int, 0, maxB),
 		sact:  make([]int, 0, maxB),
 	}
-	// The trainer indexes the scratch rows itself, always maxB wide.
 	bt.buf.grow(maxB)
 	for l, layer := range c.Layers {
 		H := layer.HiddenSize
