@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race race-quick conformance serve-smoke bench bench-json bench-serve bench-smoke bench-stack bench-train benchmark benchmark-compare fuzz-smoke
+.PHONY: check build fmt vet test race race-quick conformance serve-smoke benchmark benchmark-compare benchmark-smoke fuzz-smoke
 
-check: fmt vet build test race-quick fuzz-smoke bench-smoke
+check: fmt vet build test race-quick fuzz-smoke benchmark-smoke
 
 # build also cross-compiles for arm64 so the non-SIMD kernel stubs
 # (gemm_noasm.go) stay in signature-lockstep with the amd64 assembly.
@@ -63,32 +63,6 @@ serve-smoke:
 conformance:
 	$(GO) test -v -run 'TestTraceConformance|TestStackConformance' .
 
-bench: bench-stack
-	$(GO) test -run=NONE -bench=. -benchmem .
-
-# Detection-stack benchmark: per-level time share and sequential vs engine
-# throughput across level stacks (bloom, bloom+lstm, bloom+pca+lstm,
-# all-levels, bloom+lstm+ae). Results are recorded in BENCH.md.
-bench-stack:
-	$(GO) run ./cmd/icsbench -stackbench -packages 8000
-
-# Machine-readable benchmark records: the -stackbench matrix at both
-# precision tiers plus the -kernelbench kernel × precision × tier matrix,
-# as JSON. The BENCH_*.json files are committed alongside BENCH.md so
-# tooling can diff throughput across PRs without scraping tables.
-bench-json:
-	$(GO) run ./cmd/icsbench -stackbench -packages 8000 -json > BENCH_STACK.json
-	$(GO) run ./cmd/icsbench -stackbench -packages 8000 -precision f32 -json > BENCH_STACK_F32.json
-	$(GO) run ./cmd/icsbench -kernelbench -json > BENCH_KERNELS.json
-	$(GO) run ./cmd/icsbench -servebench -json > BENCH_SERVE.json
-
-# Wire-to-verdict serving benchmark: a real serve.Server on loopback TCP
-# under 64 concurrent replay connections and 8 verdict subscribers, the
-# per-package admission path vs the burst path, with cross-mode verdict
-# parity enforced. Results are recorded in BENCH.md / BENCH_SERVE.json.
-bench-serve:
-	$(GO) run ./cmd/icsbench -servebench
-
 # The gated wire-to-verdict benchmark (benchmark/README.md, BENCHMARK.json):
 # all five workloads, end-to-end metrics only, into benchmark/out/result.json.
 # Copy that file aside, change code, run again, and hand both to
@@ -101,25 +75,21 @@ benchmark-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make benchmark-compare OLD=old.json NEW=new.json"; exit 2; }
 	$(GO) run ./benchmark -compare $(OLD) $(NEW)
 
+# Benchmark correctness smoke, the same locally and in CI: one second of
+# the default serving workload through the driver's own entry point. Only
+# the exit status counts — every stream's verdict hash must equal the
+# sequential reference and nothing may be shed or dropped; a shared runner
+# cannot time anything, so no number is gated here. Then the same smoke on
+# the paper-sized model: trains the 2x256 LSTM and checks every stream's
+# hash against the sequential reference — the one place the multi-stream
+# packed kernel meets H = 256 end to end.
+benchmark-smoke:
+	bash benchmark/run.sh --workload serve-replay-default --seconds 1 --trace 0
+	bash benchmark/run.sh --workload engine-wide-f64 --seconds 1 --trace 0
+
 # Short coverage-guided runs of the Modbus codec fuzzers, seeded from the
 # golden corpus frames (decode→encode must stay stable, no panics on
 # arbitrary bytes).
 fuzz-smoke:
 	$(GO) test ./internal/modbus/ -run=NONE -fuzz=FuzzPDUDecode -fuzztime=5s
 	$(GO) test ./internal/modbus/ -run=NONE -fuzz=FuzzFrameDecode -fuzztime=5s
-
-# A quick engine-throughput smoke: proves the batched multi-stream path
-# still works and reports pkg/s without the full benchmark suite, plus a
-# small stack benchmark exercising the per-stage-kind engine dispatch and
-# the per-kernel microbenchmarks (dense vs one-hot × kernel tiers).
-bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkEngineThroughput/engine/shards=8/streams=256' -benchtime=50x .
-	$(GO) run ./cmd/icsbench -stackbench -packages 4000
-	$(GO) run ./cmd/icsbench -kernelbench
-	$(GO) run ./cmd/icsbench -servebench -conns 16 -records 500
-
-# Training-throughput smoke: batched vs reference gradient engine at the
-# paper's 2x256 model scale (proves the bitwise equivalence untimed, then
-# reports windows/s for both engines).
-bench-train:
-	$(GO) test -run=NONE -bench=BenchmarkTrainThroughput -benchtime=2x .

@@ -1,6 +1,6 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (§VIII) plus the cost-profile measurements (§VIII-A-2) and the
-// ablation benches listed in DESIGN.md §5.
+// ablation benches.
 //
 // Run everything with:
 //
@@ -8,7 +8,7 @@
 //
 // The experiment benchmarks share one lazily built environment (dataset +
 // two trained frameworks) so that `-bench=.` finishes in minutes; the shape
-// results they report come from the same runners cmd/icsbench uses at
+// results they report come from the same runners cmd/icseval uses at
 // larger scale. Reported custom metrics (f1, precision, …) carry each
 // experiment's headline numbers.
 package icsdetect_test
@@ -523,7 +523,7 @@ func BenchmarkGeneratorThroughput(b *testing.B) {
 	}
 }
 
-// ---- Ablation benches (DESIGN.md §5) ----------------------------------------
+// ---- Ablation benches --------------------------------------------------------
 
 // BenchmarkAblationNoise compares test F1 with and without probabilistic
 // noise training (paper Figs. 6-7).

@@ -8,7 +8,7 @@
 // Every runner is deterministic given the Config seed. Absolute numbers
 // differ from the paper (the substrate is a simulator, not the authors'
 // testbed); the shapes — who wins, which attacks are hard, where the curves
-// bend — are the reproduction target, and EXPERIMENTS.md records both sides.
+// bend — are the reproduction target.
 package experiments
 
 import (

@@ -6,8 +6,7 @@ import (
 )
 
 // table renders rows as an aligned monospace table with a header rule,
-// matching the plain-text rendition of the paper's tables in
-// EXPERIMENTS.md.
+// the plain-text rendition of the paper's tables.
 type table struct {
 	header []string
 	rows   [][]string

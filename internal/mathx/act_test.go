@@ -1,6 +1,7 @@
 package mathx
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -78,4 +79,34 @@ func TestVSigmoidMatchesSigmoid(t *testing.T) {
 
 func TestVTanhMatchesMathTanh(t *testing.T) {
 	testActKernel(t, "VTanh", VTanh, math.Tanh)
+}
+
+// BenchmarkActivations times the vectorized activation kernels at both
+// precisions on every kernel tier, over a 96-wide block (the three sigmoid
+// gates of a 32-unit layer) and a 1024-wide one (all four gates at H = 256).
+func BenchmarkActivations(b *testing.B) {
+	forEachTier(b, func(b *testing.B) {
+		for _, n := range []int{96, 1024} {
+			benchActivation(b, "sigmoid/f64", n, VSigmoid)
+			benchActivation(b, "tanh/f64", n, VTanh)
+			benchActivation(b, "exp/f64", n, VExp)
+			benchActivation(b, "sigmoid/f32", n, VSigmoid32)
+			benchActivation(b, "tanh/f32", n, VTanh32)
+			benchActivation(b, "exp/f32", n, VExp32)
+		}
+	})
+}
+
+func benchActivation[T float32 | float64](b *testing.B, name string, n int, kernel func(dst, src []T)) {
+	rng := NewRNG(11)
+	src, dst := make([]T, n), make([]T, n)
+	for i := range src {
+		src[i] = T(rng.Norm())
+	}
+	b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			kernel(dst, src)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+	})
 }

@@ -7,8 +7,9 @@ import (
 
 // forEachTier runs f under each kernel tier override (on machines without
 // the hardware the override is a no-op and the sub-tests all exercise the
-// same lower tier — still a valid equivalence check).
-func forEachTier(t *testing.T, f func(t *testing.T)) {
+// same lower tier — still a valid equivalence check). T is *testing.T or
+// *testing.B.
+func forEachTier[T interface{ Run(string, func(T)) bool }](t T, f func(T)) {
 	for _, tier := range []struct {
 		name         string
 		simd, avx512 bool
@@ -17,7 +18,7 @@ func forEachTier(t *testing.T, f func(t *testing.T)) {
 		{"avx2", true, false},
 		{"scalar", false, false},
 	} {
-		t.Run(tier.name, func(t *testing.T) {
+		t.Run(tier.name, func(t T) {
 			prevSIMD := SetSIMDEnabled(tier.simd)
 			prevAVX512 := SetAVX512Enabled(tier.avx512)
 			defer func() {

@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"strings"
 
 	"icsdetect/internal/dataset"
 )
@@ -228,57 +227,4 @@ func (c *TopKCurve) MinKBelow(theta float64) (int, error) {
 		}
 	}
 	return len(c.Err) + 1, nil
-}
-
-// Breakdown accumulates labeled quantities in first-seen order and reports
-// each label's share of the total — the shape of "per-level time share" and
-// "detections per level" reports, where map iteration order would make the
-// output non-deterministic.
-type Breakdown struct {
-	labels []string
-	values map[string]float64
-	total  float64
-}
-
-// NewBreakdown returns an empty breakdown.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{values: make(map[string]float64)}
-}
-
-// Add accumulates v under label.
-func (b *Breakdown) Add(label string, v float64) {
-	if _, seen := b.values[label]; !seen {
-		b.labels = append(b.labels, label)
-	}
-	b.values[label] += v
-	b.total += v
-}
-
-// Labels returns the labels in first-seen order.
-func (b *Breakdown) Labels() []string { return b.labels }
-
-// Value returns the accumulated quantity of label.
-func (b *Breakdown) Value(label string) float64 { return b.values[label] }
-
-// Total returns the sum over all labels.
-func (b *Breakdown) Total() float64 { return b.total }
-
-// Share returns label's fraction of the total (0 when the total is 0).
-func (b *Breakdown) Share(label string) float64 {
-	if b.total == 0 {
-		return 0
-	}
-	return b.values[label] / b.total
-}
-
-// String renders "label=share%" pairs in first-seen order.
-func (b *Breakdown) String() string {
-	var sb strings.Builder
-	for i, l := range b.labels {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		fmt.Fprintf(&sb, "%s=%.1f%%", l, 100*b.Share(l))
-	}
-	return sb.String()
 }

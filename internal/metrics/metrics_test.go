@@ -242,25 +242,3 @@ func TestSummaryString(t *testing.T) {
 		t.Error("empty summary string")
 	}
 }
-
-func TestBreakdown(t *testing.T) {
-	b := NewBreakdown()
-	if b.String() != "" || b.Share("x") != 0 {
-		t.Fatalf("empty breakdown misbehaves: %q %v", b.String(), b.Share("x"))
-	}
-	b.Add("bloom", 1)
-	b.Add("lstm", 3)
-	b.Add("bloom", 1)
-	if got := b.Labels(); len(got) != 2 || got[0] != "bloom" || got[1] != "lstm" {
-		t.Fatalf("labels %v, want first-seen order [bloom lstm]", got)
-	}
-	if b.Total() != 5 || b.Value("bloom") != 2 {
-		t.Fatalf("total %v value %v", b.Total(), b.Value("bloom"))
-	}
-	if b.Share("bloom") != 0.4 {
-		t.Fatalf("share %v, want 0.4", b.Share("bloom"))
-	}
-	if got := b.String(); got != "bloom=40.0% lstm=60.0%" {
-		t.Fatalf("String() = %q", got)
-	}
-}

@@ -33,10 +33,9 @@ type ReplayOptions struct {
 	OnRecord func(i int)
 	// FlushEvery, with OnRecord set, flushes the connection every N
 	// records instead of after every one — per-record hooks without
-	// per-record syscalls, the load-generator shape (`icsbench
-	// -servebench` stamps send times per record but writes in chunks so
-	// the server's burst path sees realistic wire batches). 0 or 1 keeps
-	// the per-record flush.
+	// per-record syscalls, the load-generator shape (send times stamped
+	// per record, writes in chunks so the server's burst path sees
+	// realistic wire batches). 0 or 1 keeps the per-record flush.
 	FlushEvery int
 }
 

@@ -60,8 +60,7 @@ type Config struct {
 	// SubmitBatchFor/TrySubmitBatchFor call, and verdict fan-out coalesces
 	// each shard tick's events into one published frame. 0 picks the
 	// default (256); 1 (or negative) selects the per-package legacy path —
-	// one submit and one published event per package — which is also the
-	// baseline leg of `icsbench -servebench`.
+	// one submit and one published event per package.
 	IngestBurst int
 	// DrainGrace bounds how long Shutdown waits for ingest connections to
 	// finish before force-closing them. Default: 5s.
