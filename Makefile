@@ -82,10 +82,14 @@ benchmark-compare:
 # cannot time anything, so no number is gated here. Then the same smoke on
 # the paper-sized model: trains the 2x256 LSTM and checks every stream's
 # hash against the sequential reference — the one place the multi-stream
-# packed kernel meets H = 256 end to end.
+# packed kernel meets H = 256 end to end. Last, the one workload that runs
+# the promoted window levels (bf4, pca, gmm, iforest, bayesnet, svdd, ae)
+# through the driver's entry point, traced so the per-stage layer walk runs
+# too (a few seconds; exit status only, like the others).
 benchmark-smoke:
 	bash benchmark/run.sh --workload serve-replay-default --seconds 1 --trace 0
 	bash benchmark/run.sh --workload engine-wide-f64 --seconds 1 --trace 0
+	bash benchmark/run.sh --workload offline-all-levels --seconds 1 --trace 1
 
 # Short coverage-guided runs of the Modbus codec fuzzers, seeded from the
 # golden corpus frames (decode→encode must stay stable, no panics on

@@ -11,6 +11,9 @@ import (
 	"testing"
 
 	"icsdetect"
+	"icsdetect/internal/baselines"
+	"icsdetect/internal/core"
+	"icsdetect/internal/recon"
 )
 
 // classifyAllocs measures the mean allocations per package of a warmed
@@ -207,5 +210,66 @@ func TestHotPathAllocations(t *testing.T) {
 				t.Errorf("%s allocates %.3f/package, gate is %g", c.name, per, c.ceiling)
 			}
 		})
+	}
+}
+
+// TestWindowStageCheckNoAllocations gates the window levels one by one: a
+// Check that closes a window — the call that scores — allocates nothing
+// for any registered window kind, and the nine-level majority stack of
+// the offline-all-levels workload classifies allocation-free once the
+// caller pools the evidence buffer.
+func TestWindowStageCheckNoAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gates use the trained stack fixture")
+	}
+	fx := loadStackFixture(t)
+	all, err := icsdetect.ParseStack(fixtureLevels, "majority")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack, err := fx.det.NewStack(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated := 0
+	for _, st := range stack.Stages() {
+		stage, ok := st.(*baselines.WindowStage)
+		if !ok {
+			continue
+		}
+		gated++
+		t.Run(stage.Name(), func(t *testing.T) {
+			// Walk the stream until a package closes a window; Check does
+			// not move the window, so repeating it re-scores that window.
+			state := stage.NewState()
+			var pc core.PackageContext
+			var r core.StageResult
+			for _, p := range fx.split.Test {
+				pc, r = core.PackageContext{Cur: p}, core.StageResult{Rank: -1}
+				stage.Check(state, &pc, &r)
+				if r.Scored {
+					break
+				}
+				var v core.Verdict
+				stage.Advance(state, &pc, &v)
+			}
+			if !r.Scored {
+				t.Fatal("no package of the test stream closes a window")
+			}
+			if per := testing.AllocsPerRun(200, func() { stage.Check(state, &pc, &r) }); per != 0 {
+				t.Errorf("%s: a window-closing Check allocates %.2f times", stage.Name(), per)
+			}
+		})
+	}
+	if want := len(baselines.WindowStageKinds()) + len(recon.Kinds()); gated != want {
+		t.Errorf("gated %d window kinds, want %d", gated, want)
+	}
+
+	nine, err := icsdetect.ParseStack("bloom,bf4,pca,gmm,iforest,bayesnet,svdd,lstm,ae", "majority")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := classifyAllocs(t, nine, true); per != 0 {
+		t.Errorf("nine-level stack allocates %.3f/package with a pooled evidence buffer", per)
 	}
 }

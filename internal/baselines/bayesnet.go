@@ -24,7 +24,7 @@ type BayesNet struct {
 	cpt [][]float64
 }
 
-var _ Scorer = (*BayesNet)(nil)
+var _ DiscreteScorer = (*BayesNet)(nil)
 
 // NewBayesNet learns structure and parameters from attack-free training
 // windows.
@@ -170,16 +170,23 @@ func (bn *BayesNet) Name() string { return "BN" }
 
 // Score returns the negative log-likelihood of the window under the tree.
 func (bn *BayesNet) Score(w *Window) float64 {
+	score, _ := bn.ScoreDiscrete(w.Discrete, nil)
+	return score
+}
+
+// ScoreDiscrete implements DiscreteScorer; the CPT walk needs no key
+// scratch.
+func (bn *BayesNet) ScoreDiscrete(c []int, key []byte) (float64, []byte) {
 	var ll float64
 	for i := range bn.card {
-		v := clampVal(w.Discrete[i], bn.card[i])
+		v := clampVal(c[i], bn.card[i])
 		pv := 0
 		if bn.parent[i] >= 0 {
-			pv = clampVal(w.Discrete[bn.parent[i]], bn.card[bn.parent[i]])
+			pv = clampVal(c[bn.parent[i]], bn.card[bn.parent[i]])
 		}
 		ll += bn.cpt[i][pv*bn.card[i]+v]
 	}
-	return -ll
+	return -ll, key
 }
 
 // Structure returns a human-readable summary of the learned tree (for

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"icsdetect/internal/bloom"
+	"icsdetect/internal/signature"
 )
 
 // Scorer assigns an anomaly score to a window; higher means more anomalous.
@@ -22,7 +23,7 @@ type BF struct {
 	filter *bloom.Filter
 }
 
-var _ Scorer = (*BF)(nil)
+var _ DiscreteScorer = (*BF)(nil)
 
 // NewBF builds the filter over the training windows.
 func NewBF(train []*Window, fp float64) (*BF, error) {
@@ -45,7 +46,29 @@ func (b *BF) Name() string { return "BF" }
 
 // Score returns 1 for windows whose composite signature is unknown.
 func (b *BF) Score(w *Window) float64 {
-	if b.filter.ContainsString(compositeSig(w)) {
+	return b.scoreKey([]byte(compositeSig(w)))
+}
+
+// ScoreDiscrete implements DiscreteScorer: the composite signature is
+// spelled from the discretized vectors into key, byte for byte what
+// compositeSig joins from Window.Sigs.
+func (b *BF) ScoreDiscrete(c []int, key []byte) (float64, []byte) {
+	dim := len(c) / WindowSize
+	key = key[:0]
+	for i := 0; i < WindowSize; i++ {
+		if i > 0 {
+			key = append(key, '|')
+		}
+		key = signature.AppendSignature(key, c[i*dim:(i+1)*dim])
+	}
+	return b.scoreKey(key), key
+}
+
+// scoreKey is the one scoring rule: a composite signature the filter has
+// not seen scores 1. Filter.Contains hashes the same FNV bits as the
+// AddString that inserted the training windows.
+func (b *BF) scoreKey(key []byte) float64 {
+	if b.filter.Contains(key) {
 		return 0
 	}
 	return 1

@@ -10,22 +10,30 @@ import (
 // IsolationForest implements Liu, Ting & Zhou's Isolation Forest [55]:
 // anomalies are isolated by fewer random axis-aligned splits, so short
 // average path lengths score high.
+//
+// The forest is one flat node array, every tree in preorder (a node's left
+// child directly follows it) — the layout the snapshot writes (persist.go),
+// so a walk touches consecutive cache lines on its left turns and
+// persistence is a field-by-field copy.
 type IsolationForest struct {
-	trees    []*isoNode
+	nodes    []isoNode
+	roots    []int32
 	sub      int
 	expected float64 // c(sub): average unsuccessful BST search length
 }
 
 var _ Scorer = (*IsolationForest)(nil)
 
+// isoNode is one node of the flat forest. Internal nodes route x[attr] <
+// split to left, else to right; leaves have left < 0 and carry the size of
+// the subsample they isolate with its path-length term cost = c(size),
+// computed once when the forest is built or restored.
 type isoNode struct {
-	// Leaf fields.
-	size int
-	// Internal fields.
-	attr  int
-	split float64
-	left  *isoNode
-	right *isoNode
+	split       float64
+	cost        float64
+	attr        int32
+	left, right int32
+	size        int32
 }
 
 // IForestConfig bundles the forest hyper-parameters (paper defaults of the
@@ -60,14 +68,18 @@ func NewIsolationForest(train [][]float64, cfg IForestConfig) (*IsolationForest,
 		for i := 0; i < cfg.Subsample; i++ {
 			sample[i] = train[perm[i]]
 		}
-		f.trees = append(f.trees, buildIsoTree(sample, 0, maxDepth, rng))
+		f.roots = append(f.roots, f.grow(sample, 0, maxDepth, rng))
 	}
 	return f, nil
 }
 
-func buildIsoTree(data [][]float64, depth, maxDepth int, rng *mathx.RNG) *isoNode {
+// grow appends the isolation tree over data to f.nodes in preorder and
+// returns its root's index.
+func (f *IsolationForest) grow(data [][]float64, depth, maxDepth int, rng *mathx.RNG) int32 {
+	idx := int32(len(f.nodes))
 	if len(data) <= 1 || depth >= maxDepth {
-		return &isoNode{size: len(data)}
+		f.nodes = append(f.nodes, isoLeaf(len(data)))
+		return idx
 	}
 	dim := len(data[0])
 	// Pick an attribute with spread; give up after a few tries (all-equal
@@ -98,14 +110,19 @@ func buildIsoTree(data [][]float64, depth, maxDepth int, rng *mathx.RNG) *isoNod
 		if len(left) == 0 || len(right) == 0 {
 			continue
 		}
-		return &isoNode{
-			attr:  attr,
-			split: split,
-			left:  buildIsoTree(left, depth+1, maxDepth, rng),
-			right: buildIsoTree(right, depth+1, maxDepth, rng),
-		}
+		f.nodes = append(f.nodes, isoNode{attr: int32(attr), split: split})
+		l := f.grow(left, depth+1, maxDepth, rng)
+		r := f.grow(right, depth+1, maxDepth, rng)
+		f.nodes[idx].left, f.nodes[idx].right = l, r
+		return idx
 	}
-	return &isoNode{size: len(data)}
+	f.nodes = append(f.nodes, isoLeaf(len(data)))
+	return idx
+}
+
+// isoLeaf is the leaf isolating size subsample points.
+func isoLeaf(size int) isoNode {
+	return isoNode{size: int32(size), cost: avgPathLength(size), left: -1, right: -1}
 }
 
 // avgPathLength is c(n), the average path length of an unsuccessful BST
@@ -118,16 +135,20 @@ func avgPathLength(n int) float64 {
 	return 2*h - 2*float64(n-1)/float64(n)
 }
 
-func pathLength(node *isoNode, x []float64, depth int) float64 {
-	for node.left != nil {
-		if x[node.attr] < node.split {
-			node = node.left
+// pathLength is h(x) in the tree rooted at root: the depth of the leaf x
+// falls into plus that leaf's c(size).
+func (f *IsolationForest) pathLength(root int32, x []float64) float64 {
+	n := &f.nodes[root]
+	depth := 0
+	for n.left >= 0 {
+		if x[n.attr] < n.split {
+			n = &f.nodes[n.left]
 		} else {
-			node = node.right
+			n = &f.nodes[n.right]
 		}
 		depth++
 	}
-	return float64(depth) + avgPathLength(node.size)
+	return float64(depth) + n.cost
 }
 
 // Name implements Scorer.
@@ -145,10 +166,10 @@ func (f *IsolationForest) ScratchLen() int { return 0 }
 // ScoreVector implements VectorScorer.
 func (f *IsolationForest) ScoreVector(x, _ []float64) float64 {
 	var sum float64
-	for _, t := range f.trees {
-		sum += pathLength(t, x, 0)
+	for _, root := range f.roots {
+		sum += f.pathLength(root, x)
 	}
-	mean := sum / float64(len(f.trees))
+	mean := sum / float64(len(f.roots))
 	return math.Pow(2, -mean/f.expected)
 }
 

@@ -121,6 +121,31 @@ func TestSVDDSubsampling(t *testing.T) {
 	}
 }
 
+// TestSVDDScoreVectorMatchesKernelSum: ScoreVector, which takes all
+// kernel exponents through one mathx.VExp pass, must equal the plain sum
+// of per-support-vector rbf terms bit for bit — far outliers (exponents
+// the vector kernel hands back to math.Exp) included.
+func TestSVDDScoreVectorMatchesKernelSum(t *testing.T) {
+	rng := mathx.NewRNG(4)
+	center := make([]float64, 9)
+	svdd, err := NewSVDD(gaussianCloud(rng, center, 400, 1), SVDDConfig{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := append(gaussianCloud(rng, center, 100, 1), gaussianCloud(rng, center, 100, 40)...)
+	scratch := make([]float64, svdd.ScratchLen())
+	for i, x := range probes {
+		var cross float64
+		for j, sv := range svdd.support {
+			cross += svdd.alpha[j] * rbf(x, sv, svdd.Gamma)
+		}
+		want := 1 - 2*cross + svdd.aa
+		if got := svdd.ScoreVector(x, scratch); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("probe %d: ScoreVector %x, kernel sum %x", i, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
+
 func TestIsolationForestSeparatesOutliers(t *testing.T) {
 	rng := mathx.NewRNG(3)
 	train := gaussianCloud(rng, []float64{0, 0}, 600, 1)

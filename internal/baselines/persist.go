@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"icsdetect/internal/bloom"
 	"icsdetect/internal/mathx"
@@ -40,8 +41,8 @@ type gmmSnap struct {
 	Vars    [][]float64
 }
 
-// ifNodeSnap flattens one isolation-tree node; Left/Right index into the
-// node array (-1 for leaves).
+// ifNodeSnap is one isolation-forest node; Left/Right index into the node
+// array (-1 for leaves).
 type ifNodeSnap struct {
 	Size        int
 	Attr        int
@@ -80,9 +81,9 @@ func snapshotScorer(snap *windowModelSnap, sc Scorer) error {
 	case *GMM:
 		snap.GMM = &gmmSnap{Weights: m.weights, Means: m.means, Vars: m.vars}
 	case *IsolationForest:
-		s := &ifSnap{Sub: m.sub, Expected: m.expected}
-		for _, root := range m.trees {
-			s.Roots = append(s.Roots, flattenIso(s, root))
+		s := &ifSnap{Nodes: make([]ifNodeSnap, len(m.nodes)), Roots: m.roots, Sub: m.sub, Expected: m.expected}
+		for i, n := range m.nodes {
+			s.Nodes[i] = ifNodeSnap{Size: int(n.size), Attr: int(n.attr), Split: n.split, Left: n.left, Right: n.right}
 		}
 		snap.IF = s
 	case *BayesNet:
@@ -116,15 +117,7 @@ func (snap *windowModelSnap) restoreScorer() (Scorer, error) {
 		g.refreshNorm()
 		return g, nil
 	case snap.IF != nil:
-		f := &IsolationForest{sub: snap.IF.Sub, expected: snap.IF.Expected}
-		for _, root := range snap.IF.Roots {
-			tree, err := unflattenIso(snap.IF, root)
-			if err != nil {
-				return nil, err
-			}
-			f.trees = append(f.trees, tree)
-		}
-		return f, nil
+		return snap.IF.restore()
 	case snap.BN != nil:
 		return &BayesNet{parent: snap.BN.Parent, card: snap.BN.Card, cpt: snap.BN.CPT}, nil
 	case snap.SV != nil:
@@ -143,37 +136,53 @@ func (snap *windowModelSnap) restoreScorer() (Scorer, error) {
 	}
 }
 
-// flattenIso appends node's subtree to s.Nodes in preorder and returns
-// node's index.
-func flattenIso(s *ifSnap, node *isoNode) int32 {
-	idx := int32(len(s.Nodes))
-	s.Nodes = append(s.Nodes, ifNodeSnap{Size: node.size, Attr: node.attr, Split: node.split, Left: -1, Right: -1})
-	if node.left != nil {
-		left := flattenIso(s, node.left)
-		right := flattenIso(s, node.right)
-		s.Nodes[idx].Left = left
-		s.Nodes[idx].Right = right
+// restore validates the node array — the snapshot may come from anywhere
+// (/swap) — and rebuilds the forest over it. Children must lie strictly
+// after their parent and no node may be reached twice, so every walk ends
+// at a leaf within len(Nodes) steps; attributes must index a window
+// sample.
+func (s *ifSnap) restore() (*IsolationForest, error) {
+	if len(s.Roots) == 0 {
+		return nil, fmt.Errorf("baselines: isolation forest snapshot has no trees")
 	}
-	return idx
-}
-
-// unflattenIso rebuilds the subtree rooted at idx.
-func unflattenIso(s *ifSnap, idx int32) (*isoNode, error) {
-	if idx < 0 || int(idx) >= len(s.Nodes) {
-		return nil, fmt.Errorf("baselines: isolation tree node %d out of range", idx)
-	}
-	n := s.Nodes[idx]
-	node := &isoNode{size: n.Size, attr: n.Attr, split: n.Split}
-	if n.Left >= 0 {
-		var err error
-		if node.left, err = unflattenIso(s, n.Left); err != nil {
-			return nil, err
+	reached := make([]bool, len(s.Nodes))
+	reach := func(idx int32, from int) error {
+		if int(idx) <= from || int(idx) >= len(s.Nodes) {
+			return fmt.Errorf("baselines: isolation forest node %d: child %d out of range", from, idx)
 		}
-		if node.right, err = unflattenIso(s, n.Right); err != nil {
+		if reached[idx] {
+			return fmt.Errorf("baselines: isolation forest node %d is reached twice", idx)
+		}
+		reached[idx] = true
+		return nil
+	}
+	for _, root := range s.Roots {
+		if err := reach(root, -1); err != nil {
 			return nil, err
 		}
 	}
-	return node, nil
+	f := &IsolationForest{
+		nodes: make([]isoNode, len(s.Nodes)),
+		roots: s.Roots,
+		sub:   s.Sub, expected: s.Expected,
+	}
+	for i, n := range s.Nodes {
+		if n.Attr < 0 || n.Attr >= SampleDim || n.Size < 0 || n.Size > math.MaxInt32 {
+			return nil, fmt.Errorf("baselines: isolation forest node %d: attribute %d or size %d out of range", i, n.Attr, n.Size)
+		}
+		if n.Left < 0 && n.Right < 0 {
+			f.nodes[i] = isoLeaf(n.Size)
+			continue
+		}
+		if err := reach(n.Left, i); err != nil {
+			return nil, err
+		}
+		if err := reach(n.Right, i); err != nil {
+			return nil, err
+		}
+		f.nodes[i] = isoNode{attr: int32(n.Attr), split: n.Split, left: n.Left, right: n.Right, size: int32(n.Size)}
+	}
+	return f, nil
 }
 
 // encodeWindowModel serializes a trained window level.

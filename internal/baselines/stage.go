@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"fmt"
+
 	"icsdetect/internal/core"
 	"icsdetect/internal/dataset"
 )
@@ -12,6 +14,16 @@ type VectorScorer interface {
 	Scorer
 	ScratchLen() int
 	ScoreVector(x, scratch []float64) float64
+}
+
+// DiscreteScorer is a Scorer that can score a window from its
+// concatenated per-package discretized vectors (Window.Discrete) directly
+// — the allocation-free streaming path of the signature-based levels. key
+// is reusable byte scratch: the scorer may overwrite and grow it, and
+// returns it for the next call.
+type DiscreteScorer interface {
+	Scorer
+	ScoreDiscrete(c []int, key []byte) (float64, []byte)
 }
 
 // BatchVectorScorer is a VectorScorer that can score many samples in one
@@ -38,21 +50,22 @@ type ScoreBatch interface {
 // leave the stage unscored, so it abstains from fusion on them.
 //
 // The stage itself is immutable and safe for concurrent use; VectorScorer
-// models score through per-stream scratch, and BatchVectorScorer models
-// additionally expose the engine's batched Check precompute
-// (core.CheckBatchStage).
+// and DiscreteScorer models score through per-stream scratch, and
+// BatchVectorScorer models additionally expose the engine's batched Check
+// precompute (core.CheckBatchStage).
 type WindowStage struct {
 	kind      string
 	level     core.Level
 	wz        *Windowizer
 	scorer    Scorer
 	vec       VectorScorer      // non-nil when scorer scores samples directly
+	disc      DiscreteScorer    // non-nil when scorer scores discretized vectors directly
 	batch     BatchVectorScorer // non-nil when the scorer batches
 	threshold float64
 	// Observer, when non-nil, receives every finalized window with its
 	// score and decision — the hook behind the streaming-vs-offline parity
-	// tests and score diagnostics. The nil-observer hot path never builds
-	// Window values for finalization.
+	// tests and score diagnostics, and the only caller of Windowizer.Build
+	// on the streaming path.
 	Observer func(w *Window, score float64, flagged bool)
 }
 
@@ -61,14 +74,22 @@ var (
 	_ core.CheckBatchStage = (*WindowStage)(nil)
 )
 
-// NewWindowStage wraps a trained scorer as a streaming detection level.
+// NewWindowStage wraps a trained scorer as a streaming detection level. The
+// scorer must be a VectorScorer or a DiscreteScorer: the streaming path
+// scores closed windows from per-stream scratch, never from a built Window.
 func NewWindowStage(kind string, level core.Level, wz *Windowizer, scorer Scorer, threshold float64) *WindowStage {
 	s := &WindowStage{kind: kind, level: level, wz: wz, scorer: scorer, threshold: threshold}
 	if v, ok := scorer.(VectorScorer); ok {
 		s.vec = v
 	}
+	if d, ok := scorer.(DiscreteScorer); ok {
+		s.disc = d
+	}
 	if b, ok := scorer.(BatchVectorScorer); ok {
 		s.batch = b
+	}
+	if s.vec == nil && s.disc == nil {
+		panic(fmt.Sprintf("baselines: %s scorer %T is neither a VectorScorer nor a DiscreteScorer", kind, scorer))
 	}
 	return s
 }
@@ -94,6 +115,11 @@ type winState struct {
 	closing [WindowSize]*dataset.Package
 	sample  []float64
 	scratch []float64
+	// codes holds the discretized vectors of the open window's packages,
+	// concatenated as Window.Discrete is (DiscreteScorer stages only);
+	// key is the scorer's byte scratch.
+	codes []int
+	key   []byte
 	// prePkg/preScore carry a batched-kernel score deposited by the
 	// engine's precompute pass for the package prePkg; Check consumes it
 	// instead of recomputing, Advance invalidates it.
@@ -113,6 +139,10 @@ func (s *WindowStage) NewState() core.StageState {
 	if s.vec != nil {
 		st.sample = make([]float64, SampleDim)
 		st.scratch = make([]float64, s.vec.ScratchLen())
+	}
+	if s.disc != nil {
+		st.codes = make([]int, WindowSize*s.wz.enc.Dim())
+		st.key = make([]byte, 0, 4*len(st.codes)) // covers three-digit bucket indices
 	}
 	return st
 }
@@ -148,7 +178,7 @@ func (s *WindowStage) Check(state core.StageState, pc *core.PackageContext, r *c
 	if st.prePkg == pc.Cur {
 		score = st.preScore
 	} else {
-		score = s.scoreClosing(st, pc.Cur)
+		score = s.scoreClosing(st, pc)
 	}
 	r.Scored = true
 	r.Score = score
@@ -156,15 +186,34 @@ func (s *WindowStage) Check(state core.StageState, pc *core.PackageContext, r *c
 }
 
 // scoreClosing scores the window pc.Cur completes, on the scalar path.
-func (s *WindowStage) scoreClosing(st *winState, cur *dataset.Package) float64 {
-	pkgs := st.closingWindow(cur)
+func (s *WindowStage) scoreClosing(st *winState, pc *core.PackageContext) float64 {
 	if s.vec != nil {
-		s.wz.SampleInto(st.sample, pkgs)
+		s.wz.SampleInto(st.sample, st.closingWindow(pc.Cur))
 		return s.vec.ScoreVector(st.sample, st.scratch)
 	}
-	// Discrete scorers (BN, BF) need the full window; the Window is
-	// transient — scoring must not retain it.
-	return s.scorer.Score(s.wz.Build(pkgs))
+	s.encodeMember(st, pc)
+	var score float64
+	score, st.key = s.disc.ScoreDiscrete(st.codes, st.key)
+	return score
+}
+
+// encodeMember writes pc.Cur's discretized vector into the codes slot of
+// the open window's next member, with the values Windowizer.Build gives
+// that member: the first encodes against no predecessor, every later one
+// against the member before it. A session feeding the stream in order has
+// already encoded exactly that pair into pc.C, which is then copied; any
+// other caller's package is encoded here.
+func (s *WindowStage) encodeMember(st *winState, pc *core.PackageContext) {
+	dim := s.wz.enc.Dim()
+	dst := st.codes[st.n*dim : (st.n+1)*dim]
+	switch {
+	case st.n == 0:
+		s.wz.enc.EncodeInto(dst, nil, pc.Cur)
+	case len(pc.C) == dim && pc.Prev == st.buf[st.n-1]:
+		copy(dst, pc.C)
+	default:
+		s.wz.enc.EncodeInto(dst, st.buf[st.n-1], pc.Cur)
+	}
 }
 
 // Advance implements core.StageDetector: move the window buffer exactly
@@ -175,6 +224,11 @@ func (s *WindowStage) Advance(state core.StageState, pc *core.PackageContext, _ 
 	st.prePkg = nil
 	if st.n > 0 && isCycleStart(pc.Cur) {
 		s.finalize(st)
+	}
+	// The member that fills the window is flushed below: its codes slot
+	// would never be read.
+	if s.disc != nil && st.n < WindowSize-1 {
+		s.encodeMember(st, pc)
 	}
 	st.buf[st.n] = pc.Cur
 	st.n++

@@ -1,12 +1,14 @@
 package baselines
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"icsdetect/internal/core"
 	"icsdetect/internal/dataset"
 	"icsdetect/internal/gaspipeline"
+	"icsdetect/internal/mathx"
 	"icsdetect/internal/signature"
 )
 
@@ -21,10 +23,17 @@ var sharedStageFixture *stageFixture
 
 func loadStageFixture(t *testing.T) *stageFixture {
 	t.Helper()
-	if sharedStageFixture != nil {
-		return sharedStageFixture
+	if sharedStageFixture == nil {
+		sharedStageFixture = newStageFixture(t, 8000)
 	}
-	ds, err := gaspipeline.Generate(gaspipeline.DefaultGenConfig(8000, 11))
+	return sharedStageFixture
+}
+
+// newStageFixture generates a packages-long capture and fits the encoder
+// the window levels train against.
+func newStageFixture(t testing.TB, packages int) *stageFixture {
+	t.Helper()
+	ds, err := gaspipeline.Generate(gaspipeline.DefaultGenConfig(packages, 11))
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
@@ -39,12 +48,11 @@ func loadStageFixture(t *testing.T) *stageFixture {
 	}
 	// The window levels only consult the framework's encoder at train and
 	// build time, so a minimal framework carries the fixture.
-	sharedStageFixture = &stageFixture{fw: &core.Framework{Encoder: enc}, split: split}
-	return sharedStageFixture
+	return &stageFixture{fw: &core.Framework{Encoder: enc}, split: split}
 }
 
 // trainStage fits one promoted level and wraps it as a streaming stage.
-func trainStage(t *testing.T, fx *stageFixture, wk windowKind) (*WindowModel, *WindowStage) {
+func trainStage(t testing.TB, fx *stageFixture, wk windowKind) (*WindowModel, *WindowStage) {
 	t.Helper()
 	m, err := trainWindowModel(fx.fw, fx.split, wk, 3)
 	if err != nil {
@@ -297,5 +305,149 @@ func TestWindowModelRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// closingWindows parks one fresh stream state per full window of stream,
+// advanced through the window's first WindowSize-1 packages, and returns
+// the states with the package that closes each: Check on a pair scores
+// exactly one closed window and leaves the state as it was.
+func closingWindows(stage *WindowStage, stream []*dataset.Package) ([]core.StageState, []core.PackageContext) {
+	var states []core.StageState
+	var closing []core.PackageContext
+	for _, pkgs := range slice4(stream) {
+		if len(pkgs) != WindowSize {
+			continue
+		}
+		st := stage.NewState()
+		for _, p := range pkgs[:WindowSize-1] {
+			var v core.Verdict
+			stage.Advance(st, &core.PackageContext{Cur: p}, &v)
+		}
+		states = append(states, st)
+		closing = append(closing, core.PackageContext{Cur: pkgs[WindowSize-1]})
+	}
+	return states, closing
+}
+
+// BenchmarkWindowStageCheck times one window-closing Check per promoted
+// level — ns and allocations per closed window — on models trained like
+// the offline-all-levels workload's (a 3000-package capture), cycling
+// through the test stream's full windows.
+func BenchmarkWindowStageCheck(b *testing.B) {
+	fx := newStageFixture(b, 3000)
+	for _, wk := range windowKinds {
+		wk := wk
+		b.Run(wk.kind, func(b *testing.B) {
+			_, stage := trainStage(b, fx, wk)
+			states, closing := closingWindows(stage, fx.split.Test)
+			if len(states) == 0 {
+				b.Fatal("test stream has no full window")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(states)
+				r := core.StageResult{Rank: -1}
+				stage.Check(states[k], &closing[k], &r)
+				if !r.Scored {
+					b.Fatalf("window %d was not scored", k)
+				}
+			}
+		})
+	}
+}
+
+// TestScoreDiscreteMatchesBuild: the streaming bf4/bayesnet score of every
+// closed window — assembled member by member from session-encoded vectors
+// (pc.C), or encoded by the stage when the caller supplies none — must
+// equal Scorer.Score over the Window the offline Windowizer builds from
+// the same packages, bit for bit, across aligned, misaligned and short
+// windows.
+func TestScoreDiscreteMatchesBuild(t *testing.T) {
+	fx := loadStageFixture(t)
+	// Splice copies of write commands into the stream at seeded positions:
+	// each cuts the open window short and shifts the ones behind it.
+	base := fx.split.Test
+	var write *dataset.Package
+	for _, p := range base {
+		if isCycleStart(p) {
+			write = p
+			break
+		}
+	}
+	if write == nil {
+		t.Fatal("test stream has no write command")
+	}
+	rng := mathx.NewRNG(5)
+	var stream []*dataset.Package
+	for _, p := range base {
+		if rng.Intn(9) == 0 {
+			inj := *write
+			inj.Time = p.Time
+			stream = append(stream, &inj)
+		}
+		stream = append(stream, p)
+	}
+	var aligned, misaligned, short int
+	for _, w := range slice4(stream) {
+		switch {
+		case len(w) < WindowSize:
+			short++
+		case isCycleStart(w[0]):
+			aligned++
+		default:
+			misaligned++
+		}
+	}
+	if aligned == 0 || misaligned == 0 || short == 0 {
+		t.Fatalf("stream has %d aligned, %d misaligned, %d short windows; need all three", aligned, misaligned, short)
+	}
+
+	for _, wk := range windowKinds {
+		wk := wk
+		m, stage := trainStage(t, fx, wk)
+		if stage.disc == nil {
+			continue
+		}
+		wz := NewWindowizerWith(fx.fw.Encoder, m.Std)
+		want := make(map[*dataset.Package]float64)
+		for _, w := range slice4(stream) {
+			if len(w) == WindowSize {
+				want[w[WindowSize-1]] = m.Scorer.Score(wz.Build(w))
+			}
+		}
+		for _, encoded := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/session-encoded=%v", wk.kind, encoded), func(t *testing.T) {
+				state := stage.NewState()
+				var prev *dataset.Package
+				scored := 0
+				for i, p := range stream {
+					pc := core.PackageContext{Cur: p}
+					if encoded {
+						pc.Prev, pc.C = prev, fx.fw.Encoder.Encode(prev, p)
+					}
+					r := core.StageResult{Rank: -1}
+					stage.Check(state, &pc, &r)
+					w, closes := want[p]
+					if r.Scored != closes {
+						t.Fatalf("package %d: scored=%v, closes a full window=%v", i, r.Scored, closes)
+					}
+					if closes {
+						scored++
+						if math.Float64bits(r.Score) != math.Float64bits(w) {
+							t.Fatalf("package %d: streaming score %x, built window %x", i,
+								math.Float64bits(r.Score), math.Float64bits(w))
+						}
+					}
+					var v core.Verdict
+					stage.Advance(state, &pc, &v)
+					prev = p
+				}
+				if scored != len(want) {
+					t.Fatalf("scored %d windows, want %d", scored, len(want))
+				}
+			})
+		}
 	}
 }

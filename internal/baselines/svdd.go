@@ -159,13 +159,18 @@ func NewSVDD(train [][]float64, cfg SVDDConfig) (*SVDD, error) {
 	return s, nil
 }
 
-func rbf(a, b []float64, gamma float64) float64 {
+// sqDist is ‖a−b‖².
+func sqDist(a, b []float64) float64 {
 	var d2 float64
 	for i := range a {
 		d := a[i] - b[i]
 		d2 += d * d
 	}
-	return math.Exp(-gamma * d2)
+	return d2
+}
+
+func rbf(a, b []float64, gamma float64) float64 {
+	return math.Exp(-gamma * sqDist(a, b))
 }
 
 // Name implements Scorer.
@@ -174,17 +179,24 @@ func (s *SVDD) Name() string { return "SVDD" }
 // Score returns the squared feature-space distance to the hypersphere
 // center: K(x,x) − 2Σ α_i K(x,x_i) + ‖a‖². For RBF, K(x,x)=1.
 func (s *SVDD) Score(w *Window) float64 {
-	return s.ScoreVector(w.Sample, nil)
+	return s.ScoreVector(w.Sample, make([]float64, s.ScratchLen()))
 }
 
-// ScratchLen implements VectorScorer; the kernel sum needs no scratch.
-func (s *SVDD) ScratchLen() int { return 0 }
+// ScratchLen implements VectorScorer: one kernel value per support vector.
+func (s *SVDD) ScratchLen() int { return len(s.support) }
 
-// ScoreVector implements VectorScorer.
-func (s *SVDD) ScoreVector(x, _ []float64) float64 {
-	var cross float64
+// ScoreVector implements VectorScorer. The kernel exponents of all support
+// vectors go through one mathx.VExp pass (bitwise math.Exp, so each value
+// equals rbf's) before the sum accumulates them in support order.
+func (s *SVDD) ScoreVector(x, scratch []float64) float64 {
+	k := scratch[:len(s.support)]
 	for i, sv := range s.support {
-		cross += s.alpha[i] * rbf(x, sv, s.Gamma)
+		k[i] = -s.Gamma * sqDist(x, sv)
+	}
+	mathx.VExp(k, k)
+	var cross float64
+	for i, a := range s.alpha {
+		cross += a * k[i]
 	}
 	return 1 - 2*cross + s.aa
 }

@@ -109,13 +109,18 @@ func NewAutoEncoder(t, d, hidden int, seed uint64) *AutoEncoder {
 func (m *AutoEncoder) InputDims() (int, int) { return m.T, m.D }
 
 // ScratchLen is the scratch Score needs: the shared 4H gate buffer, the
-// four H-wide state vectors and the D-wide reconstruction.
-func (m *AutoEncoder) ScratchLen() int { return (numGates+4)*m.Enc.HiddenSize + m.D }
+// decoder's 4H input product, the four H-wide state vectors and the D-wide
+// reconstruction.
+func (m *AutoEncoder) ScratchLen() int { return (2*numGates+4)*m.Enc.HiddenSize + m.D }
 
-// Score returns the window's mean squared reconstruction error.
+// Score returns the window's mean squared reconstruction error. The
+// decoder reads the same code at every step, so its input product W·code
+// is computed once and copied into the gate buffer before each step's
+// U·h + b — the bits stepInfer's GemvSet pass would write there each time.
 func (m *AutoEncoder) Score(x, scratch []float64) float64 {
 	H := m.Enc.HiddenSize
 	z, rest := scratch[:numGates*H], scratch[numGates*H:]
+	zw, rest := rest[:numGates*H], rest[numGates*H:]
 	h, rest := rest[:H], rest[H:]
 	c, rest := rest[:H], rest[H:]
 	hd, rest := rest[:H], rest[H:]
@@ -128,9 +133,13 @@ func (m *AutoEncoder) Score(x, scratch []float64) float64 {
 	for t := 0; t < m.T; t++ {
 		m.Enc.stepInfer(z, x[t*m.D:(t+1)*m.D], h, c)
 	}
+	lazyPack(&m.Dec.packW, m.Dec.W).Apply(zw, h, nil, mathx.GemvSet)
+	decU := lazyPack(&m.Dec.packU, m.Dec.U)
 	var sum float64
 	for t := 0; t < m.T; t++ {
-		m.Dec.stepInfer(z, h, hd, cd)
+		copy(z, zw)
+		decU.Apply(z, hd, m.Dec.B, mathx.GemvAddBias)
+		m.Dec.gatesCellUpdate(z, hd, cd)
 		m.Out.forwardInfer(pred, hd)
 		sum += sqErr(pred, x[t*m.D:(t+1)*m.D])
 	}
@@ -157,15 +166,18 @@ func newLSTMReconBatch(maxBatch, h, d int) lstmReconBatch {
 	}
 }
 
-// aeBatch is the engine-side batched autoencoder scorer.
+// aeBatch is the engine-side batched autoencoder scorer; zws holds each
+// window's decoder input product W·code.
 type aeBatch struct {
 	m *AutoEncoder
 	lstmReconBatch
+	zws [][]float64
 }
 
 // NewBatch allocates a batched scorer for up to maxBatch windows.
 func (m *AutoEncoder) NewBatch(maxBatch int) ReconBatch {
-	return &aeBatch{m, newLSTMReconBatch(maxBatch, m.Enc.HiddenSize, m.D)}
+	H := m.Enc.HiddenSize
+	return &aeBatch{m, newLSTMReconBatch(maxBatch, H, m.D), stateRows(maxBatch, numGates*H)}
 }
 
 // stateRows allocates n H-wide rows over one backing array.
@@ -198,8 +210,13 @@ func (b *aeBatch) Score(dst []float64, xs [][]float64) {
 		}
 		m.Enc.stepInferBatch(zs, ins, hs, cs)
 	}
+	zws := b.zws[:n]
+	lazyPack(&m.Dec.packW, m.Dec.W).ApplyBatch(zws, hs, nil, mathx.GemvSet)
 	for t := 0; t < m.T; t++ {
-		m.Dec.stepInferBatch(zs, hs, hds, cds)
+		for i := 0; i < n; i++ {
+			copy(zs[i], zws[i])
+		}
+		m.Dec.stepInferBatch(zs, nil, hds, cds)
 		m.Out.forwardInferBatch(preds, hds)
 		for i := 0; i < n; i++ {
 			b.errs[i] += sqErr(preds[i], xs[i][t*m.D:(t+1)*m.D])

@@ -56,6 +56,49 @@ func TestReconBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestReconScoreMatchesStepwise: AutoEncoder.Score, which computes the
+// decoder's input product once per window, must equal the plain
+// formulation — one full stepInfer per decoder step — bit for bit on
+// every kernel tier, and the batched scorer must equal Score per row.
+func TestReconScoreMatchesStepwise(t *testing.T) {
+	const T, D, H = 4, 17, 12
+	m := NewAutoEncoder(T, D, H, 3)
+	stepwise := func(x []float64) float64 {
+		z := make([]float64, numGates*H)
+		h, c := make([]float64, H), make([]float64, H)
+		hd, cd := make([]float64, H), make([]float64, H)
+		pred := make([]float64, D)
+		for t := 0; t < T; t++ {
+			m.Enc.stepInfer(z, x[t*D:(t+1)*D], h, c)
+		}
+		var sum float64
+		for t := 0; t < T; t++ {
+			m.Dec.stepInfer(z, h, hd, cd)
+			m.Out.forwardInfer(pred, hd)
+			sum += sqErr(pred, x[t*D:(t+1)*D])
+		}
+		return sum / float64(T*D)
+	}
+	rng := mathx.NewRNG(17)
+	scratch := make([]float64, m.ScratchLen())
+	for _, n := range []int{1, 3, 8} {
+		xs := randWindows(rng, n, T, D)
+		forEachKernelTier(t, func(t *testing.T) {
+			got := make([]float64, n)
+			m.NewBatch(n).Score(got, xs)
+			for i, x := range xs {
+				want := stepwise(x)
+				if seq := m.Score(x, scratch); math.Float64bits(seq) != math.Float64bits(want) {
+					t.Fatalf("n=%d window %d: Score %v, stepwise %v", n, i, seq, want)
+				}
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("n=%d window %d: batch %v, stepwise %v", n, i, got[i], want)
+				}
+			}
+		})
+	}
+}
+
 // TestReconBatchReuse: a batch scorer fed different windows across calls
 // (including narrower late batches, the shard's ragged tail) must not
 // leak state between calls.

@@ -26,10 +26,17 @@ func loadReconFixture(t *testing.T) *reconFixture {
 	if testing.Short() {
 		t.Skip("recon stage training fixture skipped in short mode")
 	}
-	if sharedFixture != nil {
-		return sharedFixture
+	if sharedFixture == nil {
+		sharedFixture = newReconFixture(t, 6000)
 	}
-	ds, err := gaspipeline.Generate(gaspipeline.DefaultGenConfig(6000, 11))
+	return sharedFixture
+}
+
+// newReconFixture generates a packages-long capture and trains all three
+// reconstruction stage models on it.
+func newReconFixture(t testing.TB, packages int) *reconFixture {
+	t.Helper()
+	ds, err := gaspipeline.Generate(gaspipeline.DefaultGenConfig(packages, 11))
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
@@ -51,8 +58,7 @@ func loadReconFixture(t *testing.T) *reconFixture {
 		}
 		models[rk.kind] = m
 	}
-	sharedFixture = &reconFixture{fw: fw, split: split, models: models}
-	return sharedFixture
+	return &reconFixture{fw: fw, split: split, models: models}
 }
 
 // buildStage wraps a trained model as its streaming stage.
@@ -244,5 +250,51 @@ func TestReconKindsRegistered(t *testing.T) {
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("validate stack with %s: %v", kind, err)
 		}
+	}
+}
+
+// BenchmarkWindowStageCheck times one window-closing Check per
+// reconstruction stage — ns and allocations per closed window — on models
+// trained like the offline-all-levels workload's (a 3000-package
+// capture), cycling through the test stream's full windows. The promoted
+// baselines' rows are internal/baselines' benchmark of the same name.
+func BenchmarkWindowStageCheck(b *testing.B) {
+	fx := newReconFixture(b, 3000)
+	for _, rk := range reconKinds {
+		rk := rk
+		b.Run(rk.kind, func(b *testing.B) {
+			m, stage := buildStage(fx, rk)
+			// One parked state per full window: advanced through all but
+			// the closing package, so Check scores the window and leaves
+			// the state as it was.
+			var states []core.StageState
+			var closing []core.PackageContext
+			wz := baselines.NewWindowizerWith(fx.fw.Encoder, m.Std)
+			for _, w := range wz.FromStream(fx.split.Test) {
+				if len(w.Packages) != baselines.WindowSize {
+					continue
+				}
+				st := stage.NewState()
+				for _, p := range w.Packages[:baselines.WindowSize-1] {
+					var v core.Verdict
+					stage.Advance(st, &core.PackageContext{Cur: p}, &v)
+				}
+				states = append(states, st)
+				closing = append(closing, core.PackageContext{Cur: w.Packages[baselines.WindowSize-1]})
+			}
+			if len(states) == 0 {
+				b.Fatal("test stream has no full window")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(states)
+				r := core.StageResult{Rank: -1}
+				stage.Check(states[k], &closing[k], &r)
+				if !r.Scored {
+					b.Fatalf("window %d was not scored", k)
+				}
+			}
+		})
 	}
 }

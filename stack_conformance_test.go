@@ -27,6 +27,10 @@ var (
 	sharedStack      stackFixture
 )
 
+// fixtureLevels is every level the stack fixture trains: the two built-in
+// ones and all nine registered window kinds.
+const fixtureLevels = "bloom,bf4,pca,gmm,iforest,bayesnet,svdd,lstm,ae,seq2seq,cnn"
+
 func loadStackFixture(t testing.TB) *stackFixture {
 	t.Helper()
 	stackFixtureOnce.Do(func() {
@@ -51,10 +55,11 @@ func loadStackFixture(t testing.TB) *stackFixture {
 			if err != nil {
 				return err
 			}
-			// Stage models for every level the composed stacks below use,
-			// trained from the same dataset path as the framework itself —
-			// including the reconstruction-error family (ae, seq2seq, cnn).
-			spec, err := icsdetect.ParseStack("bloom,pca,gmm,lstm,ae,seq2seq,cnn", "majority")
+			// Stage models for every registered window level, trained from
+			// the same dataset path as the framework itself: the composed
+			// stacks below use some, the allocation gates (alloc_test.go)
+			// all of them.
+			spec, err := icsdetect.ParseStack(fixtureLevels, "majority")
 			if err != nil {
 				return err
 			}
