@@ -5,7 +5,8 @@ GO ?= go
 check: fmt vet build test race-quick fuzz-smoke benchmark-smoke
 
 # build also cross-compiles for arm64 so the non-SIMD kernel stubs
-# (gemm_noasm.go) stay in signature-lockstep with the amd64 assembly.
+# (gemm_noasm.go, gemv32_noasm.go) stay in signature-lockstep with the
+# amd64 assembly.
 build:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
@@ -93,7 +94,11 @@ benchmark-smoke:
 
 # Short coverage-guided runs of the Modbus codec fuzzers, seeded from the
 # golden corpus frames (decode→encode must stay stable, no panics on
-# arbitrary bytes).
+# arbitrary bytes), and of the LSTM step's kernels: the f32 multi-stream
+# packed product and the one-hot gather of both precisions, bitwise against
+# their references on every kernel tier.
 fuzz-smoke:
 	$(GO) test ./internal/modbus/ -run=NONE -fuzz=FuzzPDUDecode -fuzztime=5s
 	$(GO) test ./internal/modbus/ -run=NONE -fuzz=FuzzFrameDecode -fuzztime=5s
+	$(GO) test ./internal/mathx/ -run=NONE -fuzz=FuzzApplyBatch32 -fuzztime=5s
+	$(GO) test ./internal/mathx/ -run=NONE -fuzz=FuzzOneHotGather -fuzztime=5s

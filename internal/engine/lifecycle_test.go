@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	_ "icsdetect/internal/baselines"
 	"icsdetect/internal/core"
+	"icsdetect/internal/dataset"
 	"icsdetect/internal/engine"
 	"icsdetect/internal/nn"
 )
@@ -128,15 +132,45 @@ func TestEngineReleaseResetsStreamState(t *testing.T) {
 	}
 }
 
+// recurrentVectors returns the hidden, cell and gate vectors of the
+// recurrent state (nn.State or nn.State32) behind every stage of a session.
+// No API exposes them, so they are reached by reflection — read-only, to
+// watch them for collection.
+func recurrentVectors(sess *core.Session) []unsafe.Pointer {
+	var out []unsafe.Pointer
+	states := reflect.ValueOf(sess).Elem().FieldByName("states")
+	for i := 0; i < states.Len(); i++ {
+		st := states.Index(i).Elem()
+		if st.Kind() != reflect.Pointer || st.Elem().Kind() != reflect.Struct {
+			continue
+		}
+		for _, field := range []string{"rnn", "rnn32"} {
+			rnn := st.Elem().FieldByName(field)
+			if !rnn.IsValid() || rnn.IsNil() {
+				continue
+			}
+			for _, name := range []string{"h", "c", "z"} {
+				vs := rnn.Elem().FieldByName(name)
+				for l := 0; l < vs.Len(); l++ {
+					out = append(out, vs.Index(l).UnsafePointer())
+				}
+			}
+		}
+	}
+	return out
+}
+
 // TestEngineReleaseFreesBatchedStreams: Release must make a stream's state
-// garbage even when its last package advanced through a batched pass. The
-// flush used to leave the pass's scratch (the advance batch's state, input
-// and score tables, the shard's pending-stream list) pointing at the
-// streams it had just stepped, so up to MaxBatch released sessions per
-// shard per framework stayed reachable until a later wave happened to
-// overwrite their slots. The model is the paper's 2x256 shape — 24 KB of
-// recurrent state per stream — so 64 pinned sessions stand well clear of
-// the slack.
+// garbage even when its last package advanced through a batched pass, at
+// both precisions. The flush used to leave the pass's scratch (the advance
+// batch's state, input and score tables, the shard's pending-stream list)
+// pointing at the streams it had just stepped, so up to MaxBatch released
+// sessions per shard per framework stayed reachable until a later wave
+// happened to overwrite their slots; the f32 batch buffer kept the last
+// wave's hidden vectors the same way. The model is the paper's 2x256 shape
+// — 24 KB of f64 recurrent state per stream — so 64 pinned sessions stand
+// well clear of the heap slack, and a finalizer on every recurrent vector
+// of every released stream catches a pin of even one of them.
 func TestEngineReleaseFreesBatchedStreams(t *testing.T) {
 	trained, split := testFramework(t)
 	fw := cloneFramework(t, trained)
@@ -145,6 +179,14 @@ func TestEngineReleaseFreesBatchedStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	fw.Series.Model = wide
+	for _, prec := range []core.Precision{core.PrecisionF64, core.PrecisionF32} {
+		t.Run(prec.String(), func(t *testing.T) {
+			releaseFreesBatchedStreams(t, fw, split.Test, prec)
+		})
+	}
+}
+
+func releaseFreesBatchedStreams(t *testing.T, fw *core.Framework, pkgs []*dataset.Package, prec core.Precision) {
 	const (
 		streams = 64
 		slackKB = 256
@@ -159,13 +201,19 @@ func TestEngineReleaseFreesBatchedStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Stop()
+	var finalized atomic.Int64
 	// wave submits one package to each of n fresh streams behind a gated
 	// handler, so they drain as one tick and advance in one batched pass,
-	// then releases them all.
-	wave := func(round string, n int) {
+	// watches their recurrent vectors when watch is set, then releases
+	// them all; it returns how many vectors it watches.
+	wave := func(round string, n int, watch bool) int {
 		gate.Lock()
 		for i := 0; i < n; i++ {
-			if err := e.Submit(fmt.Sprintf("%s-%03d", round, i), split.Test[i]); err != nil {
+			id := fmt.Sprintf("%s-%03d", round, i)
+			if err := e.BindPrecision(id, prec); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Submit(id, pkgs[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -173,19 +221,40 @@ func TestEngineReleaseFreesBatchedStreams(t *testing.T) {
 		if err := e.Barrier(); err != nil {
 			t.Fatal(err)
 		}
+		watched := 0
+		for i := 0; watch && i < n; i++ {
+			for _, v := range recurrentVectors(e.StreamSession(fmt.Sprintf("%s-%03d", round, i))) {
+				runtime.SetFinalizer((*byte)(v), func(*byte) { finalized.Add(1) })
+				watched++
+			}
+		}
 		for i := 0; i < n; i++ {
 			if err := e.Release(fmt.Sprintf("%s-%03d", round, i)); err != nil {
 				t.Fatal(err)
 			}
 		}
+		return watched
 	}
 	// Warm-up with a single stream: the packed weights and the shard's
 	// scratch exist, at most one stream can be pinned.
-	wave("warm", 1)
+	wave("warm", 1, false)
 	before := settledHeap()
-	wave("churn", streams)
+	watched := wave("churn", streams, true)
 	if n := e.Stats().ActiveStreams(); n != 0 {
 		t.Fatalf("%d streams still open after releasing all", n)
+	}
+	if watched != streams*3*len(fw.Series.Model.Layers) {
+		t.Fatalf("watching %d recurrent vectors of %d streams", watched, streams)
+	}
+	// An object with a finalizer outlives the collection that finds it
+	// unreachable until its finalizer has run, so wait for them before
+	// weighing the heap.
+	for deadline := time.Now().Add(5 * time.Second); finalized.Load() < int64(watched) && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := finalized.Load(); got != int64(watched) {
+		t.Errorf("%d of %d recurrent vectors of released streams are still reachable", int64(watched)-got, watched)
 	}
 	if after := settledHeap(); after > before+slackKB<<10 {
 		t.Errorf("engine holds %d KB more after %d streams came and went than before them",

@@ -63,9 +63,119 @@ func TestDot32MatchesScalarChain(t *testing.T) {
 	}
 }
 
-// TestMulRowsT32TiersBitwise: the batched f32 GEMM must equal the per-row
-// scalar MulVec bitwise on every tier, for every batch width (SIMD peels at
-// 16 and 8 plus the 4-stream scalar tile and singles).
+// gemvReference32 is the dense f32 reference of one Apply over a
+// pre-filled dst: MulVec plus the mode epilogue in its operand order.
+func gemvReference32(m *Matrix32, base, x, bias []float32, mode int) []float32 {
+	mv := make([]float32, m.Rows)
+	m.MulVec(mv, x)
+	want := make([]float32, m.Rows)
+	for i := range want {
+		switch mode {
+		case GemvSet:
+			want[i] = mv[i]
+		case GemvAdd:
+			want[i] = base[i] + mv[i]
+		case GemvAddBias:
+			want[i] = (base[i] + mv[i]) + bias[i]
+		default:
+			want[i] = mv[i] + bias[i]
+		}
+	}
+	return want
+}
+
+// requireApplyBatch32 runs one ApplyBatch over xs through p in mode over
+// the pre-filled rows base and requires each stream bitwise-equal to both
+// Apply on that stream and the MulVec reference.
+func requireApplyBatch32(t *testing.T, m *Matrix32, p *PackedGEMV32, xs, base [][]float32, bias []float32, mode int) {
+	t.Helper()
+	got := make([][]float32, len(xs))
+	for s := range got {
+		got[s] = append([]float32(nil), base[s]...)
+	}
+	p.ApplyBatch(got, xs, bias, mode)
+	for s := range got {
+		want := gemvReference32(m, base[s], xs[s], bias, mode)
+		single := append([]float32(nil), base[s]...)
+		p.Apply(single, xs[s], bias, mode)
+		for i := range want {
+			if !bits32Equal(got[s][i], want[i]) || !bits32Equal(single[i], want[i]) {
+				t.Fatalf("%dx%d n=%d mode %d stream %d row %d: batch %x, apply %x, reference %x (tier %s)",
+					m.Rows, m.Cols, len(xs), mode, s, i, math.Float32bits(got[s][i]),
+					math.Float32bits(single[i]), math.Float32bits(want[i]), SIMDTier())
+			}
+		}
+	}
+}
+
+// TestPackedGEMV32TiersBitwise: Apply and ApplyBatch must match the scalar
+// MulVec plus the mode epilogue bitwise on every tier, for all four modes,
+// with row tails (rows % lanes), column tails, no columns at all, and every
+// stream count through partial, full and multiple stream blocks.
+func TestPackedGEMV32TiersBitwise(t *testing.T) {
+	rng := NewRNG(13)
+	shapes := []struct{ r, c int }{{1, 4}, {8, 8}, {15, 7}, {16, 0}, {16, 32}, {17, 32}, {31, 5}, {64, 138}, {130, 96}, {33, 259}}
+	const streams = 19
+	for _, sh := range shapes {
+		m := randMatrix32(rng, sh.r, sh.c)
+		bias := randVec32(rng, sh.r, 1)
+		xs, base := make([][]float32, streams), make([][]float32, streams)
+		for s := range xs {
+			xs[s], base[s] = randVec32(rng, sh.c, 1), randVec32(rng, sh.r, 1)
+		}
+		forEachTier(t, func(t *testing.T) {
+			p := PackGEMV32(m)
+			for mode := GemvSet; mode <= GemvSetBias; mode++ {
+				for n := 1; n <= streams; n++ {
+					requireApplyBatch32(t, m, p, xs[:n], base[:n], bias, mode)
+				}
+			}
+		})
+	}
+}
+
+// requireBatchTiers32 runs one ApplyBatch of m over xs in mode, onto the
+// pre-filled rows base, under every tier, and requires each stream
+// bitwise-equal to the scalar-tier MulVec reference.
+func requireBatchTiers32(t *testing.T, m *Matrix32, xs, base [][]float32, bias []float32, mode int) {
+	t.Helper()
+	want := make([][]float32, len(xs))
+	withScalarTier32(func() {
+		for s := range xs {
+			want[s] = gemvReference32(m, base[s], xs[s], bias, mode)
+		}
+	})
+	forEachTier(t, func(t *testing.T) {
+		got := make([][]float32, len(xs))
+		for s := range got {
+			got[s] = append([]float32(nil), base[s]...)
+		}
+		PackGEMV32(m).ApplyBatch(got, xs, bias, mode)
+		for s := range got {
+			for i := range got[s] {
+				if !bits32Equal(got[s][i], want[s][i]) {
+					t.Fatalf("%dx%d width %d mode %d: stream %d row %d = %x, want %x (tier %s)",
+						m.Rows, m.Cols, len(xs), mode, s, i, math.Float32bits(got[s][i]),
+						math.Float32bits(want[s][i]), SIMDTier())
+				}
+			}
+		}
+	})
+}
+
+// randRows32 draws n random rows of length c.
+func randRows32(rng *RNG, n, c int) [][]float32 {
+	rows := make([][]float32, n)
+	for i := range rows {
+		rows[i] = randVec32(rng, c, 1)
+	}
+	return rows
+}
+
+// TestMulRowsT32TiersBitwise: the batched f32 product (ApplyBatch in
+// GemvSet mode, which replaced the Matrix32.MulRowsT GEMM) must equal the
+// per-row scalar MulVec bitwise on every tier, for every batch width —
+// full, partial and multiple stream blocks, and singles.
 func TestMulRowsT32TiersBitwise(t *testing.T) {
 	rng := NewRNG(11)
 	shapes := []struct{ r, c int }{{1, 1}, {3, 5}, {16, 16}, {33, 7}, {128, 138}, {96, 300}}
@@ -73,135 +183,37 @@ func TestMulRowsT32TiersBitwise(t *testing.T) {
 	for _, sh := range shapes {
 		m := randMatrix32(rng, sh.r, sh.c)
 		for _, w := range widths {
-			xs := make([][]float32, w)
-			for i := range xs {
-				xs[i] = randVec32(rng, sh.c, 1)
-			}
-			want := make([]float32, w*sh.r)
-			withScalarTier32(func() {
-				for i, x := range xs {
-					m.MulVec(want[i*sh.r:(i+1)*sh.r], x)
-				}
-			})
-			forEachTier(t, func(t *testing.T) {
-				got := make([]float32, w*sh.r)
-				m.MulRowsT(got, xs)
-				for i := range got {
-					if !bits32Equal(got[i], want[i]) {
-						t.Fatalf("%dx%d width %d: elem %d = %x, want %x (tier %s)",
-							sh.r, sh.c, w, i, math.Float32bits(got[i]), math.Float32bits(want[i]), SIMDTier())
-					}
-				}
-			})
+			requireBatchTiers32(t, m, randRows32(rng, w, sh.c), randRows32(rng, w, sh.r), nil, GemvSet)
 		}
 	}
 }
 
-// TestPackedGEMM32TiersBitwise: the row-pair packed GEMM must equal the
-// per-row scalar MulVec bitwise on every tier — the AVX-512 pair kernel,
-// the odd-final-row Dot32 tail, the >chunk column carry, and the delegated
-// remainder paths all preserve the Dot32 association.
+// TestPackedGEMM32TiersBitwise: the packed batched product accumulating
+// into pre-filled rows (GemvAdd, the recurrent half of a gate product) must
+// equal row + MulVec bitwise on every tier — single rows, row tails past
+// the last full tile, and column counts from one to past 256.
 func TestPackedGEMM32TiersBitwise(t *testing.T) {
 	rng := NewRNG(19)
 	shapes := []struct{ r, c int }{{1, 5}, {2, 4}, {3, 5}, {33, 7}, {49, 32}, {128, 138}, {96, 300}}
 	widths := []int{1, 7, 8, 9, 15, 16, 17, 24, 33}
 	for _, sh := range shapes {
 		m := randMatrix32(rng, sh.r, sh.c)
-		p := PackGEMM32(m)
 		for _, w := range widths {
-			xs := make([][]float32, w)
-			for i := range xs {
-				xs[i] = randVec32(rng, sh.c, 1)
-			}
-			want := make([]float32, w*sh.r)
-			withScalarTier32(func() {
-				for i, x := range xs {
-					m.MulVec(want[i*sh.r:(i+1)*sh.r], x)
-				}
-			})
-			forEachTier(t, func(t *testing.T) {
-				got := make([]float32, w*sh.r)
-				p.MulRowsT(got, xs)
-				for i := range got {
-					if !bits32Equal(got[i], want[i]) {
-						t.Fatalf("%dx%d width %d: elem %d = %x, want %x (tier %s)",
-							sh.r, sh.c, w, i, math.Float32bits(got[i]), math.Float32bits(want[i]), SIMDTier())
-					}
-				}
-			})
+			requireBatchTiers32(t, m, randRows32(rng, w, sh.c), randRows32(rng, w, sh.r), nil, GemvAdd)
 		}
 	}
 }
 
-// TestVCombine32TiersBitwise: the fused combine must equal the scalar
-// (dst+u)+b loop bitwise on every tier, for widths exercising the SIMD
-// body and the scalar tail.
+// TestVCombine32TiersBitwise: the bias combine of the batched gate step,
+// (row + u) + b, now the GemvAddBias epilogue of ApplyBatch, must equal
+// that scalar loop bitwise on every tier, for row counts exercising whole
+// tiles and the row tail.
 func TestVCombine32TiersBitwise(t *testing.T) {
 	rng := NewRNG(23)
 	for _, n := range []int{1, 7, 8, 9, 96, 128, 131} {
-		dst0 := randVec32(rng, n, 1)
-		u := randVec32(rng, n, 1)
-		b := randVec32(rng, n, 1)
-		want := make([]float32, n)
-		for i := range want {
-			want[i] = (dst0[i] + u[i]) + b[i]
-		}
-		forEachTier(t, func(t *testing.T) {
-			dst := append([]float32(nil), dst0...)
-			VCombine32(dst, u, b)
-			for i := range dst {
-				if !bits32Equal(dst[i], want[i]) {
-					t.Fatalf("n=%d elem %d = %x, want %x (tier %s)",
-						n, i, math.Float32bits(dst[i]), math.Float32bits(want[i]), SIMDTier())
-				}
-			}
-		})
-	}
-}
-
-// TestPackedGEMV32TiersBitwise: Apply must match the scalar MulVec plus the
-// mode epilogue bitwise on every tier, including the row tail, for all four
-// modes.
-func TestPackedGEMV32TiersBitwise(t *testing.T) {
-	rng := NewRNG(13)
-	shapes := []struct{ r, c int }{{1, 4}, {8, 8}, {15, 7}, {16, 32}, {17, 32}, {31, 5}, {64, 138}, {130, 96}}
-	for _, sh := range shapes {
-		m := randMatrix32(rng, sh.r, sh.c)
-		x := randVec32(rng, sh.c, 1)
-		bias := randVec32(rng, sh.r, 1)
-		prev := randVec32(rng, sh.r, 1)
-		mv := make([]float32, sh.r)
-		withScalarTier32(func() { m.MulVec(mv, x) })
-		want := map[int][]float32{
-			GemvSet:     make([]float32, sh.r),
-			GemvAdd:     make([]float32, sh.r),
-			GemvAddBias: make([]float32, sh.r),
-			GemvSetBias: make([]float32, sh.r),
-		}
-		for i := 0; i < sh.r; i++ {
-			want[GemvSet][i] = mv[i]
-			want[GemvAdd][i] = prev[i] + mv[i]
-			want[GemvAddBias][i] = (prev[i] + mv[i]) + bias[i]
-			want[GemvSetBias][i] = mv[i] + bias[i]
-		}
-		forEachTier(t, func(t *testing.T) {
-			p := PackGEMV32(m)
-			for _, mode := range []int{GemvSet, GemvAdd, GemvAddBias, GemvSetBias} {
-				dst := make([]float32, sh.r)
-				copy(dst, prev)
-				var b []float32
-				if mode == GemvAddBias || mode == GemvSetBias {
-					b = bias
-				}
-				p.Apply(dst, x, b, mode)
-				for i := range dst {
-					if !bits32Equal(dst[i], want[mode][i]) {
-						t.Fatalf("%dx%d mode %d row %d: %x, want %x (tier %s)",
-							sh.r, sh.c, mode, i, math.Float32bits(dst[i]), math.Float32bits(want[mode][i]), SIMDTier())
-					}
-				}
-			}
-		})
+		m := randMatrix32(rng, n, 6)
+		bias := randVec32(rng, n, 1)
+		requireBatchTiers32(t, m, randRows32(rng, 5, m.Cols), randRows32(rng, 5, n), bias, GemvAddBias)
 	}
 }
 

@@ -55,23 +55,6 @@ func gemvbatch4avx(p *float64, tiles, cols int, xs, dsts *[]float64, n int, bias
 //go:noescape
 func gemvbatch8avx512(p *float64, tiles, cols int, xs, dsts *[]float64, n int, bias *float64, mode int)
 
-// vgroupadd4f64 is the one-hot gather group kernel (gemm_amd64.s):
-// dst = [dst +] ((r0 + r1) + r2) + r3 truncated to rows addends, four
-// lanes per step over the 4-divisible prefix; returns the count handled.
-//
-//go:noescape
-func vgroupadd4f64(dst, r0, r1, r2, r3 *float64, rows, n int, assign bool) int
-
-// vgroupAddSIMD runs the gather-group combine over the SIMD-divisible
-// prefix and reports how much it covered; the caller finishes the tail
-// with the identical per-element expression.
-func vgroupAddSIMD(dst, r0, r1, r2, r3 []float64, rows int, assign bool) int {
-	if !hasAVX || len(dst) < 4 {
-		return 0
-	}
-	return vgroupadd4f64(&dst[0], &r0[0], &r1[0], &r2[0], &r3[0], rows, len(dst), assign)
-}
-
 // Kernel-tier state: the cpu* flags are immutable hardware facts, the
 // *Enabled flags are test/benchmark overrides, and hasAVX/hasAVX512 are the
 // effective tier the kernels consult. Overrides are not safe to flip

@@ -479,89 +479,3 @@ store8v:
 done8v:
 	VZEROUPPER
 	RET
-
-// func vgroupadd4f64(dst, r0, r1, r2, r3 *float64, rows, n int, assign bool) int
-//
-// One-hot gather group combine over the 4-divisible prefix: the subtotal
-// of the first rows row-vectors chained left-to-right per lane, assigned
-// to dst or added to it — the f64 twin of vgroupadd8f32. One loop body per
-// row count so the hot path has a single predictable branch per step; the
-// pass is bound by its loads and stores, so all rows share one index
-// register. Returns the count handled.
-TEXT ·vgroupadd4f64(SB), NOSPLIT, $0-72
-	MOVQ dst+0(FP), DI
-	MOVQ r0+8(FP), SI
-	MOVQ r1+16(FP), R8
-	MOVQ r2+24(FP), R9
-	MOVQ r3+32(FP), R10
-	MOVQ rows+40(FP), AX
-	MOVQ n+48(FP), CX
-	ANDQ    $-4, CX
-	MOVQ    CX, ret+64(FP)
-	MOVBLZX assign+56(FP), BX
-	XORQ DX, DX                // element index
-	TESTQ CX, CX
-	JZ   donegd
-	CMPQ AX, $1
-	JEQ  loop1gd
-	CMPQ AX, $2
-	JEQ  loop2gd
-	CMPQ AX, $3
-	JEQ  loop3gd
-
-loop4gd:
-	VMOVUPD (SI)(DX*8), Y0
-	VADDPD  (R8)(DX*8), Y0, Y0
-	VADDPD  (R9)(DX*8), Y0, Y0
-	VADDPD  (R10)(DX*8), Y0, Y0
-	TESTQ BX, BX
-	JNZ   store4gd
-	VADDPD (DI)(DX*8), Y0, Y0
-store4gd:
-	VMOVUPD Y0, (DI)(DX*8)
-	ADDQ $4, DX
-	CMPQ DX, CX
-	JLT  loop4gd
-	JMP  donegd
-
-loop3gd:
-	VMOVUPD (SI)(DX*8), Y0
-	VADDPD  (R8)(DX*8), Y0, Y0
-	VADDPD  (R9)(DX*8), Y0, Y0
-	TESTQ BX, BX
-	JNZ   store3gd
-	VADDPD (DI)(DX*8), Y0, Y0
-store3gd:
-	VMOVUPD Y0, (DI)(DX*8)
-	ADDQ $4, DX
-	CMPQ DX, CX
-	JLT  loop3gd
-	JMP  donegd
-
-loop2gd:
-	VMOVUPD (SI)(DX*8), Y0
-	VADDPD  (R8)(DX*8), Y0, Y0
-	TESTQ BX, BX
-	JNZ   store2gd
-	VADDPD (DI)(DX*8), Y0, Y0
-store2gd:
-	VMOVUPD Y0, (DI)(DX*8)
-	ADDQ $4, DX
-	CMPQ DX, CX
-	JLT  loop2gd
-	JMP  donegd
-
-loop1gd:
-	VMOVUPD (SI)(DX*8), Y0
-	TESTQ BX, BX
-	JNZ   store1gd
-	VADDPD (DI)(DX*8), Y0, Y0
-store1gd:
-	VMOVUPD Y0, (DI)(DX*8)
-	ADDQ $4, DX
-	CMPQ DX, CX
-	JLT  loop1gd
-
-donegd:
-	VZEROUPPER
-	RET

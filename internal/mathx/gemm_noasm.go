@@ -29,8 +29,8 @@ func gemvSIMD(p *PackedGEMV, dst, xs [][]float64, bias []float64, mode int, tile
 	return false
 }
 
-// vgroupAddSIMD reports that no gather-group kernel covered anything.
-func vgroupAddSIMD(dst, r0, r1, r2, r3 []float64, rows int, assign bool) int { return 0 }
+// gatherSIMD reports that no one-hot gather kernel covered anything.
+func gatherSIMD(dst []float64, wt *Matrix, idx []int) int { return 0 }
 
 // SetSIMDEnabled is a no-op without SIMD kernels; it reports false (the
 // previous — and only — state).

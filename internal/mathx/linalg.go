@@ -148,7 +148,7 @@ func (m *Matrix) MulRowsT(dst []float64, xs [][]float64) {
 		if mulRows4SIMD(m, dst[i*R:(i+4)*R], x0, x1, x2, x3) {
 			continue
 		}
-		m.mulRows4(dst[i*R:(i+1)*R], dst[(i+1)*R:(i+2)*R], dst[(i+2)*R:(i+3)*R], dst[(i+3)*R:(i+4)*R],
+		mulRows4(m.Data, R, C, dst[i*R:(i+1)*R], dst[(i+1)*R:(i+2)*R], dst[(i+2)*R:(i+3)*R], dst[(i+3)*R:(i+4)*R],
 			x0, x1, x2, x3, nil, GemvSet)
 	}
 	for ; i < len(xs); i++ {
@@ -161,20 +161,20 @@ func (m *Matrix) MulRowsT(dst []float64, xs [][]float64) {
 }
 
 // mulRows4 is the portable four-stream register tile: d_s = m·x_s combined
-// per the Gemv* mode epilogue (pack.go) for four streams at once, each
-// weight element loaded once per four dot products, every sum in Dot's
-// association. MulRowsT runs its scalar blocks on it and PackedGEMV's
-// batched product falls back to it where no SIMD pack applies.
-func (m *Matrix) mulRows4(d0, d1, d2, d3, x0, x1, x2, x3, bias []float64, mode int) {
-	R, C := m.Rows, m.Cols
+// per the Gemv* mode epilogue (pack.go) for four streams at once, m the
+// R×C row-major data, each weight element loaded once per four dot
+// products, every sum in Dot's (Dot32's) association. MulRowsT runs its
+// scalar blocks on it and the packed batched products of both precisions
+// fall back to it where no SIMD pack applies.
+func mulRows4[T float32 | float64](m []T, R, C int, d0, d1, d2, d3, x0, x1, x2, x3, bias []T, mode int) {
 	n := C &^ 3
 	// Reslice to exactly C (R) elements so the bounds-check eliminator can
 	// prove every access below in bounds.
 	x0, x1, x2, x3 = x0[:C], x1[:C], x2[:C], x3[:C]
 	d0, d1, d2, d3 = d0[:R], d1[:R], d2[:R], d3[:R]
 	for j := 0; j < R; j++ {
-		row := m.Data[j*C : (j+1)*C : (j+1)*C][:C]
-		var s0, s1, s2, s3 float64
+		row := m[j*C : (j+1)*C : (j+1)*C][:C]
+		var s0, s1, s2, s3 T
 		for k := 0; k+3 < C; k += 4 {
 			w0, w1, w2, w3 := row[k], row[k+1], row[k+2], row[k+3]
 			s0 += w0*x0[k] + w1*x0[k+1] + w2*x0[k+2] + w3*x0[k+3]

@@ -84,132 +84,6 @@ func (m *Matrix32) MulVecT(dst, x []float32) {
 	}
 }
 
-// MulRowsT computes the batched product dst = X·mᵀ where the rows of X are
-// the slices xs: dst[i*m.Rows+j] = Σ_k m[j,k]·xs[i][k], the f32 mirror of
-// Matrix.MulRowsT. Every output element is accumulated in exactly Dot32's
-// association, so the result is bitwise identical to MulVec per row on
-// every kernel tier. Like the f64 kernel, only the overwriting form exists;
-// batched callers combine separate products elementwise.
-func (m *Matrix32) MulRowsT(dst []float32, xs [][]float32) {
-	R, C := m.Rows, m.Cols
-	if len(dst) != len(xs)*R {
-		panic(fmt.Sprintf("mathx: f32 gemm shape mismatch (%d rows of %d into %d)",
-			len(xs), R, len(dst)))
-	}
-	n := C &^ 3
-	i := 0
-	// AVX-512 first: sixteen streams per zmm. The kernel's per-lane
-	// association is Dot32's, so peeling 16-wide blocks before the 8-wide
-	// path changes nothing but speed.
-	for ; i+16 <= len(xs); i += 16 {
-		if !mulRows16f32SIMD(m, dst[i*R:(i+16)*R], xs[i:i+16]) {
-			break
-		}
-	}
-	for ; i+8 <= len(xs); i += 8 {
-		if !mulRows8f32SIMD(m, dst[i*R:(i+8)*R], xs[i:i+8]) {
-			break
-		}
-	}
-	for ; i+4 <= len(xs); i += 4 {
-		// Cache-tiled scalar path: four streams advance together per weight
-		// row, four independent accumulator chains, each in Dot32's exact
-		// association. Reslice to C so the bounds-check eliminator can prove
-		// every k+3 access in bounds.
-		x0, x1, x2, x3 := xs[i][:C], xs[i+1][:C], xs[i+2][:C], xs[i+3][:C]
-		d0 := dst[i*R : (i+1)*R]
-		d1 := dst[(i+1)*R : (i+2)*R]
-		d2 := dst[(i+2)*R : (i+3)*R]
-		d3 := dst[(i+3)*R : (i+4)*R]
-		for j := 0; j < R; j++ {
-			row := m.Data[j*C : (j+1)*C : (j+1)*C][:C]
-			var s0, s1, s2, s3 float32
-			for k := 0; k+3 < C; k += 4 {
-				w0, w1, w2, w3 := row[k], row[k+1], row[k+2], row[k+3]
-				s0 += w0*x0[k] + w1*x0[k+1] + w2*x0[k+2] + w3*x0[k+3]
-				s1 += w0*x1[k] + w1*x1[k+1] + w2*x1[k+2] + w3*x1[k+3]
-				s2 += w0*x2[k] + w1*x2[k+1] + w2*x2[k+2] + w3*x2[k+3]
-				s3 += w0*x3[k] + w1*x3[k+1] + w2*x3[k+2] + w3*x3[k+3]
-			}
-			for k := n; k < C; k++ {
-				w := row[k]
-				s0 += w * x0[k]
-				s1 += w * x1[k]
-				s2 += w * x2[k]
-				s3 += w * x3[k]
-			}
-			d0[j] = s0
-			d1[j] = s1
-			d2[j] = s2
-			d3[j] = s3
-		}
-	}
-	for ; i < len(xs); i++ {
-		x := xs[i]
-		d := dst[i*R : (i+1)*R]
-		for j := 0; j < R; j++ {
-			d[j] = Dot32(m.Data[j*C:(j+1)*C], x)
-		}
-	}
-}
-
-// PackedGEMM32 is a Matrix32 plus a row-pair interleaved copy of its data,
-// the layout of the 8-stream AVX-512 GEMM kernel: pairs[p*2C+2k] = m[2p,k],
-// pairs[p*2C+2k+1] = m[2p+1,k], so one 64-bit broadcast yields the weight
-// pair for two adjacent output rows across all eight stream lane-pairs.
-// The packing is tier-independent (kernels that cannot use it fall back to
-// the matrix itself), and the matrix must not be mutated after packing —
-// the inference snapshot that owns these weights never does.
-type PackedGEMM32 struct {
-	m     *Matrix32
-	pairs []float32 // (Rows&^1)*Cols values; an odd final row stays unpaired
-}
-
-// PackGEMM32 builds the row-pair packing of m.
-func PackGEMM32(m *Matrix32) *PackedGEMM32 {
-	R, C := m.Rows, m.Cols
-	p := &PackedGEMM32{m: m, pairs: make([]float32, (R&^1)*C)}
-	for pr := 0; pr < R/2; pr++ {
-		r0 := m.Data[(2*pr)*C : (2*pr+1)*C]
-		r1 := m.Data[(2*pr+1)*C : (2*pr+2)*C]
-		out := p.pairs[pr*2*C : (pr+1)*2*C]
-		for k := 0; k < C; k++ {
-			out[2*k] = r0[k]
-			out[2*k+1] = r1[k]
-		}
-	}
-	return p
-}
-
-// MulRowsT is Matrix32.MulRowsT with the same shape contract and the same
-// per-element Dot32 association, but eight-stream blocks on the AVX-512
-// tier run the row-pair kernel (two weight rows per zmm) instead of the
-// 256-bit eight-lane kernel. Results are bitwise-identical to the matrix's
-// own MulRowsT on every tier.
-func (p *PackedGEMM32) MulRowsT(dst []float32, xs [][]float32) {
-	R := p.m.Rows
-	if len(dst) != len(xs)*R {
-		panic(fmt.Sprintf("mathx: f32 gemm shape mismatch (%d rows of %d into %d)",
-			len(xs), R, len(dst)))
-	}
-	i := 0
-	// Keep the 16-stream peel: at full zmm occupancy the plain kernel
-	// already amortizes its broadcasts over sixteen lanes.
-	for ; i+16 <= len(xs); i += 16 {
-		if !mulRows16f32SIMD(p.m, dst[i*R:(i+16)*R], xs[i:i+16]) {
-			break
-		}
-	}
-	for ; i+8 <= len(xs); i += 8 {
-		if !mulRows8x2f32SIMD(p, dst[i*R:(i+8)*R], xs[i:i+8]) {
-			break
-		}
-	}
-	if i < len(xs) {
-		p.m.MulRowsT(dst[i*R:], xs[i:])
-	}
-}
-
 // Transpose returns mᵀ as a fresh matrix (the layout OneHotGather32 wants).
 func (m *Matrix32) Transpose() *Matrix32 {
 	out := NewMatrix32(m.Cols, m.Rows)
@@ -248,21 +122,6 @@ func Axpy32(dst []float32, a float32, x []float32) {
 	}
 	for i := n; i < len(dst); i++ {
 		dst[i] += a * x[i]
-	}
-}
-
-// VCombine32 computes dst[i] = (dst[i] + u[i]) + b[i] in exactly that
-// operand order — the batched LSTM combine epilogue (wx + uh) + b. The
-// operation is purely elementwise, so the SIMD path is bitwise-identical
-// to the scalar loop by construction; no association contract is needed.
-func VCombine32(dst, u, b []float32) {
-	if len(u) < len(dst) || len(b) < len(dst) {
-		panic(fmt.Sprintf("mathx: f32 combine shape mismatch (%d with %d, %d)",
-			len(dst), len(u), len(b)))
-	}
-	i := vcombine32SIMD(dst, u, b)
-	for ; i < len(dst); i++ {
-		dst[i] = (dst[i] + u[i]) + b[i]
 	}
 }
 

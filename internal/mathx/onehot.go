@@ -64,92 +64,77 @@ func (m *Matrix) MulVecOneHot(dst []float64, idx []int) {
 // input dimension and wt.Cols == W.Rows == len(dst)). Each active column is
 // one contiguous row of wt, so the gather is a handful of vector adds
 // instead of a full GEMV; the grouping described above keeps the result
-// bitwise-identical to the dense product. idx must be strictly ascending
-// and within [0, wt.Rows).
+// bitwise-identical to the dense product. One kernel call covers the whole
+// stream. idx must be strictly ascending and within [0, wt.Rows).
 func OneHotGather(dst []float64, wt *Matrix, idx []int) {
 	if len(dst) != wt.Cols {
 		panic("mathx: one-hot gather shape mismatch")
 	}
-	n := wt.Rows &^ 3
-	first := true
-	i := 0
-	for i < len(idx) {
-		j := idx[i]
-		var cnt int
-		if j >= n {
-			cnt = 1 // tail actives join the accumulator one by one
-		} else {
-			g := j&^3 + 4
-			cnt = 1
-			for i+cnt < len(idx) && idx[i+cnt] < g {
-				cnt++
-			}
-		}
-		gatherGroup(dst, wt, idx[i:i+cnt], first)
-		first = false
-		i += cnt
+	checkActives(idx, wt.Rows)
+	if len(idx) == 0 {
+		clear(dst)
+		return
 	}
-	if first {
-		Fill(dst, 0)
+	gatherCols(dst, wt.Data, wt.Cols, idx, wt.Rows&^3, gatherSIMD(dst, wt, idx))
+}
+
+// checkActives panics on an active column outside [0, rows): the kernels
+// read the rows the indices name without bounds checks.
+func checkActives(idx []int, rows int) {
+	for _, j := range idx {
+		if uint(j) >= uint(rows) {
+			panic("mathx: one-hot index out of range")
+		}
 	}
 }
 
-// gatherGroup adds one aligned group's subtotal — the active columns
-// summed left-to-right — into dst (or assigns it, for the first group,
-// matching the accumulator's zero start). The SIMD prefix computes the
-// same per-element expression — subtotal chained left-to-right, then
-// dst + subtotal — so it is bitwise-identical to the scalar tail by
-// construction (elementwise, nothing reassociates).
-func gatherGroup(dst []float64, wt *Matrix, idx []int, assign bool) {
-	r0 := wt.Row(idx[0])
-	r1, r2, r3 := r0, r0, r0
-	if len(idx) > 1 {
-		r1 = wt.Row(idx[1])
-	}
-	if len(idx) > 2 {
-		r2 = wt.Row(idx[2])
-	}
-	if len(idx) > 3 {
-		r3 = wt.Row(idx[3])
-	}
-	k := vgroupAddSIMD(dst, r0, r1, r2, r3, len(idx), assign)
-	switch len(idx) {
-	case 1:
-		if assign {
-			copy(dst[k:], r0[k:len(dst)])
-		} else {
-			for ; k < len(dst); k++ {
-				dst[k] += r0[k]
-			}
+// gatherCols is the portable gather over dst[from:] for a non-empty active
+// set — the scalar tier's whole gather and the SIMD tiers' tail: per aligned
+// group, its actives summed left-to-right, then added to dst (assigned, for
+// the first group), groups in ascending order, each active past the aligned
+// columns a group of its own. data is Wᵀ's row-major storage with rows of
+// stride elements.
+func gatherCols[T float32 | float64](dst, data []T, stride int, idx []int, aligned, from int) {
+	d := dst[from:]
+	var r [4][]T
+	for i, first := 0, true; i < len(idx); first = false {
+		end := min(idx[i]&^3+4, aligned)
+		n := 0
+		for ; i < len(idx) && n < len(r) && (n == 0 || idx[i] < end); i++ {
+			r[n] = data[idx[i]*stride+from:][:len(d)]
+			n++
 		}
-	case 2:
-		if assign {
-			for ; k < len(dst); k++ {
-				dst[k] = r0[k] + r1[k]
+		r0, r1, r2, r3 := r[0], r[1], r[2], r[3]
+		switch {
+		case n == 1 && first:
+			copy(d, r0)
+		case n == 1:
+			for k := range d {
+				d[k] += r0[k]
 			}
-		} else {
-			for ; k < len(dst); k++ {
-				dst[k] += r0[k] + r1[k]
+		case n == 2 && first:
+			for k := range d {
+				d[k] = r0[k] + r1[k]
 			}
-		}
-	case 3:
-		if assign {
-			for ; k < len(dst); k++ {
-				dst[k] = r0[k] + r1[k] + r2[k]
+		case n == 2:
+			for k := range d {
+				d[k] += r0[k] + r1[k]
 			}
-		} else {
-			for ; k < len(dst); k++ {
-				dst[k] += r0[k] + r1[k] + r2[k]
+		case n == 3 && first:
+			for k := range d {
+				d[k] = r0[k] + r1[k] + r2[k]
 			}
-		}
-	default:
-		if assign {
-			for ; k < len(dst); k++ {
-				dst[k] = r0[k] + r1[k] + r2[k] + r3[k]
+		case n == 3:
+			for k := range d {
+				d[k] += r0[k] + r1[k] + r2[k]
 			}
-		} else {
-			for ; k < len(dst); k++ {
-				dst[k] += r0[k] + r1[k] + r2[k] + r3[k]
+		case first:
+			for k := range d {
+				d[k] = r0[k] + r1[k] + r2[k] + r3[k]
+			}
+		default:
+			for k := range d {
+				d[k] += r0[k] + r1[k] + r2[k] + r3[k]
 			}
 		}
 	}

@@ -51,87 +51,10 @@ func OneHotGather32(dst []float32, wt *Matrix32, idx []int) {
 	if len(dst) != wt.Cols {
 		panic("mathx: f32 one-hot gather shape mismatch")
 	}
-	n := wt.Rows &^ 3
-	first := true
-	i := 0
-	for i < len(idx) {
-		j := idx[i]
-		var cnt int
-		if j >= n {
-			cnt = 1 // tail actives join the accumulator one by one
-		} else {
-			g := j&^3 + 4
-			cnt = 1
-			for i+cnt < len(idx) && idx[i+cnt] < g {
-				cnt++
-			}
-		}
-		gatherGroup32(dst, wt, idx[i:i+cnt], first)
-		first = false
-		i += cnt
+	checkActives(idx, wt.Rows)
+	if len(idx) == 0 {
+		clear(dst)
+		return
 	}
-	if first {
-		Fill32(dst, 0)
-	}
-}
-
-// gatherGroup32 adds one aligned group's subtotal — the active columns
-// summed left-to-right — into dst (or assigns it, for the first group,
-// matching the accumulator's zero start). The SIMD prefix computes the
-// same per-element expression — subtotal chained left-to-right, then
-// dst + subtotal — so it is bitwise-identical to the scalar tail by
-// construction (elementwise, nothing reassociates).
-func gatherGroup32(dst []float32, wt *Matrix32, idx []int, assign bool) {
-	r0 := wt.Row(idx[0])
-	r1, r2, r3 := r0, r0, r0
-	if len(idx) > 1 {
-		r1 = wt.Row(idx[1])
-	}
-	if len(idx) > 2 {
-		r2 = wt.Row(idx[2])
-	}
-	if len(idx) > 3 {
-		r3 = wt.Row(idx[3])
-	}
-	k := vgroupAdd32SIMD(dst, r0, r1, r2, r3, len(idx), assign)
-	switch len(idx) {
-	case 1:
-		if assign {
-			copy(dst[k:], r0[k:len(dst)])
-		} else {
-			for ; k < len(dst); k++ {
-				dst[k] += r0[k]
-			}
-		}
-	case 2:
-		if assign {
-			for ; k < len(dst); k++ {
-				dst[k] = r0[k] + r1[k]
-			}
-		} else {
-			for ; k < len(dst); k++ {
-				dst[k] += r0[k] + r1[k]
-			}
-		}
-	case 3:
-		if assign {
-			for ; k < len(dst); k++ {
-				dst[k] = r0[k] + r1[k] + r2[k]
-			}
-		} else {
-			for ; k < len(dst); k++ {
-				dst[k] += r0[k] + r1[k] + r2[k]
-			}
-		}
-	default:
-		if assign {
-			for ; k < len(dst); k++ {
-				dst[k] = r0[k] + r1[k] + r2[k] + r3[k]
-			}
-		} else {
-			for ; k < len(dst); k++ {
-				dst[k] += r0[k] + r1[k] + r2[k] + r3[k]
-			}
-		}
-	}
+	gatherCols(dst, wt.Data, wt.Cols, idx, wt.Rows&^3, gatherSIMD32(dst, wt, idx))
 }

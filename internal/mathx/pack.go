@@ -113,7 +113,7 @@ func (p *PackedGEMV) ApplyBatch(dst, xs [][]float64, bias []float64, mode int) {
 	}
 	if done == 0 {
 		for ; s+4 <= len(xs); s += 4 {
-			p.src.mulRows4(dst[s], dst[s+1], dst[s+2], dst[s+3], xs[s], xs[s+1], xs[s+2], xs[s+3], bias, mode)
+			mulRows4(p.src.Data, p.rows, p.cols, dst[s], dst[s+1], dst[s+2], dst[s+3], xs[s], xs[s+1], xs[s+2], xs[s+3], bias, mode)
 		}
 	}
 	// What no tile covered: the row tail of every stream after a SIMD pass,
@@ -128,7 +128,7 @@ func (p *PackedGEMV) ApplyBatch(dst, xs [][]float64, bias []float64, mode int) {
 
 // gemvOut combines one output element's old value d and fresh dot product s
 // per the mode epilogue.
-func gemvOut(d, s float64, bias []float64, i, mode int) float64 {
+func gemvOut[T float32 | float64](d, s T, bias []T, i, mode int) T {
 	switch mode {
 	case GemvSet:
 		return s

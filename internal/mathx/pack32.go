@@ -1,7 +1,8 @@
 package mathx
 
 // PackedGEMV32 is the f32 mirror of PackedGEMV: a tile-packed read-only
-// copy of a Matrix32 for the single-vector product m·x, tiles of `lanes`
+// copy of a Matrix32 for the product m·x — of one vector (Apply) or of every
+// stream of a wave in one pass over the tiles (ApplyBatch) — tiles of `lanes`
 // consecutive rows column-major within the tile
 // (data[(t*cols+k)*lanes + l] = m[t*lanes+l, k]). The f32 tiles run at full
 // native lane width — 16 rows per zmm on AVX-512, 8 per ymm on AVX2 —
@@ -54,27 +55,47 @@ func (p *PackedGEMV32) Stale() bool { return p.epoch != simdEpoch.Load() }
 // bitwise-identical to the MulVec/MulVecAdd + bias-loop f32 reference.
 // bias may be nil for GemvSet/GemvAdd.
 func (p *PackedGEMV32) Apply(dst, x, bias []float32, mode int) {
-	if len(dst) != p.rows || len(x) != p.cols {
-		panic("mathx: f32 packed gemv shape mismatch")
+	p.ApplyBatch([][]float32{dst}, [][]float32{x}, bias, mode)
+}
+
+// ApplyBatch is Apply(dst[s], xs[s], bias, mode) for every stream s of a
+// wave, bitwise-identical per stream, in one pass over the packed tiles —
+// the f32 mirror of PackedGEMV.ApplyBatch, blocks of eight or four streams
+// per tile. Without a usable SIMD pack (scalar tier, or a stale pack whose
+// tier is switched off) streams advance four at a time through the same
+// register tile the f64 product falls back to.
+func (p *PackedGEMV32) ApplyBatch(dst, xs [][]float32, bias []float32, mode int) {
+	if len(dst) != len(xs) {
+		panic("mathx: f32 packed gemv batch size mismatch")
 	}
-	done := 0
+	for s := range xs {
+		if len(dst[s]) != p.rows || len(xs[s]) != p.cols {
+			panic("mathx: f32 packed gemv shape mismatch")
+		}
+	}
+	if mode >= GemvAddBias && len(bias) != p.rows {
+		panic("mathx: f32 packed gemv bias length mismatch")
+	}
+	if len(xs) == 0 {
+		return
+	}
+	done, s := 0, 0
 	if p.lanes > 0 {
-		tiles := p.rows / p.lanes
-		if tiles > 0 && gemv32SIMD(p, dst, x, bias, mode, tiles) {
+		if tiles := p.rows / p.lanes; tiles > 0 && gemv32SIMD(p, dst, xs, bias, mode, tiles) {
 			done = tiles * p.lanes
 		}
 	}
-	for i := done; i < p.rows; i++ {
-		s := Dot32(p.src.Row(i), x)
-		switch mode {
-		case GemvSet:
-			dst[i] = s
-		case GemvAdd:
-			dst[i] = dst[i] + s
-		case GemvAddBias:
-			dst[i] = (dst[i] + s) + bias[i]
-		default: // GemvSetBias
-			dst[i] = s + bias[i]
+	if done == 0 {
+		for ; s+4 <= len(xs); s += 4 {
+			mulRows4(p.src.Data, p.rows, p.cols, dst[s], dst[s+1], dst[s+2], dst[s+3], xs[s], xs[s+1], xs[s+2], xs[s+3], bias, mode)
+		}
+	}
+	// What no tile covered: the row tail of every stream after a SIMD pass,
+	// every row of the streams past the last four-stream block without one.
+	for ; s < len(xs); s++ {
+		d, x := dst[s], xs[s]
+		for i := done; i < p.rows; i++ {
+			d[i] = gemvOut(d[i], Dot32(p.src.Row(i), x), bias, i, mode)
 		}
 	}
 }

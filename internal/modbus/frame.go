@@ -151,32 +151,56 @@ func DecodeTCP(raw []byte) (*TCPFrame, error) {
 }
 
 // ReadTCPFrame reads one complete TCP frame from r, blocking until the full
-// length-prefixed payload arrives.
+// length-prefixed payload arrives. The frame is the caller's to keep.
 func ReadTCPFrame(r io.Reader) (*TCPFrame, error) {
-	hdr := make([]byte, mbapLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	return NewFrameReader(r).Next()
+}
+
+// FrameReader reads MBAP-framed Modbus/TCP frames from a stream into one
+// reused frame and payload buffer, so a long-lived connection decodes its
+// frames without allocating.
+type FrameReader struct {
+	r     io.Reader
+	hdr   [mbapLen]byte
+	body  []byte
+	pdu   PDU
+	frame TCPFrame
+}
+
+// NewFrameReader returns a reader of the frames on r.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{r: r}
+}
+
+// Next reads the next complete frame, blocking until its full
+// length-prefixed payload arrives. The frame and its PDU are valid only
+// until the next call.
+func (fr *FrameReader) Next() (*TCPFrame, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return nil, err
 	}
-	length := binary.BigEndian.Uint16(hdr[4:6])
+	length := int(binary.BigEndian.Uint16(fr.hdr[4:6]))
 	if length < 2 {
 		return nil, fmt.Errorf("%w: MBAP length %d", ErrBadLength, length)
 	}
-	body := make([]byte, length-1) // unit ID already consumed in hdr[6]
-	if _, err := io.ReadFull(r, body); err != nil {
+	// The unit ID, counted by length, is already in the header.
+	if cap(fr.body) < length-1 {
+		fr.body = make([]byte, length-1)
+	}
+	body := fr.body[:length-1]
+	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return nil, err
 	}
-	pdu, err := DecodePDU(body)
-	if err != nil {
-		return nil, err
-	}
-	return &TCPFrame{
+	fr.pdu = PDU{Function: FunctionCode(body[0]), Data: body[1:]}
+	fr.frame = TCPFrame{
 		Header: MBAPHeader{
-			TransactionID: binary.BigEndian.Uint16(hdr[0:2]),
-			ProtocolID:    binary.BigEndian.Uint16(hdr[2:4]),
-			UnitID:        hdr[6],
+			TransactionID: binary.BigEndian.Uint16(fr.hdr[0:2]),
+			ProtocolID:    binary.BigEndian.Uint16(fr.hdr[2:4]),
+			UnitID:        fr.hdr[6],
 		},
-		PDU: pdu,
-	}, nil
+		PDU: &fr.pdu,
+	}
+	return &fr.frame, nil
 }
 
 // WriteTCPFrame serializes f and writes it to w.

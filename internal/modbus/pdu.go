@@ -134,6 +134,17 @@ func ReadRegistersResponse(fn FunctionCode, values []uint16) *PDU {
 
 // ParseReadRegistersResponse extracts register values from a read response.
 func ParseReadRegistersResponse(p *PDU) ([]uint16, error) {
+	regs, err := ReadRegistersData(p)
+	if err != nil {
+		return nil, err
+	}
+	return registerValues(regs), nil
+}
+
+// ReadRegistersData validates a register read response exactly as
+// ParseReadRegistersResponse does and returns its register values as the
+// big-endian bytes on the wire, a view of p.Data rather than a copy.
+func ReadRegistersData(p *PDU) ([]byte, error) {
 	if len(p.Data) < 1 {
 		return nil, ErrShortPDU
 	}
@@ -141,11 +152,16 @@ func ParseReadRegistersResponse(p *PDU) ([]uint16, error) {
 	if count%2 != 0 || len(p.Data) != 1+count {
 		return nil, fmt.Errorf("%w: byte count %d vs payload %d", ErrBadLength, count, len(p.Data)-1)
 	}
-	values := make([]uint16, count/2)
+	return p.Data[1:], nil
+}
+
+// registerValues decodes big-endian register bytes.
+func registerValues(regs []byte) []uint16 {
+	values := make([]uint16, len(regs)/2)
 	for i := range values {
-		values[i] = binary.BigEndian.Uint16(p.Data[1+2*i:])
+		values[i] = binary.BigEndian.Uint16(regs[2*i:])
 	}
-	return values, nil
+	return values
 }
 
 // ReadBitsResponse builds the response to a coil/discrete-input read: byte
@@ -212,6 +228,18 @@ func WriteMultipleRequest(addr uint16, values []uint16) *PDU {
 
 // ParseWriteMultipleRequest extracts (addr, values).
 func ParseWriteMultipleRequest(p *PDU) (addr uint16, values []uint16, err error) {
+	addr, regs, err := WriteMultipleData(p)
+	if err != nil {
+		return 0, nil, err
+	}
+	return addr, registerValues(regs), nil
+}
+
+// WriteMultipleData validates a write-multiple-registers request exactly
+// as ParseWriteMultipleRequest does and returns its start address and its
+// register values as the big-endian bytes on the wire, a view of p.Data
+// rather than a copy.
+func WriteMultipleData(p *PDU) (addr uint16, regs []byte, err error) {
 	if len(p.Data) < 5 {
 		return 0, nil, ErrShortPDU
 	}
@@ -222,11 +250,7 @@ func ParseWriteMultipleRequest(p *PDU) (addr uint16, values []uint16, err error)
 		return 0, nil, fmt.Errorf("%w: write-multiple count %d bytes %d payload %d",
 			ErrBadLength, quantity, byteCount, len(p.Data)-5)
 	}
-	values = make([]uint16, quantity)
-	for i := range values {
-		values[i] = binary.BigEndian.Uint16(p.Data[5+2*i:])
-	}
-	return addr, values, nil
+	return addr, p.Data[5:], nil
 }
 
 // WriteMultipleResponse builds the echo response for write-multiple.

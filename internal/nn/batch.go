@@ -6,11 +6,9 @@ import (
 	"icsdetect/internal/mathx"
 )
 
-// batchScratch is the storage behind BatchBuffer32 and the batched trainer:
-// per-layer gate rows, logit rows and input row pointers for one
-// GEMM-covered block of streams. It starts empty and grows to the widest
-// block actually stepped — a shard that only ever sees a handful of streams
-// never pays for maxBatch rows per layer.
+// batchScratch is the batched trainer's storage: per-layer gate rows, logit
+// rows and input row pointers for one GEMM block of streams. It starts empty
+// and grows to the widest block actually stepped.
 type batchScratch[T float32 | float64] struct {
 	maxBatch int
 	// gates[l] is layer l's 4H row width and classes the logit row width:
@@ -69,51 +67,47 @@ func checkBatch(n, inputs, scores, maxBatch int) {
 	}
 }
 
-// split validates a batch of n streams against the buffer and returns how
-// many leading streams the tier's SIMD GEMM blocks (width block, 0 on the
-// scalar tier) cover, with the scratch grown to hold them. The n mod block
-// streams past that — the whole batch when it is narrower than one block —
-// have no GEMM kernel: MulRowsT would hand them one scalar Dot per weight
-// row, so the callers advance them through the sequential packed-GEMV step
-// instead, which the sequential≡batched contract makes bitwise-free. The
-// scalar tier has no vector GEMV either and keeps the whole batch on
-// MulRowsT's four-stream register tile.
-func (b *batchScratch[T]) split(n, inputs, scores, block int) int {
-	checkBatch(n, inputs, scores, b.maxBatch)
-	wide := n
-	if block > 0 {
-		wide -= n % block
-	}
-	b.grow(wide)
-	return wide
-}
-
-// BatchBuffer is the reusable scratch of the f64 batched step: the row
-// tables — each stream's gate row, hidden and cell vector per layer — that
-// the multi-stream packed product walks. The rows themselves are the
-// streams' own State scratch, so a buffer holds no gate or logit rows.
-// Owning one buffer per worker goroutine keeps the batched inference path
-// allocation-free; a buffer must not be shared between concurrent StepBatch
-// calls. Every step clears the tables behind it, so a buffer never keeps a
-// released stream's state reachable.
-type BatchBuffer struct {
-	zs, cs [][]float64
+// batchRows are the row tables of a batched inference step — each stream's
+// gate row, hidden and cell vector per layer — that the multi-stream packed
+// product walks. The rows themselves are the streams' own state scratch, so
+// the tables hold no gate or logit rows, and every step clears them, so they
+// never keep a released stream's state reachable.
+type batchRows[T float32 | float64] struct {
+	zs, cs [][]T
 	// hs alternates per layer: a layer's hidden-vector table is the next
 	// layer's input table.
-	hs [2][][]float64
+	hs [2][][]T
 }
 
-// NewBatchBuffer returns scratch for batches of up to maxBatch streams.
-func (c *Classifier) NewBatchBuffer(maxBatch int) *BatchBuffer {
+func newBatchRows[T float32 | float64](maxBatch int) batchRows[T] {
 	n := max(maxBatch, 1)
-	return &BatchBuffer{
-		zs: make([][]float64, n), cs: make([][]float64, n),
-		hs: [2][][]float64{make([][]float64, n), make([][]float64, n)},
+	return batchRows[T]{
+		zs: make([][]T, n), cs: make([][]T, n),
+		hs: [2][][]T{make([][]T, n), make([][]T, n)},
 	}
 }
 
 // MaxBatch returns the widest batch the buffer accepts.
-func (b *BatchBuffer) MaxBatch() int { return len(b.zs) }
+func (b *batchRows[T]) MaxBatch() int { return len(b.zs) }
+
+// clear drops the first n rows of every table.
+func (b *batchRows[T]) clear(n int) {
+	clear(b.zs[:n])
+	clear(b.cs[:n])
+	clear(b.hs[0][:n])
+	clear(b.hs[1][:n])
+}
+
+// BatchBuffer is the reusable scratch of the f64 batched step: its row
+// tables. Owning one buffer per worker goroutine keeps the batched
+// inference path allocation-free; a buffer must not be shared between
+// concurrent StepBatch calls.
+type BatchBuffer struct{ batchRows[float64] }
+
+// NewBatchBuffer returns scratch for batches of up to maxBatch streams.
+func (c *Classifier) NewBatchBuffer(maxBatch int) *BatchBuffer {
+	return &BatchBuffer{newBatchRows[float64](maxBatch)}
+}
 
 // StepBatch advances n = len(states) independent recurrent states through
 // one batched forward pass and writes each stream's class probability
@@ -178,10 +172,7 @@ func (c *Classifier) stepBatch(buf *BatchBuffer, states []*State, xs, scores [][
 		xs = hs
 	}
 	c.Out.forwardInferBatch(scores, xs)
-	clear(zs)
-	clear(cs)
-	clear(buf.hs[0][:n])
-	clear(buf.hs[1][:n])
+	buf.clear(n)
 }
 
 // stepInferBatch is stepInfer for the streams whose gate rows, hidden and

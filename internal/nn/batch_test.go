@@ -195,29 +195,16 @@ func TestStepBatchShapePanics(t *testing.T) {
 	c.StepBatch(buf, nil, nil, nil)
 }
 
-// TestBatchBufferGrowsOnDemand: the f64 buffer holds row tables only — the
-// gate and logit rows are the streams' own, so there is nothing to grow —
-// and every step leaves the tables empty, so the buffer pins no stream. The
-// scratch that still owns rows (the f32 buffer and the batched trainer's)
-// starts with none and grows to the widest GEMM-covered block actually
-// stepped — doubling, capped at MaxBatch, never shrinking — so a worker that
-// only sees narrow batches never pays for MaxBatch rows per layer.
-func TestBatchBufferGrowsOnDemand(t *testing.T) {
-	c, err := NewClassifier(13, []int{11, 8}, 9, 42)
-	if err != nil {
-		t.Fatal(err)
+// requireRowsCleared fails unless every table of b holds MaxBatch empty
+// rows: the gate and logit rows are the streams' own, so a buffer holds
+// row tables only, and a step must leave them pinning no stream.
+func requireRowsCleared[T float32 | float64](t *testing.T, b *batchRows[T], maxBatch int) {
+	t.Helper()
+	if b.MaxBatch() != maxBatch {
+		t.Fatalf("buffer: MaxBatch %d, want %d", b.MaxBatch(), maxBatch)
 	}
-	buf := c.NewBatchBuffer(20)
-	if buf.MaxBatch() != 20 {
-		t.Fatalf("fresh buffer: MaxBatch %d, want 20", buf.MaxBatch())
-	}
-	states, idxs, scores := make([]*State, 7), make([][]int, 7), make([][]float64, 7)
-	for i := range states {
-		states[i], idxs[i], scores[i] = c.NewState(), []int{i}, make([]float64, 9)
-	}
-	c.StepBatchLogitsOneHot(buf, states, idxs, scores)
-	for name, table := range map[string][][]float64{"zs": buf.zs, "cs": buf.cs, "hs0": buf.hs[0], "hs1": buf.hs[1]} {
-		if len(table) != 20 {
+	for name, table := range map[string][][]T{"zs": b.zs, "cs": b.cs, "hs0": b.hs[0], "hs1": b.hs[1]} {
+		if len(table) != maxBatch {
 			t.Fatalf("table %s holds %d rows, want MaxBatch", name, len(table))
 		}
 		for i, row := range table {
@@ -226,6 +213,29 @@ func TestBatchBufferGrowsOnDemand(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBatchBufferGrowsOnDemand: the inference buffers of both precisions
+// are row tables that every step leaves empty. The batched trainer's
+// scratch, which still owns rows, starts with none and grows to the widest
+// block actually stepped — doubling, capped at MaxBatch, never shrinking.
+func TestBatchBufferGrowsOnDemand(t *testing.T) {
+	c, err := NewClassifier(13, []int{11, 8}, 9, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := c.Infer32()
+	buf, buf32 := c.NewBatchBuffer(20), m.NewBatchBuffer(20)
+	states, idxs, scores := make([]*State, 7), make([][]int, 7), make([][]float64, 7)
+	states32, scores32 := make([]*State32, 7), make([][]float32, 7)
+	for i := range states {
+		states[i], idxs[i], scores[i] = c.NewState(), []int{i}, make([]float64, 9)
+		states32[i], scores32[i] = m.NewState(), make([]float32, 9)
+	}
+	c.StepBatchLogitsOneHot(buf, states, idxs, scores)
+	requireRowsCleared(t, &buf.batchRows, 20)
+	m.StepBatchLogitsOneHot(buf32, states32, idxs, scores32)
+	requireRowsCleared(t, &buf32.batchRows, 20)
 
 	scratch := newBatchScratch[float64](20, []int{44, 32}, 9)
 	if scratch.MaxBatch() != 20 || len(scratch.xs) != 0 || scratch.logits != nil {

@@ -11,11 +11,11 @@ import (
 // source model untouched), plus the f32 derived layouts the hot paths want
 // — packed GEMV tiles at full f32 lane width and the transposed first-layer
 // W the one-hot gather walks. The snapshot shares the f64 tier's structure
-// step for step (fused bias epilogues, fused gate/cell update, batched
-// GEMM with per-stream combine), so its f32 results are bitwise-identical
-// across {scalar, avx2, avx512} and between the sequential and batched
-// paths; only the rounding differs from the f64 reference, which the
-// detection stack gates at the verdict level.
+// step for step (fused bias epilogues, fused gate/cell update, one pass
+// over the packed tiles per batched product), so its f32 results are
+// bitwise-identical across {scalar, avx2, avx512} and between the
+// sequential and batched paths; only the rounding differs from the f64
+// reference, which the detection stack gates at the verdict level.
 //
 // Snapshots are cached on the Classifier behind an atomic pointer, built
 // lazily by Infer32 and dropped by InvalidateInference alongside the f64
@@ -32,10 +32,6 @@ type inferLayer32 struct {
 	w, u       *mathx.Matrix32
 	b          []float32
 	wt         *mathx.Matrix32 // Wᵀ for the one-hot gather
-	// wg/ug are the batched-path row-pair GEMM packings of w/u; unlike the
-	// GEMV packs their layout is tier-independent, so they are built once at
-	// snapshot time and never go stale.
-	wg, ug *mathx.PackedGEMM32
 	// packW/packU are the tier-dependent GEMV packs of w/u, each built when
 	// first multiplied (see lazyPack).
 	packW, packU atomic.Pointer[mathx.PackedGEMV32]
@@ -46,7 +42,6 @@ type dense32 struct {
 	inputSize  int
 	outputSize int
 	w          *mathx.Matrix32
-	wg         *mathx.PackedGEMM32
 	b          []float32
 	pack       atomic.Pointer[mathx.PackedGEMV32]
 }
@@ -74,8 +69,6 @@ func newInferModel32(c *Classifier) *InferModel32 {
 			b:          toF32(l.B),
 		}
 		il.wt = il.w.Transpose()
-		il.wg = mathx.PackGEMM32(il.w)
-		il.ug = mathx.PackGEMM32(il.u)
 		m.layers = append(m.layers, il)
 	}
 	m.out = &dense32{
@@ -84,7 +77,6 @@ func newInferModel32(c *Classifier) *InferModel32 {
 		w:          mathx.ToMatrix32(c.Out.W),
 		b:          toF32(c.Out.B),
 	}
-	m.out.wg = mathx.PackGEMM32(m.out.w)
 	return m
 }
 
@@ -122,6 +114,12 @@ func lazyPack32(slot *atomic.Pointer[mathx.PackedGEMV32], m *mathx.Matrix32) *ma
 // GEMV epilogue.
 func (d *dense32) forwardInfer(dst, h []float32) {
 	lazyPack32(&d.pack, d.w).Apply(dst, h, d.b, mathx.GemvSetBias)
+}
+
+// forwardInferBatch is forwardInfer for every stream of a wave in one pass
+// over the packed head.
+func (d *dense32) forwardInferBatch(dsts, hs [][]float32) {
+	lazyPack32(&d.pack, d.w).ApplyBatch(dsts, hs, d.b, mathx.GemvSetBias)
 }
 
 // State32 is the f32 recurrent state of a streaming session running on an
@@ -189,14 +187,6 @@ func (l *inferLayer32) gatesCellUpdate(z, h, c []float32) {
 	}
 }
 
-// combineGatesCellUpdate fuses the batched epilogue: (wx + uh) + b in the
-// f64 path's exact operand order (VCombine32 is elementwise, so its SIMD
-// path preserves that order bitwise), then the gate/cell update.
-func (l *inferLayer32) combineGatesCellUpdate(row, urow, h, c []float32) {
-	mathx.VCombine32(row, urow, l.b)
-	l.gatesCellUpdate(row, h, c)
-}
-
 // stepInfer advances one timestep on the packed f32 weights.
 func (l *inferLayer32) stepInfer(z, x, h, c []float32) {
 	lazyPack32(&l.packW, l.w).Apply(z, x, nil, mathx.GemvSet)
@@ -237,96 +227,65 @@ func (m *InferModel32) StepLogitsOneHot(state *State32, idx []int, scores []floa
 	m.out.forwardInfer(scores, cur)
 }
 
-// BatchBuffer32 is the reusable f32 scratch for the batched paths — the
-// mirror of BatchBuffer, usable only with the snapshot that allocated it.
-type BatchBuffer32 struct{ batchScratch[float32] }
+// BatchBuffer32 is the reusable scratch of the f32 batched step — the
+// mirror of BatchBuffer, row tables only, cleared after every step.
+type BatchBuffer32 struct{ batchRows[float32] }
 
 // NewBatchBuffer returns f32 scratch for batches of up to maxBatch streams.
 func (m *InferModel32) NewBatchBuffer(maxBatch int) *BatchBuffer32 {
-	gates := make([]int, len(m.layers))
-	for i, l := range m.layers {
-		gates[i] = numGates * l.hiddenSize
-	}
-	return &BatchBuffer32{newBatchScratch[float32](maxBatch, gates, m.out.outputSize)}
+	return &BatchBuffer32{newBatchRows[float32](maxBatch)}
 }
 
 // StepBatchLogits advances n = len(states) independent f32 states through
 // one batched forward pass, writing each stream's raw logit vector into
 // scores[i]. Bitwise-identical to calling StepLogits once per stream, by
-// the same association contract as the f64 batched path — and like it,
-// streams past the last SIMD GEMM block take exactly that sequential step.
+// the same construction as the f64 batched step.
 func (m *InferModel32) StepBatchLogits(buf *BatchBuffer32, states []*State32, inputs [][]float32, scores [][]float32) {
-	n := len(states)
-	wide := buf.split(n, len(inputs), len(scores), mathx.GEMMBlock32())
-	if wide > 0 {
-		copy(buf.xs[:wide], inputs)
-		m.stepBatchLayers(buf, states, wide, 0)
-		m.stepBatchHead(buf, scores, wide)
-	}
-	for i := wide; i < n; i++ {
-		m.StepLogits(states[i], inputs[i], scores[i])
-	}
+	checkBatch(len(states), len(inputs), len(scores), buf.MaxBatch())
+	m.stepBatch(buf, states, inputs, scores)
 }
 
 // StepBatchLogitsOneHot is StepBatchLogits with the first layer's inputs
 // given as one-hot active-column index sets — the batched f32 engine hot
-// path.
+// path: one gather per stream into its gate row, then the shared batched
+// step.
 func (m *InferModel32) StepBatchLogitsOneHot(buf *BatchBuffer32, states []*State32, idxs [][]int, scores [][]float32) {
+	checkBatch(len(states), len(idxs), len(scores), buf.MaxBatch())
+	wt := m.layers[0].wt
+	for i, s := range states {
+		mathx.OneHotGather32(s.z[0], wt, idxs[i])
+	}
+	m.stepBatch(buf, states, nil, scores)
+}
+
+// stepBatch is Classifier.stepBatch on the f32 snapshot: per layer the W
+// product (already in the gate rows when xs is nil), the U product with
+// the bias on top and the gate epilogue, then the head, each product one
+// pass over its packed tiles for the whole wave.
+func (m *InferModel32) stepBatch(buf *BatchBuffer32, states []*State32, xs, scores [][]float32) {
 	n := len(states)
-	wide := buf.split(n, len(idxs), len(scores), mathx.GEMMBlock32())
-	if wide > 0 {
-		l0 := m.layers[0]
-		G := numGates * l0.hiddenSize
-		z := buf.z[0][:wide*G]
-		for i := 0; i < wide; i++ {
-			mathx.OneHotGather32(z[i*G:(i+1)*G], l0.wt, idxs[i])
-			buf.xs[i] = states[i].h[0]
+	zs, cs := buf.zs[:n], buf.cs[:n]
+	for li, l := range m.layers {
+		hs := buf.hs[li&1][:n]
+		for i, s := range states {
+			zs[i], hs[i], cs[i] = s.z[li], s.h[li], s.c[li]
 		}
-		zu := buf.zu[0][:wide*G]
-		l0.ug.MulRowsT(zu, buf.xs[:wide])
-		for i := 0; i < wide; i++ {
-			l0.combineGatesCellUpdate(z[i*G:(i+1)*G], zu[i*G:(i+1)*G], states[i].h[0], states[i].c[0])
-			buf.xs[i] = states[i].h[0]
-		}
-		m.stepBatchLayers(buf, states, wide, 1)
-		m.stepBatchHead(buf, scores, wide)
+		l.stepInferBatch(zs, xs, hs, cs)
+		xs = hs
 	}
-	for i := wide; i < n; i++ {
-		m.StepLogitsOneHot(states[i], idxs[i], scores[i])
-	}
+	m.out.forwardInferBatch(scores, xs)
+	buf.clear(n)
 }
 
-// stepBatchLayers advances layers [from, len) for a batch of n streams.
-func (m *InferModel32) stepBatchLayers(buf *BatchBuffer32, states []*State32, n, from int) {
-	for li := from; li < len(m.layers); li++ {
-		l := m.layers[li]
-		H := l.hiddenSize
-		z := buf.z[li][:n*numGates*H]
-		zu := buf.zu[li][:n*numGates*H]
-		l.wg.MulRowsT(z, buf.xs[:n])
-		for i := 0; i < n; i++ {
-			buf.xs[i] = states[i].h[li]
-		}
-		l.ug.MulRowsT(zu, buf.xs[:n])
-		for i := 0; i < n; i++ {
-			row := z[i*numGates*H : (i+1)*numGates*H]
-			urow := zu[i*numGates*H : (i+1)*numGates*H]
-			l.combineGatesCellUpdate(row, urow, states[i].h[li], states[i].c[li])
-			buf.xs[i] = states[i].h[li]
-		}
+// stepInferBatch is stepInfer for the streams whose gate rows, hidden and
+// cell vectors are zs, hs and cs; xs nil means the gate rows already hold
+// the input product.
+func (l *inferLayer32) stepInferBatch(zs, xs, hs, cs [][]float32) {
+	if xs != nil {
+		lazyPack32(&l.packW, l.w).ApplyBatch(zs, xs, nil, mathx.GemvSet)
 	}
-}
-
-// stepBatchHead runs the batched f32 dense head.
-func (m *InferModel32) stepBatchHead(buf *BatchBuffer32, scores [][]float32, n int) {
-	K := m.out.outputSize
-	logits := buf.logits[:n*K]
-	m.out.wg.MulRowsT(logits, buf.xs[:n])
-	for i := 0; i < n; i++ {
-		row := logits[i*K : (i+1)*K]
-		for j := range row {
-			row[j] += m.out.b[j]
-		}
-		copy(scores[i], row)
+	lazyPack32(&l.packU, l.u).ApplyBatch(zs, hs, l.b, mathx.GemvAddBias)
+	for i, z := range zs {
+		l.gatesCellUpdate(z, hs[i], cs[i])
 	}
 }

@@ -116,8 +116,7 @@ func TestInfer32OneHotMatchesDense(t *testing.T) {
 // TestInfer32BatchMatchesSequential: the batched f32 paths against the
 // sequential f32 step, bitwise, per tier — the f32 twin of
 // TestStepBatchLogitsOneHotMatchesDense, swept to twice the 16-wide block:
-// every width, several steps per width on persisting states, on a buffer
-// that grows mid-sequence and on one grown up front.
+// every width, several steps per width on persisting states.
 func TestInfer32BatchMatchesSequential(t *testing.T) {
 	const widest, stepsPerWidth = 16, 3
 	widths := sweepWidths(widest)
@@ -132,15 +131,12 @@ func TestInfer32BatchMatchesSequential(t *testing.T) {
 				m := c.Infer32()
 				rng := mathx.NewRNG(7)
 				buf := m.NewBatchBuffer(maxStreams)
-				grownBuf := m.NewBatchBuffer(maxStreams)
-				grownBuf.grow(maxStreams)
 				denseBuf := m.NewBatchBuffer(maxStreams)
 				sparse := make([]*State32, maxStreams)
-				grown := make([]*State32, maxStreams)
 				dense := make([]*State32, maxStreams)
 				seq := make([]*State32, maxStreams)
 				for i := range sparse {
-					sparse[i], grown[i], dense[i], seq[i] = m.NewState(), m.NewState(), m.NewState(), m.NewState()
+					sparse[i], dense[i], seq[i] = m.NewState(), m.NewState(), m.NewState()
 				}
 				seqScores := make([]float32, shape.classes)
 				for _, n := range shape.sweep(widths) {
@@ -148,25 +144,20 @@ func TestInfer32BatchMatchesSequential(t *testing.T) {
 						idxs := make([][]int, n)
 						xs := make([][]float32, n)
 						sparseScores := make([][]float32, n)
-						grownScores := make([][]float32, n)
 						denseScores := make([][]float32, n)
 						for i := 0; i < n; i++ {
 							idxs[i] = randomOneHot(rng, shape.in)
 							xs[i] = denseOneHot32(shape.in, idxs[i])
 							sparseScores[i] = make([]float32, shape.classes)
-							grownScores[i] = make([]float32, shape.classes)
 							denseScores[i] = make([]float32, shape.classes)
 						}
 						m.StepBatchLogitsOneHot(buf, sparse[:n], idxs, sparseScores)
-						m.StepBatchLogitsOneHot(grownBuf, grown[:n], idxs, grownScores)
 						m.StepBatchLogits(denseBuf, dense[:n], xs, denseScores)
 						for i := 0; i < n; i++ {
 							m.StepLogitsOneHot(seq[i], idxs[i], seqScores)
 							requireBits32Equal(t, "batch-vs-seq logits", sparseScores[i], seqScores)
-							requireBits32Equal(t, "grown-vs-seq logits", grownScores[i], seqScores)
 							requireBits32Equal(t, "dense-vs-seq logits", denseScores[i], seqScores)
 							requireStates32Equal(t, sparse[i], seq[i])
-							requireStates32Equal(t, grown[i], seq[i])
 							requireStates32Equal(t, dense[i], seq[i])
 						}
 					}

@@ -99,9 +99,11 @@ func (h *hub) unref(f *frame) {
 	}
 }
 
-// add registers a handshaken subscriber connection and starts its writer.
-// It reports false when the hub has already shut down.
-func (h *hub) add(conn net.Conn) bool {
+// add registers a handshaken subscriber connection and starts its writer,
+// which puts ack (the handshake's answer, if any) on the wire ahead of every
+// frame: a peer that waits for the ack is already counted in every publish
+// once it has read it. It reports false when the hub has already shut down.
+func (h *hub) add(conn net.Conn, ack []byte) bool {
 	sub := &subscriber{conn: conn, ch: make(chan *frame, h.buffer)}
 	h.mu.Lock()
 	if h.closed {
@@ -111,7 +113,7 @@ func (h *hub) add(conn net.Conn) bool {
 	h.subs[sub] = struct{}{}
 	h.wg.Add(1)
 	h.mu.Unlock()
-	go h.write(sub)
+	go h.write(sub, ack)
 	return true
 }
 
@@ -182,14 +184,23 @@ func (h *hub) publishFrame(f *frame) {
 	h.mu.Unlock()
 }
 
-// write is the per-subscriber writer loop: it streams queued frames
-// through a buffered writer, flushing whenever the queue runs dry, and
-// exits when the hub closes its channel (flushing first) or the peer
-// stops accepting writes — at the armed deadline, for a wedged peer under
-// a write timeout.
-func (h *hub) write(sub *subscriber) {
+// write is the per-subscriber writer loop: it writes ack, then streams
+// queued frames through a buffered writer, flushing whenever the queue runs
+// dry, and exits when the hub closes its channel (flushing first) or the
+// peer stops accepting writes — at the armed deadline, for a wedged peer
+// under a write timeout.
+func (h *hub) write(sub *subscriber, ack []byte) {
 	defer h.wg.Done()
 	defer sub.conn.Close()
+	if len(ack) > 0 {
+		if h.writeTimeout > 0 {
+			sub.conn.SetWriteDeadline(time.Now().Add(h.writeTimeout))
+		}
+		if _, err := sub.conn.Write(ack); err != nil {
+			h.abandon(sub)
+			return
+		}
+	}
 	bw := bufio.NewWriter(sub.conn)
 	for f := range sub.ch {
 		if h.writeTimeout > 0 {

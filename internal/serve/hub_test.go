@@ -42,12 +42,12 @@ func TestHubSlowConsumerDrops(t *testing.T) {
 
 	slowSrv, slowCli := net.Pipe() // nobody reads slowCli: writes park forever
 	defer slowCli.Close()
-	if !h.add(slowSrv) {
+	if !h.add(slowSrv, nil) {
 		t.Fatal("add slow subscriber")
 	}
 
 	fastSrv, fastCli := net.Pipe()
-	if !h.add(fastSrv) {
+	if !h.add(fastSrv, nil) {
 		t.Fatal("add fast subscriber")
 	}
 	var gotMu sync.Mutex
@@ -122,7 +122,7 @@ func TestHubSlowConsumerDrops(t *testing.T) {
 func TestHubSubscriberErrorRemoves(t *testing.T) {
 	h := newHub(4, 0)
 	srv, cli := net.Pipe()
-	if !h.add(srv) {
+	if !h.add(srv, nil) {
 		t.Fatal("add")
 	}
 	cli.Close() // next write errors
@@ -184,7 +184,7 @@ func (c *wedgedConn) SetWriteDeadline(t time.Time) error { return nil }
 func TestHubWriterErrorDrainsQueue(t *testing.T) {
 	h := newHub(8, 0)
 	conn := newWedgedConn()
-	if !h.add(conn) {
+	if !h.add(conn, nil) {
 		t.Fatal("add")
 	}
 
@@ -234,7 +234,7 @@ func TestHubWriterErrorDrainsQueue(t *testing.T) {
 func TestHubCoalescedFrameDelivery(t *testing.T) {
 	h := newHub(4, 0)
 	srv, cli := net.Pipe()
-	if !h.add(srv) {
+	if !h.add(srv, nil) {
 		t.Fatal("add")
 	}
 
@@ -284,7 +284,7 @@ func TestHubSubscriberWriteTimeout(t *testing.T) {
 	h := newHub(8, 50*time.Millisecond)
 	srv, cli := net.Pipe() // nobody reads cli: writes park until their deadline
 	defer cli.Close()
-	if !h.add(srv) {
+	if !h.add(srv, nil) {
 		t.Fatal("add")
 	}
 
@@ -328,7 +328,7 @@ func TestHubAddAfterClose(t *testing.T) {
 	srv, cli := net.Pipe()
 	defer srv.Close()
 	defer cli.Close()
-	if h.add(srv) {
+	if h.add(srv, nil) {
 		t.Error("add succeeded on a closed hub")
 	}
 	h.close(time.Second) // idempotent

@@ -170,12 +170,16 @@ func readHello(br *bufio.Reader) (hello, error) {
 // and message. Write errors are returned for the caller to log or ignore —
 // the peer may already be gone.
 func writeStatus(w io.Writer, code byte, msg string) error {
+	_, err := w.Write(appendStatus(make([]byte, 0, 2+len(msg)), code, msg))
+	return err
+}
+
+// appendStatus appends the wire form of a status answer to b.
+func appendStatus(b []byte, code byte, msg string) []byte {
 	if len(msg) > maxStringLen {
 		msg = msg[:maxStringLen]
 	}
-	b := append(make([]byte, 0, 2+len(msg)), code)
-	_, err := w.Write(appendString(b, msg))
-	return err
+	return appendString(append(b, code), msg)
 }
 
 // readStatus parses a status answer; a non-zero code comes back as an

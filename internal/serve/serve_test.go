@@ -823,3 +823,46 @@ func TestServeIdleTimeoutReleasesWedgedStream(t *testing.T) {
 	}
 	conn2.Close()
 }
+
+// TestServeSubscribeRegistersBeforeAck: Subscribe returns only once the
+// hub counts the subscriber, so every verdict published after it returns
+// is delivered or counted as a drop. Acknowledging before registering left
+// a window in which Stats().Subscribers had not caught up and a published
+// verdict reached nobody, uncounted.
+func TestServeSubscribeRegistersBeforeAck(t *testing.T) {
+	srv, _, verdicts := newTestServer(t, serve.Config{}, loadCorpora(t)[:1])
+	const rounds = 100
+	for i := uint64(1); i <= rounds; i++ {
+		sub, err := serve.Subscribe(verdicts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		if got := srv.Stats().Subscribers; got != i {
+			t.Fatalf("subscriber %d: Stats().Subscribers = %d right after Subscribe returned", i, got)
+		}
+	}
+}
+
+// TestServeReplayRedialSameStream: a replay connection releases its stream
+// — engine state included — before it writes the trailer, so when Replay
+// returns the engine holds nothing for the stream, and a client that
+// re-dials the same stream ID straight away is never rejected as already
+// connected nor races the old stream's release.
+func TestServeReplayRedialSameStream(t *testing.T) {
+	gas := loadCorpora(t)[0]
+	srv, ingest, _ := newTestServer(t, serve.Config{}, []*serveCorpus{gas})
+	tr := gas.traces[len(gas.traces)-1]
+	for i := 0; i < 100; i++ {
+		n, err := serve.Replay(ingest, tr.raw, serve.ReplayOptions{Stream: "redial"})
+		if err != nil {
+			t.Fatalf("replay %d: %v", i, err)
+		}
+		if n != uint64(tr.records) {
+			t.Fatalf("replay %d: server accepted %d of %d records", i, n, tr.records)
+		}
+		if active := srv.Engine().Stats().ActiveStreams(); active != 0 {
+			t.Fatalf("replay %d returned with %d engine streams still bound", i, active)
+		}
+	}
+}

@@ -448,7 +448,8 @@ func (s *Server) serveIngest(conn net.Conn) {
 		writeStatus(conn, 1, err.Error())
 		return
 	}
-	defer s.releaseStream(stream)
+	release := sync.OnceFunc(func() { s.releaseStream(stream) })
+	defer release()
 	if h.Precision != "" {
 		p, err := core.ParsePrecision(h.Precision)
 		if err == nil {
@@ -466,7 +467,20 @@ func (s *Server) serveIngest(conn net.Conn) {
 	s.accepted.Add(1)
 	switch h.Mode {
 	case ModeReplay:
-		s.serveReplay(conn, br, fw, fp, stream)
+		count, err := s.serveReplay(br, fw, fp, stream)
+		// Release before answering: a client that re-dials the stream ID as
+		// soon as Replay returns must find it free.
+		release()
+		if err != nil {
+			writeStatus(conn, 1, err.Error())
+			return
+		}
+		// Trailer: the peer half-closed its write side and reads this before
+		// closing. A vanished peer is its own acknowledgement.
+		if err := writeStatus(conn, 0, ""); err == nil {
+			var buf [10]byte
+			conn.Write(buf[:putUvarint(buf[:], count)])
+		}
 	case ModeLive:
 		s.serveLive(br, fw, regs, stream)
 	}
@@ -478,19 +492,17 @@ func (s *Server) serveIngest(conn net.Conn) {
 // engine pushes back on the socket. Records are admitted in bursts —
 // decode until IngestBurst packages have accumulated or the reader's
 // buffered data runs dry, then one SubmitBatchFor — so the engine's
-// per-submit costs amortize over whatever the wire already delivered. At
-// EOF the client gets a trailing status plus the accepted-package count.
-func (s *Server) serveReplay(conn net.Conn, br *bufio.Reader, fw *core.Framework, fp, stream string) {
+// per-submit costs amortize over whatever the wire already delivered. It
+// returns the accepted-package count at EOF, which the client gets in a
+// trailing status, or the error to answer with instead.
+func (s *Server) serveReplay(br *bufio.Reader, fw *core.Framework, fp, stream string) (uint64, error) {
 	tr, err := trace.NewReader(br)
 	if err != nil {
-		writeStatus(conn, 1, err.Error())
-		return
+		return 0, err
 	}
 	hdr := tr.Header()
 	if hdr.Fingerprint != "" && hdr.Fingerprint != fp {
-		writeStatus(conn, 1, fmt.Sprintf(
-			"trace is pinned to model %s, connection's model is %s", hdr.Fingerprint, fp))
-		return
+		return 0, fmt.Errorf("trace is pinned to model %s, connection's model is %s", hdr.Fingerprint, fp)
 	}
 	dec := trace.NewDecoder(hdr)
 	var count uint64
@@ -520,19 +532,16 @@ func (s *Server) serveReplay(conn net.Conn, br *bufio.Reader, fw *core.Framework
 			break
 		}
 		if err != nil {
-			writeStatus(conn, 1, err.Error())
-			return
+			return 0, err
 		}
 		pkg, err := dec.Decode(&rec)
 		if err != nil {
-			writeStatus(conn, 1, err.Error())
-			return
+			return 0, err
 		}
 		s.ingestRecords.Add(1)
 		if s.burst <= 1 {
 			if err := s.eng.SubmitFor(fw, stream, pkg); err != nil {
-				writeStatus(conn, 1, err.Error())
-				return
+				return 0, err
 			}
 			count++
 			s.bursts.Add(1)
@@ -548,23 +557,15 @@ func (s *Server) serveReplay(conn net.Conn, br *bufio.Reader, fw *core.Framework
 		// identity), so Buffered() sees exactly the decoder's unread data.
 		if len(batch) >= s.burst || br.Buffered() == 0 {
 			if err := flush(); err != nil {
-				writeStatus(conn, 1, err.Error())
-				return
+				return 0, err
 			}
 		}
 	}
 	if err := flush(); err != nil {
-		writeStatus(conn, 1, err.Error())
-		return
+		return 0, err
 	}
 	s.replayed.Add(count)
-	// Trailer: the peer half-closed its write side and reads this before
-	// closing. A vanished peer is its own acknowledgement.
-	if err := writeStatus(conn, 0, ""); err == nil {
-		var buf [10]byte
-		n := putUvarint(buf[:], count)
-		conn.Write(buf[:n])
-	}
+	return count, nil
 }
 
 // serveLive pumps raw Modbus/TCP frames into the engine with shedding
@@ -576,16 +577,14 @@ func (s *Server) serveReplay(conn net.Conn, br *bufio.Reader, fw *core.Framework
 // burst with one TrySubmitBatchFor — a full shard queue drops the whole
 // burst and counts the shed instead of stalling the wire.
 func (s *Server) serveLive(br *bufio.Reader, fw *core.Framework, regs tap.RegisterMap, stream string) {
-	dec := liveDecoder{regs: regs, outstanding: make(map[uint16]struct{}), started: time.Now()}
+	dec := &liveDecoder{regs: regs, started: time.Now()}
+	fr := modbus.NewFrameReader(br)
 	for {
-		f, err := modbus.ReadTCPFrame(br)
+		f, err := fr.Next()
 		if err != nil {
 			return
 		}
-		pkg, err := dec.decode(f)
-		if err != nil {
-			return
-		}
+		pkg := dec.decode(f)
 		s.ingestRecords.Add(1)
 		if s.burst <= 1 {
 			ok, err := s.eng.TrySubmitFor(fw, stream, pkg)
@@ -604,16 +603,12 @@ func (s *Server) serveLive(br *bufio.Reader, fw *core.Framework, regs tap.Regist
 		batch := make([]*dataset.Package, 0, s.burst)
 		batch = append(batch, pkg)
 		for len(batch) < s.burst && bufferedFrame(br) {
-			f, err := modbus.ReadTCPFrame(br)
-			if err != nil {
-				return
-			}
-			pkg, err := dec.decode(f)
+			f, err := fr.Next()
 			if err != nil {
 				return
 			}
 			s.ingestRecords.Add(1)
-			batch = append(batch, pkg)
+			batch = append(batch, dec.decode(f))
 		}
 		ok, err := s.eng.TrySubmitBatchFor(fw, stream, batch)
 		if err != nil {
@@ -632,53 +627,58 @@ func (s *Server) serveLive(br *bufio.Reader, fw *core.Framework, regs tap.Regist
 // liveDecoder turns one live Modbus/TCP frame into the Table I package
 // schema, carrying the per-connection direction table and clock.
 type liveDecoder struct {
-	regs        tap.RegisterMap
-	outstanding map[uint16]struct{}
+	regs tap.RegisterMap
+	// outstanding has one bit per transaction ID, set while a command with
+	// that ID awaits its response; open counts the set bits.
+	outstanding [1 << 16 / 64]uint64
+	open        int
 	started     time.Time
 }
 
-func (d *liveDecoder) decode(f *modbus.TCPFrame) (*dataset.Package, error) {
-	raw, err := modbus.EncodeTCP(f)
-	if err != nil {
-		return nil, err
-	}
+func (d *liveDecoder) decode(f *modbus.TCPFrame) *dataset.Package {
 	tid := f.Header.TransactionID
-	isCmd := true
-	if _, open := d.outstanding[tid]; open {
-		isCmd = false
-		delete(d.outstanding, tid)
-	} else {
-		d.outstanding[tid] = struct{}{}
-		if len(d.outstanding) > 4096 {
-			// A peer that never answers its own commands would grow the
-			// direction table without bound; resetting mis-directs only
-			// the responses of the dropped transactions.
-			d.outstanding = make(map[uint16]struct{})
+	word, bit := &d.outstanding[tid/64], uint64(1)<<(tid%64)
+	isCmd := *word&bit == 0
+	if isCmd {
+		*word |= bit
+		d.open++
+		if d.open > 4096 {
+			// A peer that never answers its own commands would fill the
+			// direction table; resetting mis-directs only the responses of
+			// the dropped transactions.
+			clear(d.outstanding[:])
+			d.open = 0
 		}
+	} else {
+		*word &^= bit
+		d.open--
 	}
 	pkg := &dataset.Package{
 		Address:  float64(f.Header.UnitID),
 		Function: float64(f.PDU.Function),
-		Length:   float64(len(raw)),
+		Length:   float64(mbapHeaderLen + f.PDU.Length()),
 		Time:     time.Since(d.started).Seconds(),
 	}
 	if isCmd {
 		pkg.CmdResponse = 1
 	}
 	d.regs.DecodePDU(pkg, f.PDU, isCmd)
-	return pkg, nil
+	return pkg
 }
+
+// mbapHeaderLen is the MBAP header's size on the wire: TID u16, protocol
+// u16, length u16, unit u8.
+const mbapHeaderLen = 7
 
 // bufferedFrame reports whether a complete MBAP frame is already sitting
 // in br's buffer — the live burst loop's "drain without blocking" probe.
 // A buffered header whose length field is invalid reports true so the
-// next ReadTCPFrame surfaces the framing error.
+// next frame read surfaces the framing error.
 func bufferedFrame(br *bufio.Reader) bool {
-	const hdrLen = 7 // TID u16, protocol u16, length u16, unit u8
-	if br.Buffered() < hdrLen {
+	if br.Buffered() < mbapHeaderLen {
 		return false
 	}
-	hdr, err := br.Peek(hdrLen)
+	hdr, err := br.Peek(mbapHeaderLen)
 	if err != nil {
 		return false
 	}
@@ -691,7 +691,9 @@ func bufferedFrame(br *bufio.Reader) bool {
 }
 
 // serveSubscribe handshakes one verdict subscriber and hands the
-// connection to the hub.
+// connection to the hub. The hub registers the subscriber before its writer
+// acknowledges the handshake, so every verdict published after Subscribe
+// returns is delivered or counted as a drop.
 func (s *Server) serveSubscribe(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	var m [8]byte
@@ -710,11 +712,8 @@ func (s *Server) serveSubscribe(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if err := writeStatus(conn, 0, ""); err != nil {
-		conn.Close()
-		return
-	}
-	if !s.hub.add(conn) {
+	if !s.hub.add(conn, appendStatus(nil, 0, "")) {
+		writeStatus(conn, 1, "server is shutting down")
 		conn.Close()
 	}
 }

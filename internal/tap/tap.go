@@ -7,6 +7,7 @@
 package tap
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -44,11 +45,13 @@ type RegisterMap struct {
 	MinRegisters int
 }
 
-func (m *RegisterMap) field(regs []uint16, idx int, scale float64) float64 {
-	if idx < 0 || idx >= len(regs) {
+// field decodes register idx of regs, big-endian register bytes as they
+// are on the wire.
+func (m *RegisterMap) field(regs []byte, idx int, scale float64) float64 {
+	if idx < 0 || idx >= len(regs)/2 {
 		return 0
 	}
-	return float64(regs[idx]) / scale
+	return float64(binary.BigEndian.Uint16(regs[2*idx:])) / scale
 }
 
 // DecodePDU populates the parameter columns of p from the function-specific
@@ -58,27 +61,28 @@ func (m *RegisterMap) field(regs []uint16, idx int, scale float64) float64 {
 // other function leaves the parameter columns zero. This is the single
 // frame→schema decode rule shared by the live tap and the trace replayer,
 // so a replayed capture reconstructs exactly the packages the tap would
-// have produced.
+// have produced. Registers are read in place from pdu's payload.
 func (m *RegisterMap) DecodePDU(p *dataset.Package, pdu *modbus.PDU, isCmd bool) {
 	switch pdu.Function {
 	case modbus.FuncWriteMultipleRegs:
 		if isCmd {
-			if _, values, err := modbus.ParseWriteMultipleRequest(pdu); err == nil {
-				m.decode(p, values)
+			if _, regs, err := modbus.WriteMultipleData(pdu); err == nil {
+				m.decode(p, regs)
 			}
 		}
 	case modbus.FuncReadHoldingRegisters, modbus.FuncReadInputRegisters, modbus.FuncReadState:
 		if !isCmd && !pdu.IsException() {
-			if values, err := modbus.ParseReadRegistersResponse(pdu); err == nil {
-				m.decode(p, values)
+			if regs, err := modbus.ReadRegistersData(pdu); err == nil {
+				m.decode(p, regs)
 			}
 		}
 	}
 }
 
-// decode populates the parameter columns of p from a register payload.
-func (m *RegisterMap) decode(p *dataset.Package, regs []uint16) {
-	if len(regs) < m.MinRegisters {
+// decode populates the parameter columns of p from a register payload,
+// big-endian register bytes.
+func (m *RegisterMap) decode(p *dataset.Package, regs []byte) {
+	if len(regs)/2 < m.MinRegisters {
 		return
 	}
 	p.Setpoint = m.field(regs, m.Setpoint, 100)

@@ -267,7 +267,7 @@ func TestRecorderAndSinkSimultaneous(t *testing.T) {
 func TestRegisterMapPartialPayload(t *testing.T) {
 	m := testRegisterMap()
 	p := &dataset.Package{}
-	m.decode(p, []uint16{800, 45}) // below MinRegisters
+	m.decode(p, []byte{0x03, 0x20, 0x00, 0x2d}) // 800, 45: below MinRegisters
 	if p.Setpoint != 0 {
 		t.Error("partial payload decoded parameter fields")
 	}
