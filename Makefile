@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race race-quick conformance serve-smoke benchmark benchmark-compare benchmark-smoke fuzz-smoke
+.PHONY: check build fmt vet test race race-quick stress-serve conformance serve-smoke benchmark benchmark-compare benchmark-smoke fuzz-smoke
 
 check: fmt vet build test race-quick fuzz-smoke benchmark-smoke
 
@@ -41,6 +41,15 @@ race-quick:
 	$(GO) test -race ./internal/engine/
 	$(GO) test -race -short ./internal/serve/
 	$(GO) test -race -run 'TestTraceConformance' .
+
+# The serving tests twenty times over under the race detector, verbose,
+# into stress-serve.log (git-ignored), so an intermittent failure keeps
+# its full output. Minutes long, so not part of check; run it while other
+# work (a fuzzer, say) loads the cores to shake out timing-dependent
+# failures.
+stress-serve:
+	$(GO) test -race -count=20 -v ./internal/serve/ > stress-serve.log 2>&1; \
+	status=$$?; tail -n 3 stress-serve.log; exit $$status
 
 # Boot the serving daemon on ephemeral ports and replay both committed
 # golden corpora into it over real TCP — concurrent connections, one
@@ -94,11 +103,16 @@ benchmark-smoke:
 
 # Short coverage-guided runs of the Modbus codec fuzzers, seeded from the
 # golden corpus frames (decode→encode must stay stable, no panics on
-# arbitrary bytes), and of the LSTM step's kernels: the f32 multi-stream
-# packed product and the one-hot gather of both precisions, bitwise against
-# their references on every kernel tier.
+# arbitrary bytes), of the serving daemon's two wire decoders (the ingest
+# handshake and the subscriber's event: no panic, no allocation past the
+# format's limits, decode→encode reproduces the input), and of the LSTM
+# step's kernels: the f32 multi-stream packed product and the one-hot
+# gather of both precisions, bitwise against their references on every
+# kernel tier.
 fuzz-smoke:
 	$(GO) test ./internal/modbus/ -run=NONE -fuzz=FuzzPDUDecode -fuzztime=5s
 	$(GO) test ./internal/modbus/ -run=NONE -fuzz=FuzzFrameDecode -fuzztime=5s
+	$(GO) test ./internal/serve/ -run=NONE -fuzz=FuzzReadHello -fuzztime=5s
+	$(GO) test ./internal/serve/ -run=NONE -fuzz=FuzzReadEvent -fuzztime=5s
 	$(GO) test ./internal/mathx/ -run=NONE -fuzz=FuzzApplyBatch32 -fuzztime=5s
 	$(GO) test ./internal/mathx/ -run=NONE -fuzz=FuzzOneHotGather -fuzztime=5s

@@ -67,8 +67,10 @@ func engineAllocs(t *testing.T, spec icsdetect.StackSpec) float64 {
 	defer eng.Stop()
 	feed := func(n int) {
 		for r := 0; r < n; r++ {
-			for _, p := range pkgs {
-				if err := eng.Submit("dev", p); err != nil {
+			// One-element windows of pkgs: admission itself allocates
+			// nothing.
+			for i := range pkgs {
+				if err := eng.SubmitBatchFor(nil, "dev", pkgs[i:i+1]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -120,7 +122,7 @@ func narrowBurstAllocs(t *testing.T, spec icsdetect.StackSpec) float64 {
 	}
 	feed := func(bursts [][]*icsdetect.Package) {
 		for b, burst := range bursts {
-			if err := eng.SubmitBatch(streams[b%len(streams)], burst); err != nil {
+			if err := eng.SubmitBatchFor(nil, streams[b%len(streams)], burst); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -355,8 +355,8 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, p := range verify {
-		if err := eq.Submit("equivalence", p); err != nil {
+	for i := range verify {
+		if err := eq.SubmitBatchFor(nil, "equivalence", verify[i:i+1]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -392,7 +392,8 @@ func BenchmarkEngineThroughput(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := e.Submit(keys[i%streams], test[i%len(test)]); err != nil {
+					k := i % len(test)
+					if err := e.SubmitBatchFor(nil, keys[i%streams], test[k:k+1]); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -445,7 +446,7 @@ func BenchmarkEngineNarrow(b *testing.B) {
 				for i := range burst {
 					burst[i] = test[(sent+i)%len(test)]
 				}
-				if err := e.SubmitBatch(streams[n%len(streams)], burst); err != nil {
+				if err := e.SubmitBatchFor(nil, streams[n%len(streams)], burst); err != nil {
 					b.Fatal(err)
 				}
 				sent += len(burst)

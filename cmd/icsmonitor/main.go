@@ -140,10 +140,10 @@ func run() error {
 	}
 	// The tap invokes the sink from its relay goroutines — one per
 	// direction per connection — so two goroutines can carry packages of
-	// the same unit. Engine.Submit requires per-stream submissions from
-	// one goroutine at a time; a mutex pins the stream order to the
+	// the same unit. Engine.SubmitBatchFor requires per-stream submissions
+	// from one goroutine at a time; a mutex pins the stream order to the
 	// arrival order the sink observes. Stream keys are precomputed per
-	// Modbus unit ID (a byte) to keep the submit path allocation-free.
+	// Modbus unit ID (a byte).
 	var unitStream [256]string
 	for i := range unitStream {
 		unitStream[i] = fmt.Sprintf("unit-%d", i)
@@ -152,7 +152,7 @@ func run() error {
 	proxy.SetSink(func(p *dataset.Package) {
 		submitMu.Lock()
 		defer submitMu.Unlock()
-		_ = eng.Submit(unitStream[int(p.Address)&0xff], p)
+		_ = eng.SubmitBatchFor(nil, unitStream[int(p.Address)&0xff], []*dataset.Package{p})
 	})
 
 	stop := make(chan os.Signal, 1)

@@ -9,7 +9,7 @@
 //	icsserved -model gaspipeline=model.bin [-model watertank=wt.bin]
 //	          [-ingest :1502] [-verdicts :1503] [-http :1504]
 //	          [-stack bloom,lstm] [-fusion first-hit] [-precision f64]
-//	          [-shards N] [-maxbatch 64] [-queue 256] [-burst 256]
+//	          [-shards N] [-maxbatch 64] [-queue 256]
 //	          [-drain 5s] [-idle 0] [-subbuffer 1024] [-subwrite 0]
 //	          [-statsevery 0]
 //
@@ -101,7 +101,6 @@ func run() error {
 		shards     = flag.Int("shards", 0, "engine worker shards (default GOMAXPROCS)")
 		maxBatch   = flag.Int("maxbatch", 0, "micro-batch width cap (default 64)")
 		queue      = flag.Int("queue", 0, "per-shard queue depth (default 4*maxbatch)")
-		burst      = flag.Int("burst", 0, "ingest burst width: packages admitted per engine submit (default 256; 1 selects the per-package path)")
 		drain      = flag.Duration("drain", 5*time.Second, "shutdown grace for live connections")
 		idle       = flag.Duration("idle", 0, "ingest idle read deadline; a silent peer is dropped and its stream released (0 disables)")
 		subBuffer  = flag.Int("subbuffer", 0, "per-subscriber frame buffer (default 1024)")
@@ -120,7 +119,6 @@ func run() error {
 		},
 		DrainGrace:             *drain,
 		IdleTimeout:            *idle,
-		IngestBurst:            *burst,
 		SubscriberBuffer:       *subBuffer,
 		SubscriberWriteTimeout: *subWrite,
 	}

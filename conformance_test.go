@@ -141,7 +141,7 @@ func TestTraceConformance(t *testing.T) {
 							t.Fatalf("engine replay drifted from goldens at line %d", line)
 						}
 
-						// Burst admission (SubmitBatch) must be verdict-invariant
+						// Burst admission (SubmitBatchFor) must be verdict-invariant
 						// too; the odd width keeps bursts straddling micro-batch
 						// boundaries.
 						burst, err := trace.Replay(c.fw, tc.header, tc.records, trace.ReplayConfig{
@@ -236,10 +236,10 @@ func TestTraceConformanceF32MixedPrecision(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range pkgs {
-				if err := eng.Submit("plc-f64", p); err != nil {
+				if err := eng.SubmitBatchFor(nil, "plc-f64", []*dataset.Package{p}); err != nil {
 					t.Fatal(err)
 				}
-				if err := eng.Submit("plc-f32", p); err != nil {
+				if err := eng.SubmitBatchFor(nil, "plc-f32", []*dataset.Package{p}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -263,7 +263,7 @@ func TestTraceConformanceF32MixedPrecision(t *testing.T) {
 
 // TestTraceConformanceMixedScenarios: one engine serving gas-pipeline and
 // water-tank streams concurrently on shared shards — each stream bound to
-// its scenario's model via SubmitFor, submissions interleaved round-robin
+// its scenario's model via SubmitBatchFor, submissions interleaved round-robin
 // across all 16 streams — must produce, per stream, verdicts
 // bytewise-identical to the committed goldens (which are sequential
 // single-scenario replays). Cross-scenario batching must never bleed state
@@ -324,7 +324,7 @@ func TestTraceConformanceMixedScenarios(t *testing.T) {
 			if s.fw != corpora[0].fw {
 				fw = s.fw
 			}
-			if err := eng.SubmitFor(fw, s.key, s.pkgs[i]); err != nil {
+			if err := eng.SubmitBatchFor(fw, s.key, []*dataset.Package{s.pkgs[i]}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -197,7 +197,7 @@ func run() error {
 				key = fmt.Sprintf("unit-%d", int(p.Address))
 				streamKeys[int(p.Address)] = key
 			}
-			if err := eng.Submit(key, p); err != nil {
+			if err := eng.SubmitBatchFor(nil, key, []*dataset.Package{p}); err != nil {
 				return err
 			}
 		}

@@ -209,8 +209,9 @@ type (
 )
 
 // NewEngine builds and starts a concurrent detection engine over a trained
-// detector. Feed it with Submit (one stream per device), read verdicts in
-// the handler, snapshot throughput with Stats, and release it with Stop:
+// detector. Feed it bursts with SubmitBatchFor (one stream per device; a
+// nil framework means det), read verdicts in the handler, snapshot
+// throughput with Stats, and release it with Stop:
 //
 //	eng, _ := icsdetect.NewEngine(det, icsdetect.EngineConfig{}, func(r icsdetect.EngineResult) {
 //		if r.Verdict.Anomaly {
@@ -218,7 +219,7 @@ type (
 //		}
 //	})
 //	for pkg := range captured {
-//		eng.Submit(deviceID(pkg), pkg)
+//		eng.SubmitBatchFor(nil, deviceID(pkg), []*icsdetect.Package{pkg})
 //	}
 //	eng.Stop()
 func NewEngine(det *Detector, cfg EngineConfig, handler EngineHandler) (*Engine, error) {

@@ -79,7 +79,7 @@ func TestFacadeQuickPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range split.Test {
-		if err := eng.Submit("link", p); err != nil {
+		if err := eng.SubmitBatchFor(nil, "link", []*icsdetect.Package{p}); err != nil {
 			t.Fatal(err)
 		}
 	}

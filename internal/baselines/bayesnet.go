@@ -67,21 +67,40 @@ func (bn *BayesNet) learnStructure(data [][]int) {
 	nvar := len(bn.card)
 	n := float64(len(data))
 
+	// Counts live in dense arrays reused across pairs, and the joint is
+	// summed in index order: summing over a map would follow Go's random
+	// map order, so the float sum — and with it a near-tied edge of the
+	// tree — could change between trainings.
+	maxCard := 0
+	for _, c := range bn.card {
+		maxCard = max(maxCard, c)
+	}
+	joint := make([]float64, maxCard*maxCard)
+	ma := make([]float64, maxCard)
+	mb := make([]float64, maxCard)
 	mi := func(a, b int) float64 {
-		joint := make(map[[2]int]float64)
-		ma := make(map[int]float64)
-		mb := make(map[int]float64)
+		ca, cb := bn.card[a], bn.card[b]
+		joint, ma, mb := joint[:ca*cb], ma[:ca], mb[:cb]
+		clear(joint)
+		clear(ma)
+		clear(mb)
 		for _, row := range data {
-			joint[[2]int{row[a], row[b]}]++
+			joint[row[a]*cb+row[b]]++
 			ma[row[a]]++
 			mb[row[b]]++
 		}
 		var m float64
-		for k, c := range joint {
-			pxy := c / n
-			px := ma[k[0]] / n
-			py := mb[k[1]] / n
-			m += pxy * math.Log(pxy/(px*py))
+		for x := 0; x < ca; x++ {
+			for y := 0; y < cb; y++ {
+				c := joint[x*cb+y]
+				if c == 0 {
+					continue
+				}
+				pxy := c / n
+				px := ma[x] / n
+				py := mb[y] / n
+				m += pxy * math.Log(pxy/(px*py))
+			}
 		}
 		return m
 	}

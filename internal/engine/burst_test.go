@@ -28,7 +28,7 @@ func reloadFramework(t *testing.T, fw *core.Framework) *core.Framework {
 }
 
 // TestEngineBatchMatchesSequentialSessions is the burst path's core
-// guarantee: mixed SubmitBatch bursts and single Submits, interleaved with
+// guarantee: wide bursts and one-element bursts, interleaved with
 // Barriers, produce for every stream exactly the verdicts a sequential
 // core.Session would — same values, same per-stream FIFO order — across
 // shard counts and burst widths (including bursts wider than MaxBatch).
@@ -81,8 +81,8 @@ func TestEngineBatchMatchesSequentialSessions(t *testing.T) {
 			}
 
 			// Submit in arrival order, accumulating per-stream bursts. Every
-			// third flush goes through the single-package path instead, so
-			// bursts and singles interleave on the same streams; a Barrier
+			// third flush goes out as one-element bursts instead, so wide
+			// and one-element bursts interleave on the same streams; a Barrier
 			// lands after each third of the load with all pending bursts
 			// flushed first, checking mid-run completeness.
 			pending := make(map[string][]*dataset.Package)
@@ -96,13 +96,13 @@ func TestEngineBatchMatchesSequentialSessions(t *testing.T) {
 				flushes++
 				if flushes%3 == 0 {
 					for _, p := range batch {
-						if err := e.Submit(key, p); err != nil {
+						if err := e.SubmitBatchFor(nil, key, []*dataset.Package{p}); err != nil {
 							t.Fatal(err)
 						}
 					}
 					return
 				}
-				if err := e.SubmitBatch(key, batch); err != nil {
+				if err := e.SubmitBatchFor(nil, key, batch); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -152,7 +152,7 @@ func TestEngineBatchMatchesSequentialSessions(t *testing.T) {
 }
 
 // TestEngineBatchBindingAndRelease: SubmitBatchFor binds the stream on its
-// first burst like SubmitFor does; a burst under a different framework is
+// first burst; a burst under a different framework is
 // rejected whole (nothing partially classified); Release frees the binding
 // so the stream can rebind; the empty burst is a no-op that neither binds
 // nor errors.
@@ -177,7 +177,7 @@ func TestEngineBatchBindingAndRelease(t *testing.T) {
 	if err := e.SubmitBatchFor(fw2, "tank-1", nil); err != nil {
 		t.Fatalf("empty burst errored: %v", err)
 	}
-	if err := e.SubmitBatch("tank-1", pkgs[:2]); err != nil {
+	if err := e.SubmitBatchFor(nil, "tank-1", pkgs[:2]); err != nil {
 		t.Fatalf("default bind after empty fw2 burst: %v", err)
 	}
 	// Bound to the default now: a burst under fw2 must be rejected whole.
@@ -210,11 +210,11 @@ func TestEngineBatchBindingAndRelease(t *testing.T) {
 
 	// Lifecycle guard: batch submits after Stop error; the try variant
 	// reports neither queued nor shed.
-	if err := e.SubmitBatch("tank-1", pkgs[:1]); err == nil {
-		t.Error("SubmitBatch after Stop did not error")
+	if err := e.SubmitBatchFor(nil, "tank-1", pkgs[:1]); err == nil {
+		t.Error("SubmitBatchFor after Stop did not error")
 	}
-	if ok, err := e.TrySubmitBatch("tank-1", pkgs[:1]); ok || err == nil {
-		t.Error("TrySubmitBatch after Stop did not error")
+	if ok, err := e.TrySubmitBatchFor(nil, "tank-1", pkgs[:1]); ok || err == nil {
+		t.Error("TrySubmitBatchFor after Stop did not error")
 	}
 }
 
@@ -242,7 +242,7 @@ func TestEngineTryBatchAllOrNothing(t *testing.T) {
 	}
 
 	// First package occupies the worker inside the handler...
-	if err := e.Submit("dev", pkgs[0]); err != nil {
+	if err := e.SubmitBatchFor(nil, "dev", []*dataset.Package{pkgs[0]}); err != nil {
 		t.Fatal(err)
 	}
 	<-first
@@ -250,9 +250,9 @@ func TestEngineTryBatchAllOrNothing(t *testing.T) {
 	// one per package.
 	for i := 0; i < 4; i++ {
 		batch := pkgs[1+3*i : 4+3*i]
-		ok, err := e.TrySubmitBatch("dev", batch)
+		ok, err := e.TrySubmitBatchFor(nil, "dev", batch)
 		if err != nil || !ok {
-			t.Fatalf("TrySubmitBatch %d: ok=%v err=%v, want queued", i, ok, err)
+			t.Fatalf("TrySubmitBatchFor %d: ok=%v err=%v, want queued", i, ok, err)
 		}
 	}
 	if st := e.Stats(); st.QueueDepth != 4 {
@@ -260,15 +260,15 @@ func TestEngineTryBatchAllOrNothing(t *testing.T) {
 	}
 	// The queue is full: the next burst sheds whole, and shedding on a
 	// stream not yet bound must not bind it.
-	if ok, err := e.TrySubmitBatch("dev", pkgs[13:15]); ok || err != nil {
-		t.Errorf("TrySubmitBatch on a full queue: ok=%v err=%v, want shed", ok, err)
+	if ok, err := e.TrySubmitBatchFor(nil, "dev", pkgs[13:15]); ok || err != nil {
+		t.Errorf("TrySubmitBatchFor on a full queue: ok=%v err=%v, want shed", ok, err)
 	}
 	if ok, err := e.TrySubmitBatchFor(fw2, "fresh", pkgs[13:15]); ok || err != nil {
 		t.Errorf("TrySubmitBatchFor on a full queue: ok=%v err=%v, want shed", ok, err)
 	}
 	// The empty burst reports admitted without occupying a slot.
-	if ok, err := e.TrySubmitBatch("dev", nil); !ok || err != nil {
-		t.Errorf("empty TrySubmitBatch: ok=%v err=%v, want trivial success", ok, err)
+	if ok, err := e.TrySubmitBatchFor(nil, "dev", nil); !ok || err != nil {
+		t.Errorf("empty TrySubmitBatchFor: ok=%v err=%v, want trivial success", ok, err)
 	}
 
 	close(release)
@@ -305,11 +305,11 @@ func TestEngineTryBatchShedDoesNotBind(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := e.Submit("dev", pkgs[0]); err != nil {
+	if err := e.SubmitBatchFor(nil, "dev", []*dataset.Package{pkgs[0]}); err != nil {
 		t.Fatal(err)
 	}
 	<-first
-	if ok, err := e.TrySubmit("dev", pkgs[1]); err != nil || !ok {
+	if ok, err := e.TrySubmitBatchFor(nil, "dev", []*dataset.Package{pkgs[1]}); err != nil || !ok {
 		t.Fatalf("fill queue: ok=%v err=%v", ok, err)
 	}
 	// Shed a fw2 burst on the fresh stream, then release the worker and
@@ -322,7 +322,7 @@ func TestEngineTryBatchShedDoesNotBind(t *testing.T) {
 	if err := e.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SubmitBatch("fresh", pkgs[2:5]); err != nil {
+	if err := e.SubmitBatchFor(nil, "fresh", pkgs[2:5]); err != nil {
 		t.Errorf("default bind after a shed fw2 burst: %v (shed must not bind)", err)
 	}
 	e.Stop()

@@ -5,10 +5,10 @@
 //
 // Architecture:
 //
-//	Submit(stream, pkg) ──hash(stream)──▶ shard 0 ─▶ worker goroutine
-//	                                      shard 1 ─▶ worker goroutine
-//	                                      …            │
-//	                                                   ▼
+//	SubmitBatchFor(fw, stream, pkgs) ──hash(stream)──▶ shard 0 ─▶ worker goroutine
+//	                                                   shard 1 ─▶ worker goroutine
+//	                                                   …            │
+//	                                                                ▼
 //	                      tick: drain queued packets
 //	                        precompute batchable Check scores (window
 //	                          levels: PCA/GMM batched kernels)
@@ -24,14 +24,15 @@
 // drained tick instead of one scalar pass per package; the engine asks
 // each stage what it can batch (core.AdvanceBatchStage,
 // core.CheckBatchStage) instead of hard-coding the LSTM. Shard input
-// channels are bounded: a saturated engine pushes back on Submit instead
-// of growing without bound.
+// channels are bounded: a saturated engine pushes back on SubmitBatchFor
+// instead of growing without bound.
 package engine
 
 import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,19 +50,14 @@ type Config struct {
 	// Default: 64.
 	MaxBatch int
 	// QueueDepth bounds each shard's input channel; a full shard blocks
-	// Submit (backpressure). Default: 4 * MaxBatch.
+	// SubmitBatchFor (backpressure). Default: 4 * MaxBatch.
 	QueueDepth int
 	// Stack describes the detection stack every stream applies. Empty
-	// means the stack equivalent of Mode (default: the paper's two-level
-	// bloom,lstm stack under first-hit fusion). Stack.Precision sets the
-	// default numeric tier; individual streams opt into a different tier
-	// with BindPrecision before their first package.
+	// means the paper's two-level bloom,lstm stack under first-hit fusion.
+	// Stack.Precision sets the default numeric tier; individual streams
+	// opt into a different tier with BindPrecision before their first
+	// package.
 	Stack core.StackSpec
-	// Mode is the legacy level selector; it is consulted only when Stack
-	// is empty.
-	//
-	// Deprecated: describe the levels with Stack instead.
-	Mode core.Mode
 	// TickEnd, when non-nil, is called on the shard worker goroutine after
 	// each drained tick has been fully classified and flushed (and once
 	// more when the worker exits), with the shard index. It is the
@@ -72,9 +68,8 @@ type Config struct {
 	TickEnd func(shard int)
 }
 
-// withDefaults fills unset fields. An invalid legacy Mode is an error, as
-// it was before the stack refactor.
-func (c Config) withDefaults() (Config, error) {
+// withDefaults fills unset fields.
+func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -85,17 +80,9 @@ func (c Config) withDefaults() (Config, error) {
 		c.QueueDepth = 4 * c.MaxBatch
 	}
 	if len(c.Stack.Stages) == 0 {
-		mode := c.Mode
-		if mode == 0 {
-			mode = core.ModeCombined
-		}
-		spec, err := core.SpecForMode(mode)
-		if err != nil {
-			return c, err
-		}
-		c.Stack = spec
+		c.Stack = core.DefaultStackSpec()
 	}
-	return c, nil
+	return c
 }
 
 // Result is one classified package.
@@ -122,27 +109,31 @@ type Result struct {
 // bounded queues, eventually the submitters.
 type Handler func(Result)
 
-// packet is one queued unit of work: a package of a stream (with the
-// framework that classifies it; nil means the engine default), a burst of
-// packages of one stream (pkgs non-nil and never empty, enqueued by the
-// batch submit paths as a single channel operation), a barrier marker
-// (barrier non-nil) that the worker acknowledges once everything queued
-// before it has been classified and flushed, or a release marker (release
-// non-nil) that drops the stream's shard state the same way.
+// packet is one queued unit of work: a burst of packages of one stream
+// (pkgs never empty, classified under key), a barrier marker (barrier
+// non-nil) that the worker acknowledges once everything queued before it
+// has been classified and flushed, or a release marker (release non-nil)
+// that drops the stream's shard state the same way.
 type packet struct {
 	stream string
-	pkg    *dataset.Package
-	// pkgs is a burst: the stream's packages in submission order. The
+	// pkgs is the burst: the stream's packages in submission order. The
 	// engine owns the slice once the packet is enqueued.
 	pkgs    []*dataset.Package
-	fw      *core.Framework
+	key     pair
 	barrier *sync.WaitGroup
 	release *sync.WaitGroup
 }
 
+// pair is what a batched pass never mixes: one framework's weights at one
+// numeric tier. A stream runs under one pair, fixed by its first burst.
+type pair struct {
+	fw   *core.Framework
+	prec core.Precision
+}
+
 // Engine is a running multi-stream detection engine. Create one with New,
-// feed it with Submit, stop it with Stop. The framework must not be mutated
-// (SetK, Update, …) while the engine runs.
+// feed it with SubmitBatchFor, stop it with Stop. The framework must not be
+// mutated (SetK, Update, …) while the engine runs.
 //
 // Stream state (a Session with its per-level states) is retained until the
 // stream is explicitly released — recurrent detection has no natural point
@@ -151,7 +142,10 @@ type packet struct {
 // connection to one stream) must call Release when the identity dies, or
 // churn of distinct stream IDs grows memory without bound.
 type Engine struct {
-	fw      *core.Framework
+	// def is the default pair: New's framework at the configured
+	// precision. New proved it supports the stack, and no Release forgets
+	// it.
+	def     pair
 	cfg     Config
 	handler Handler
 	shards  []*shard
@@ -160,26 +154,23 @@ type Engine struct {
 	stopped atomic.Bool
 	// mu serializes submissions against Stop: submitters hold it shared
 	// for the duration of their channel send, and Stop takes it exclusive
-	// before closing the shard channels, so a racing Submit returns the
+	// before closing the shard channels, so a racing submit returns the
 	// stopped error instead of panicking on a closed channel.
 	mu sync.RWMutex
-	// bindings maps stream → *core.Framework, fixed by the stream's first
-	// submission. Rebinding a live stream to a different model would
-	// silently score it with the wrong weights, so SubmitFor enforces the
-	// binding here, on the submit path, where it can return an error. A
-	// plain string-keyed map under bindMu instead of a sync.Map: sync.Map
-	// boxes the key on every Load/LoadOrStore, one heap allocation per
-	// submitted package, while a built-in map lookup allocates nothing.
-	bindMu   sync.RWMutex
-	bindings map[string]*core.Framework
-	// precisions maps stream → numeric tier for streams bound away from the
-	// engine default by BindPrecision, under bindMu with bindings. Absent
-	// means the configured Stack.Precision.
-	precisions map[string]core.Precision
-	// validated caches (framework, precision) pairs already proven to
-	// support the engine's stack, so SubmitFor pays the stack resolution
-	// once per pair instead of once per package.
-	validated sync.Map
+	// bindMu guards the binding table. binds maps stream → its pair as
+	// bound so far: the tier BindPrecision chose ("" means the engine
+	// default) and, from the stream's first burst on, its framework. Release
+	// deletes the row. Rebinding a live stream to another model would
+	// silently score it with the wrong weights, so admission enforces the
+	// binding here, where it can return an error. refs counts the
+	// traffic-carrying streams of each pair: a pair is proven to support
+	// the engine's stack when its count leaves zero and forgotten when the
+	// count returns there, so a swapped-out model does not stay reachable.
+	// Built-in maps, not a sync.Map: sync.Map boxes the key on every
+	// lookup, one heap allocation per burst.
+	bindMu sync.RWMutex
+	binds  map[string]pair
+	refs   map[pair]int
 	// firstPanic keeps the first handler/stage panic a shard worker
 	// recovered; Stop surfaces it once the workers have drained.
 	firstPanic atomic.Pointer[PanicError]
@@ -200,38 +191,26 @@ func (p *PanicError) Error() string {
 	return fmt.Sprintf("engine: recovered handler panic: %v", p.Value)
 }
 
-// recordPanic keeps the first recovered panic for Stop.
-func (e *Engine) recordPanic(v any) {
-	e.firstPanic.CompareAndSwap(nil, &PanicError{Value: v, Stack: string(debug.Stack())})
-}
-
-// validationKey keys the validated cache: batching never mixes weights or
-// numeric tiers, so support is proven per (framework, precision) pair.
-type validationKey struct {
-	fw   *core.Framework
-	prec core.Precision
-}
-
 // New builds and starts an engine over a trained framework. handler may be
 // nil when only the counters are of interest. The configured stack must
 // resolve against the framework (levels beyond the built-in two need their
 // stage models trained; see core.Framework.TrainStages).
 func New(fw *core.Framework, cfg Config, handler Handler) (*Engine, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
+	cfg = cfg.withDefaults()
 	if _, err := fw.NewStack(cfg.Stack); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	e := &Engine{
-		fw:         fw,
-		cfg:        cfg,
-		handler:    handler,
-		shards:     make([]*shard, cfg.Shards),
-		started:    time.Now(),
-		bindings:   make(map[string]*core.Framework),
-		precisions: make(map[string]core.Precision),
+		def:     pair{fw: fw, prec: cfg.Stack.Precision},
+		cfg:     cfg,
+		handler: handler,
+		shards:  make([]*shard, cfg.Shards),
+		started: time.Now(),
+		binds:   make(map[string]pair),
+		refs:    make(map[pair]int),
+	}
+	if e.def.prec == "" {
+		e.def.prec = core.PrecisionF64
 	}
 	for i := range e.shards {
 		e.shards[i] = newShard(i, e)
@@ -258,96 +237,135 @@ func (e *Engine) shardFor(stream string) *shard {
 	return e.shards[h%uint64(len(e.shards))]
 }
 
-// Submit enqueues one package of a stream, blocking while the stream's
-// shard queue is full (backpressure). Packages of one stream must be
-// submitted from one goroutine at a time to preserve stream order; distinct
-// streams may submit concurrently. Submitting during or after Stop returns
-// an error.
-func (e *Engine) Submit(stream string, pkg *dataset.Package) error {
-	return e.SubmitFor(nil, stream, pkg)
-}
-
-// SubmitFor is Submit with an explicit framework: the stream is classified
-// by fw instead of the engine default, letting one engine serve streams of
-// different scenarios — each with its own trained model — on shared shards.
-// The first package of a stream binds it to its framework for the lifetime
-// of the engine; a later submission of the same stream under a different
-// framework (nil counts as the default) is rejected with an error before
-// anything is enqueued — recurrent state is model-specific, so a rebound
-// stream would silently be scored with the wrong weights. fw must support
-// the engine's stack: a framework missing a level's stage model is
-// rejected here too. Within a shard, streams of distinct frameworks
-// micro-batch separately — batching never mixes weights — while per-stream
-// verdicts remain exactly those of a sequential core.Session over fw. A
-// nil fw means the engine's default framework.
-func (e *Engine) SubmitFor(fw *core.Framework, stream string, pkg *dataset.Package) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.stopped.Load() {
-		return fmt.Errorf("engine: submit after Stop")
-	}
-	if err := e.validateFor(fw, stream); err != nil {
-		return err
-	}
-	if err := e.bindStream(stream, fw); err != nil {
-		return err
-	}
-	e.shardFor(stream).in <- packet{stream: stream, pkg: pkg, fw: fw}
-	return nil
-}
-
-// SubmitBatch enqueues a burst of packages of one stream, in order, as a
-// single operation; see SubmitBatchFor.
-func (e *Engine) SubmitBatch(stream string, pkgs []*dataset.Package) error {
-	return e.SubmitBatchFor(nil, stream, pkgs)
-}
-
-// SubmitBatchFor is SubmitFor amortized over a burst: the stopped check,
-// the stack validation, the stream→framework binding and the shard
-// channel send are each paid once for the whole burst instead of once per
-// package — the serving daemon's ingest loops use it to submit every
-// record already buffered on the wire in one call. The packages are
-// classified in slice order and interleave with other submissions exactly
-// as if each had been submitted individually at the moment of the call:
-// per-stream FIFO, barrier and release ordering, and per-stream verdicts
-// are identical to the equivalent SubmitFor sequence. The engine takes
-// ownership of pkgs — the caller must not reuse or mutate the slice after
-// a successful submit. An empty burst is a no-op that binds nothing.
-// Blocking, binding and error semantics are those of SubmitFor.
+// SubmitBatchFor enqueues a burst of packages of one stream, in order, as
+// one operation, blocking while the stream's shard queue is full
+// (backpressure). fw classifies the stream (nil means the engine default),
+// so one engine serves streams of different models on shared shards;
+// batched passes never mix frameworks or precisions, and per-stream
+// verdicts are exactly those of a sequential core.Session over fw,
+// however the stream is cut into bursts.
+//
+// A stream's first burst binds it to fw until Release. A burst under a
+// different framework (nil counts as the default), or under one that lacks
+// a level's stage model, is rejected before anything is enqueued —
+// recurrent state is model-specific. A stream's bursts must come from one
+// goroutine at a time. The engine owns pkgs once the call succeeds: the
+// caller must not mutate it. An empty burst is a no-op that binds nothing.
+// Submitting during or after Stop returns an error.
 func (e *Engine) SubmitBatchFor(fw *core.Framework, stream string, pkgs []*dataset.Package) error {
+	_, err := e.admit(fw, stream, pkgs, true)
+	return err
+}
+
+// TrySubmitBatchFor is SubmitBatchFor without blocking — the in-path shape
+// of live ingest, where shedding beats stalling the protocol path. A burst
+// occupies one slot of the stream's shard queue; when the queue is full
+// the whole burst is shed and reported false — all-or-nothing, so a shed
+// never splits a burst and per-stream verdict sequences stay prefixes of
+// the full sequence per admission decision. A shed burst binds nothing.
+// An empty burst reports true.
+func (e *Engine) TrySubmitBatchFor(fw *core.Framework, stream string, pkgs []*dataset.Package) (bool, error) {
+	return e.admit(fw, stream, pkgs, false)
+}
+
+// admit is the one admission body: check (or, on the stream's first
+// burst, record) the binding, then enqueue the burst — waiting for room
+// when block is set, shedding it otherwise.
+func (e *Engine) admit(fw *core.Framework, stream string, pkgs []*dataset.Package, block bool) (bool, error) {
 	if len(pkgs) == 0 {
-		return nil
+		return true, nil
+	}
+	if fw == nil {
+		fw = e.def.fw
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.stopped.Load() {
-		return fmt.Errorf("engine: submit after Stop")
+		return false, fmt.Errorf("engine: submit after Stop")
 	}
-	if err := e.validateFor(fw, stream); err != nil {
-		return err
+	key, fresh, err := e.bind(stream, fw)
+	if err != nil {
+		return false, err
 	}
-	if err := e.bindStream(stream, fw); err != nil {
-		return err
+	pkt := packet{stream: stream, pkgs: pkgs, key: key}
+	in := e.shardFor(stream).in
+	if block {
+		in <- pkt
+		return true, nil
 	}
-	e.shardFor(stream).in <- packet{stream: stream, pkgs: pkgs, fw: fw}
-	return nil
+	select {
+	case in <- pkt:
+		return true, nil
+	default:
+		if fresh {
+			e.unbind(stream, false)
+		}
+		return false, nil
+	}
 }
 
-// validateFor proves once per (framework, precision) pair that a
-// non-default framework supports the engine's stack at the stream's tier.
-// The engine default was validated by New; nil means the default.
-func (e *Engine) validateFor(fw *core.Framework, stream string) error {
-	if fw == nil || fw == e.fw {
-		return nil
+// bind checks a stream's binding against fw and returns the stream's pair.
+// On the stream's first burst it records the binding (fresh) and counts
+// the stream against its pair; the first stream of a pair proves that fw
+// supports the engine's stack at the pair's precision.
+func (e *Engine) bind(stream string, fw *core.Framework) (key pair, fresh bool, err error) {
+	e.bindMu.RLock()
+	b := e.binds[stream]
+	e.bindMu.RUnlock()
+	if b.fw == fw {
+		return e.pairOf(b), false, nil
 	}
-	key := validationKey{fw: fw, prec: e.precisionOf(stream)}
-	if _, ok := e.validated.Load(key); !ok {
+	e.bindMu.Lock()
+	defer e.bindMu.Unlock()
+	b = e.binds[stream]
+	switch {
+	case b.fw == fw:
+		return e.pairOf(b), false, nil
+	case b.fw != nil:
+		return pair{}, false, fmt.Errorf("engine: stream %q is already bound to a different framework", stream)
+	}
+	b.fw = fw
+	key = e.pairOf(b)
+	if e.refs[key] == 0 && key != e.def {
 		if _, err := fw.NewStack(e.stackFor(key.prec)); err != nil {
-			return fmt.Errorf("engine: submit for framework: %w", err)
+			return pair{}, false, fmt.Errorf("engine: submit for framework: %w", err)
 		}
-		e.validated.Store(key, struct{}{})
 	}
-	return nil
+	e.refs[key]++
+	e.binds[stream] = b
+	return key, true, nil
+}
+
+// unbind drops a stream's framework binding and its count against its
+// pair. all also forgets the stream's precision (Release); a shed first
+// burst keeps it.
+func (e *Engine) unbind(stream string, all bool) {
+	e.bindMu.Lock()
+	defer e.bindMu.Unlock()
+	b, ok := e.binds[stream]
+	if !ok {
+		return
+	}
+	if b.fw != nil {
+		key := e.pairOf(b)
+		if e.refs[key]--; e.refs[key] == 0 {
+			delete(e.refs, key)
+		}
+	}
+	if b.fw = nil; all || b.prec == "" {
+		delete(e.binds, stream)
+	} else {
+		e.binds[stream] = b
+	}
+}
+
+// pairOf resolves a row of the binding table: its tier defaults to the
+// engine's.
+func (e *Engine) pairOf(b pair) pair {
+	if b.prec == "" {
+		b.prec = e.def.prec
+	}
+	return b
 }
 
 // StackSpec returns the engine's resolved stack spec (defaults applied):
@@ -365,21 +383,6 @@ func (e *Engine) stackFor(p core.Precision) core.StackSpec {
 	return spec
 }
 
-// precisionOf returns the numeric tier of a stream: its BindPrecision
-// binding, or the configured default.
-func (e *Engine) precisionOf(stream string) core.Precision {
-	e.bindMu.RLock()
-	p, ok := e.precisions[stream]
-	e.bindMu.RUnlock()
-	if !ok {
-		p = e.cfg.Stack.Precision
-	}
-	if p == "" {
-		p = core.PrecisionF64
-	}
-	return p
-}
-
 // BindPrecision pins a stream to a numeric tier before its first package:
 // the stream's sessions and micro-batches run the engine's stack at p
 // instead of the configured default, and — like the per-framework batches
@@ -387,162 +390,42 @@ func (e *Engine) precisionOf(stream string) core.Precision {
 // happen before the stream carries traffic (recurrent state is
 // tier-specific, so re-tiering a live stream would corrupt it); an
 // unsupported tier for the engine's stack is rejected here, fail-fast,
-// with the same validation the -precision flag gets at startup.
+// with the same validation the -precision flag gets at startup. Release
+// forgets the tier with the rest of the stream's binding.
 func (e *Engine) BindPrecision(stream string, p core.Precision) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.stopped.Load() {
 		return fmt.Errorf("engine: bind precision after Stop")
 	}
-	if _, err := e.fw.NewStack(e.stackFor(p)); err != nil {
+	if _, err := e.def.fw.NewStack(e.stackFor(p)); err != nil {
 		return fmt.Errorf("engine: bind precision: %w", err)
 	}
 	e.bindMu.Lock()
 	defer e.bindMu.Unlock()
-	if _, active := e.bindings[stream]; active {
+	b := e.binds[stream]
+	if b.fw != nil {
 		return fmt.Errorf("engine: stream %q already carries traffic; precision is fixed at first package", stream)
 	}
-	if prev, ok := e.precisions[stream]; ok && prev != p {
-		return fmt.Errorf("engine: stream %q is already bound to precision %s", stream, prev)
+	if b.prec != "" && b.prec != p {
+		return fmt.Errorf("engine: stream %q is already bound to precision %s", stream, b.prec)
 	}
-	e.precisions[stream] = p
+	b.prec = p
+	e.binds[stream] = b
 	return nil
 }
 
-// bindStream records (or checks) the stream→framework binding. nil
-// normalizes to the engine default, so Submit and SubmitFor(nil, …) agree.
-func (e *Engine) bindStream(stream string, fw *core.Framework) error {
-	if fw == nil {
-		fw = e.fw
-	}
-	e.bindMu.RLock()
-	prev, loaded := e.bindings[stream]
-	e.bindMu.RUnlock()
-	if !loaded {
-		e.bindMu.Lock()
-		if prev, loaded = e.bindings[stream]; !loaded {
-			e.bindings[stream] = fw
-			prev = fw
-		}
-		e.bindMu.Unlock()
-	}
-	if prev != fw {
-		return fmt.Errorf("engine: stream %q is already bound to a different framework", stream)
-	}
-	return nil
-}
-
-// TrySubmit is Submit without blocking: it reports false when the stream's
-// shard queue is full, letting in-path deployments shed load explicitly
-// instead of stalling the protocol path.
-func (e *Engine) TrySubmit(stream string, pkg *dataset.Package) (bool, error) {
-	return e.TrySubmitFor(nil, stream, pkg)
-}
-
-// TrySubmitFor is SubmitFor without blocking: the same validated-cache
-// stack check and stream→framework binding semantics, but a full shard
-// queue reports false instead of stalling the caller — the in-path shape of
-// the serving daemon's live ingest, where shedding a package beats stalling
-// the protocol path. Like SubmitFor, a nil fw means the engine default; a
-// shed (queue-full) probe never binds a stream that carried no traffic.
-func (e *Engine) TrySubmitFor(fw *core.Framework, stream string, pkg *dataset.Package) (bool, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.stopped.Load() {
-		return false, fmt.Errorf("engine: submit after Stop")
-	}
-	if err := e.validateFor(fw, stream); err != nil {
-		return false, err
-	}
-	target := fw
-	if target == nil {
-		target = e.fw
-	}
-	// Check the binding up front, but record it only once a package is
-	// actually enqueued.
-	e.bindMu.RLock()
-	prev, bound := e.bindings[stream]
-	e.bindMu.RUnlock()
-	if bound && prev != target {
-		return false, fmt.Errorf("engine: stream %q is already bound to a different framework", stream)
-	}
-	select {
-	case e.shardFor(stream).in <- packet{stream: stream, pkg: pkg, fw: fw}:
-		if !bound {
-			e.bindMu.Lock()
-			if _, ok := e.bindings[stream]; !ok {
-				e.bindings[stream] = target
-			}
-			e.bindMu.Unlock()
-		}
-		return true, nil
-	default:
-		return false, nil
-	}
-}
-
-// TrySubmitBatch is SubmitBatch without blocking; see TrySubmitBatchFor.
-func (e *Engine) TrySubmitBatch(stream string, pkgs []*dataset.Package) (bool, error) {
-	return e.TrySubmitBatchFor(nil, stream, pkgs)
-}
-
-// TrySubmitBatchFor is SubmitBatchFor with TrySubmitFor's shedding
-// admission: a burst occupies one slot of the stream's shard queue, and
-// when the queue is full the whole burst is shed (reported false) —
-// all-or-nothing, so a shed never splits a burst and per-stream verdict
-// sequences stay prefixes of the full sequence per admission decision.
-// Like TrySubmitFor, a shed probe never binds a stream that carried no
-// traffic; on a successful enqueue the engine owns pkgs. An empty burst
-// reports true without enqueueing or binding anything.
-func (e *Engine) TrySubmitBatchFor(fw *core.Framework, stream string, pkgs []*dataset.Package) (bool, error) {
-	if len(pkgs) == 0 {
-		return true, nil
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.stopped.Load() {
-		return false, fmt.Errorf("engine: submit after Stop")
-	}
-	if err := e.validateFor(fw, stream); err != nil {
-		return false, err
-	}
-	target := fw
-	if target == nil {
-		target = e.fw
-	}
-	e.bindMu.RLock()
-	prev, bound := e.bindings[stream]
-	e.bindMu.RUnlock()
-	if bound && prev != target {
-		return false, fmt.Errorf("engine: stream %q is already bound to a different framework", stream)
-	}
-	select {
-	case e.shardFor(stream).in <- packet{stream: stream, pkgs: pkgs, fw: fw}:
-		if !bound {
-			e.bindMu.Lock()
-			if _, ok := e.bindings[stream]; !ok {
-				e.bindings[stream] = target
-			}
-			e.bindMu.Unlock()
-		}
-		return true, nil
-	default:
-		return false, nil
-	}
-}
-
-// Release drops every trace of a stream — the shard's session state plus
-// the framework and precision bindings — so the stream ID can be reused
-// with fresh recurrent state (or a different model). It enqueues a release
-// marker behind everything already submitted for the stream and waits for
-// the shard to process it, so on return no in-flight package references the
-// state and a resubmission of the same ID starts a brand-new session.
-// Packages of the stream must not be submitted concurrently with Release
-// (the same single-writer rule Submit has). Release is how
-// connection-scoped deployments keep ID churn from growing memory without
-// bound: bind on accept, Release on close. Releasing an unknown stream is
-// a no-op. Like Submit it blocks while the shard queue is full, and errors
-// during or after Stop.
+// Release drops every trace of a stream — the shard's session state and
+// its row of the binding table — so the ID can be reused with fresh
+// recurrent state or a different model. It enqueues a release marker
+// behind everything already submitted for the stream and waits for the
+// shard to process it. A framework and precision pair that no stream uses
+// any more is forgotten with its batches, so a swapped-out model is not
+// kept reachable. The stream must not be submitted concurrently with
+// Release. Connection-scoped deployments bind on accept and Release on
+// close, or ID churn grows memory without bound. Releasing an unknown
+// stream is a no-op. Like SubmitBatchFor it blocks while the shard queue
+// is full, and errors during or after Stop.
 func (e *Engine) Release(stream string) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -553,13 +436,9 @@ func (e *Engine) Release(stream string) error {
 	wg.Add(1)
 	e.shardFor(stream).in <- packet{stream: stream, release: &wg}
 	wg.Wait()
-	// The shard state is gone; drop the submit-path bindings. New
-	// submissions of this ID (the single-writer rule orders them after
-	// Release returns) bind afresh.
-	e.bindMu.Lock()
-	delete(e.bindings, stream)
-	delete(e.precisions, stream)
-	e.bindMu.Unlock()
+	// The shard state is gone; new submissions of this ID (the
+	// single-writer rule orders them after Release returns) bind afresh.
+	e.unbind(stream, true)
 	return nil
 }
 
@@ -571,7 +450,7 @@ func (e *Engine) Release(stream string) error {
 // a completion point between phases; unlike Stop it can be called
 // repeatedly. Packages submitted concurrently with Barrier may land on
 // either side of it. Barrier blocks while shard queues are full, like
-// Submit, and returns an error during or after Stop.
+// SubmitBatchFor, and returns an error during or after Stop.
 func (e *Engine) Barrier() error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -618,10 +497,10 @@ type shard struct {
 	e       *Engine
 	in      chan packet
 	streams map[string]*stream
-	// batches holds one micro-batch per framework served by this shard.
-	// Most engines serve a single framework, so the slice almost always
-	// has one entry; a linear scan beats a map at that size and keeps the
-	// flush order deterministic.
+	// batches holds one micro-batch per pair with streams on this shard
+	// (and the default pair's once created). Most engines serve a single
+	// pair, so the slice almost always has one entry; a linear scan beats a
+	// map at that size and keeps the flush order deterministic.
 	batches []*fwBatch
 	// tickBuf collects one drained tick of packets so batchable Check
 	// scores can be precomputed before the packets are classified.
@@ -653,11 +532,13 @@ type lane struct {
 // different numeric tiers (the kernels differ), so each pair batches
 // alone.
 type fwBatch struct {
-	fw      *core.Framework
-	prec    core.Precision
+	key     pair
 	stack   *core.Stack
 	batch   *core.StackBatch
 	inBatch []*stream
+	// streams counts the shard's streams bound to the pair; the batch of a
+	// non-default pair is forgotten when it drops to zero.
+	streams int
 	// chkFlushes/chkScored mirror the batch's cumulative check counters
 	// already published to the shard stats.
 	chkFlushes, chkScored uint64
@@ -691,23 +572,21 @@ func newShard(id int, e *Engine) *shard {
 	}
 }
 
-// batchFor returns the shard's micro-batch for a (framework, precision)
-// pair, creating it on first use.
-func (s *shard) batchFor(fw *core.Framework, prec core.Precision) *fwBatch {
+// batchFor returns the shard's micro-batch for a pair, creating it on
+// first use.
+func (s *shard) batchFor(key pair) *fwBatch {
 	for _, fb := range s.batches {
-		if fb.fw == fw && fb.prec == prec {
+		if fb.key == key {
 			return fb
 		}
 	}
-	stack, err := fw.NewStack(s.e.stackFor(prec))
+	stack, err := key.fw.NewStack(s.e.stackFor(key.prec))
 	if err != nil {
-		// SubmitFor/BindPrecision validated the pair before enqueueing
-		// anything for it.
+		// Admission validated the pair before enqueueing anything for it.
 		panic(fmt.Sprintf("engine: stack for bound framework: %v", err))
 	}
 	fb := &fwBatch{
-		fw:      fw,
-		prec:    prec,
+		key:     key,
 		stack:   stack,
 		batch:   stack.NewBatch(s.e.cfg.MaxBatch),
 		inBatch: make([]*stream, 0, s.e.cfg.MaxBatch),
@@ -742,26 +621,28 @@ func (s *shard) run(wg *sync.WaitGroup) {
 		}
 		s.safe(func() { s.precompute(tick) })
 		for i := 0; i < len(tick); {
-			if tick[i].barrier != nil || tick[i].release != nil {
+			if len(tick[i].pkgs) == 0 {
 				s.marker(tick[i])
 				i++
 				continue
 			}
 			j := i + 1
-			for j < len(tick) && tick[j].barrier == nil && tick[j].release == nil {
+			for j < len(tick) && len(tick[j].pkgs) > 0 {
 				j++
 			}
 			s.processRun(tick[i:j])
 			i = j
 		}
-		s.safe(s.flush)
-		if fn := s.e.cfg.TickEnd; fn != nil {
-			s.safe(func() { fn(s.id) })
-		}
+		s.endTick()
 		// Drop the consumed packets: an idle shard must not pin the last
 		// tick's packages (a drained flood tick references megabytes).
 		clear(tick)
 	}
+	s.endTick()
+}
+
+// endTick flushes the tick's batched passes and calls TickEnd.
+func (s *shard) endTick() {
 	s.safe(s.flush)
 	if fn := s.e.cfg.TickEnd; fn != nil {
 		s.safe(func() { fn(s.id) })
@@ -781,9 +662,9 @@ func (s *shard) run(wg *sync.WaitGroup) {
 //
 // Each package classifies behind the panic guard: a panicking Handler (or
 // stage) must not kill the shard goroutine — every stream pinned to this
-// shard would wedge while Submit keeps blocking on the full queue. The
-// panic is counted in HandlerPanics, the first one is kept for Stop, and the
-// package is skipped like a classified one. Its own stream may be left with
+// shard would wedge while SubmitBatchFor keeps blocking on the full queue.
+// The panic is counted in HandlerPanics, the first one is kept for Stop,
+// and the package is skipped like a classified one. Its own stream may be left with
 // a partially advanced session; every other stream keeps exact sequential
 // semantics.
 func (s *shard) processRun(run []packet) {
@@ -791,7 +672,7 @@ func (s *shard) processRun(run []packet) {
 	for i := range run {
 		next = append(next, -1)
 		var st *stream
-		s.safe(func() { st = s.streamFor(run[i].stream, run[i].fw) })
+		s.safe(func() { st = s.streamFor(run[i].stream, run[i].key) })
 		if st == nil {
 			// Building the stream's stack panicked (counted by safe); submit
 			// validated the framework, so this is a stage bug — drop the
@@ -810,10 +691,7 @@ func (s *shard) processRun(run []packet) {
 		n := 0
 		for _, l := range live {
 			p := &run[l.cur]
-			pkg := p.pkg
-			if p.pkgs != nil {
-				pkg = p.pkgs[l.pos]
-			}
+			pkg := p.pkgs[l.pos]
 			s.safe(func() { s.classify(l.st, pkg) })
 			if l.pos++; l.pos >= len(p.pkgs) {
 				l.cur, l.pos = next[l.cur], 0
@@ -847,26 +725,30 @@ func (s *shard) marker(pkt packet) {
 	pkt.barrier.Done()
 }
 
-// safe runs fn behind the shard's panic guard (see processRun).
+// safe runs fn behind the shard's panic guard (see processRun): a panic
+// is counted, and the engine's first one is kept for Stop.
 func (s *shard) safe(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.recovered(r)
+			s.stats.handlerPanics.Add(1)
+			s.e.firstPanic.CompareAndSwap(nil, &PanicError{Value: r, Stack: string(debug.Stack())})
 		}
 	}()
 	fn()
 }
 
-func (s *shard) recovered(r any) {
-	s.stats.handlerPanics.Add(1)
-	s.e.recordPanic(r)
-}
-
-// dropStream forgets a stream's shard state (release marker processing).
+// dropStream forgets a stream's shard state (release marker processing),
+// and the batch of its pair with the pair's last stream on this shard.
 func (s *shard) dropStream(stream string) {
-	if _, ok := s.streams[stream]; ok {
-		delete(s.streams, stream)
-		s.stats.released.Add(1)
+	st, ok := s.streams[stream]
+	if !ok {
+		return
+	}
+	delete(s.streams, stream)
+	s.stats.released.Add(1)
+	fb := st.fb
+	if fb.streams--; fb.streams == 0 && fb.key != s.e.def {
+		s.batches = slices.DeleteFunc(s.batches, func(b *fwBatch) bool { return b == fb })
 	}
 }
 
@@ -882,28 +764,15 @@ func (s *shard) precompute(tick []packet) {
 	// the default two-level stack skips the whole pass (streams only
 	// exist under frameworks with a batch, so an absent batch means no
 	// batchable stream either).
-	needed := false
-	for _, fb := range s.batches {
-		if fb.batch.HasCheck() {
-			needed = true
-			break
-		}
-	}
-	if !needed {
+	if !slices.ContainsFunc(s.batches, func(fb *fwBatch) bool { return fb.batch.HasCheck() }) {
 		return
 	}
 	s.tick++
 	queued := false
 	for _, pkt := range tick {
-		pkg := pkt.pkg
-		if pkg == nil {
-			if len(pkt.pkgs) == 0 {
-				// Barrier and release markers carry no package to score.
-				continue
-			}
-			// Only a burst's first package is precomputable — the later
-			// ones depend on state its Advance will move.
-			pkg = pkt.pkgs[0]
+		if len(pkt.pkgs) == 0 {
+			// Barrier and release markers carry no package to score.
+			continue
 		}
 		st := s.streams[pkt.stream]
 		if st == nil || st.tickStamp == s.tick {
@@ -913,7 +782,9 @@ func (s *shard) precompute(tick []packet) {
 			continue
 		}
 		st.tickStamp = s.tick
-		st.fb.batch.QueueCheck(st.sess, pkg)
+		// Only a burst's first package is precomputable — the later ones
+		// depend on state its Advance will move.
+		st.fb.batch.QueueCheck(st.sess, pkt.pkgs[0])
 		queued = true
 	}
 	if !queued {
@@ -930,16 +801,14 @@ func (s *shard) precompute(tick []packet) {
 	}
 }
 
-// streamFor returns the shard state of a stream, opening it under fw (nil
-// means the engine default) on its first package.
-func (s *shard) streamFor(id string, fw *core.Framework) *stream {
+// streamFor returns the shard state of a stream, opening it under its
+// pair on its first package.
+func (s *shard) streamFor(id string, key pair) *stream {
 	st := s.streams[id]
 	if st == nil {
-		if fw == nil {
-			fw = s.e.fw
-		}
-		fb := s.batchFor(fw, s.e.precisionOf(id))
+		fb := s.batchFor(key)
 		st = &stream{id: id, sess: fb.stack.NewSession(), fb: fb}
+		fb.streams++
 		s.streams[id] = st
 		s.stats.streams.Add(1)
 	}

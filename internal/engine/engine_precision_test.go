@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"icsdetect/internal/core"
+	"icsdetect/internal/dataset"
 	"icsdetect/internal/engine"
 )
 
@@ -71,7 +72,7 @@ func TestEngineMixedPrecisionStreams(t *testing.T) {
 		}
 	}
 	for i, p := range pkgs {
-		if err := e.Submit(streamKey(i, streams), p); err != nil {
+		if err := e.SubmitBatchFor(nil, streamKey(i, streams), []*dataset.Package{p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +135,7 @@ func TestEngineConfigPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range pkgs {
-		if err := e.Submit("plc-one", p); err != nil {
+		if err := e.SubmitBatchFor(nil, "plc-one", []*dataset.Package{p}); err != nil {
 			t.Fatal(err)
 		}
 	}

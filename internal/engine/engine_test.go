@@ -94,10 +94,14 @@ func TestEngineMatchesSequentialSessions(t *testing.T) {
 			}
 
 			// Engine verdicts, collected per stream.
+			spec, err := core.SpecForMode(tc.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var mu sync.Mutex
 			got := make(map[string][]core.Verdict)
 			e, err := engine.New(fw, engine.Config{
-				Shards: tc.shards, MaxBatch: 16, QueueDepth: 32, Mode: tc.mode,
+				Shards: tc.shards, MaxBatch: 16, QueueDepth: 32, Stack: spec,
 			}, func(r engine.Result) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -110,7 +114,7 @@ func TestEngineMatchesSequentialSessions(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, p := range pkgs {
-				if err := e.Submit(streamKey(i, tc.streams), p); err != nil {
+				if err := e.SubmitBatchFor(nil, streamKey(i, tc.streams), []*dataset.Package{p}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -149,7 +153,7 @@ func TestEngineStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range pkgs {
-		if err := e.Submit(streamKey(i, streams), p); err != nil {
+		if err := e.SubmitBatchFor(nil, streamKey(i, streams), []*dataset.Package{p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +199,7 @@ func TestEngineStats(t *testing.T) {
 }
 
 // TestEngineBackpressure fills a shard whose worker is blocked in the
-// handler and checks that TrySubmit sheds load instead of queueing
+// handler and checks that TrySubmitBatchFor sheds load instead of queueing
 // unboundedly.
 func TestEngineBackpressure(t *testing.T) {
 	fw, split := testFramework(t)
@@ -214,19 +218,19 @@ func TestEngineBackpressure(t *testing.T) {
 	}
 
 	// First package occupies the worker inside the handler...
-	if err := e.Submit("dev", pkgs[0]); err != nil {
+	if err := e.SubmitBatchFor(nil, "dev", []*dataset.Package{pkgs[0]}); err != nil {
 		t.Fatal(err)
 	}
 	<-first
 	// ...so the queue can be filled to capacity behind it.
 	for i := 1; i <= 4; i++ {
-		ok, err := e.TrySubmit("dev", pkgs[i])
+		ok, err := e.TrySubmitBatchFor(nil, "dev", []*dataset.Package{pkgs[i]})
 		if err != nil || !ok {
-			t.Fatalf("TrySubmit %d: ok=%v err=%v, want queued", i, ok, err)
+			t.Fatalf("TrySubmitBatchFor %d: ok=%v err=%v, want queued", i, ok, err)
 		}
 	}
-	if ok, _ := e.TrySubmit("dev", pkgs[5]); ok {
-		t.Error("TrySubmit succeeded on a full shard queue")
+	if ok, _ := e.TrySubmitBatchFor(nil, "dev", []*dataset.Package{pkgs[5]}); ok {
+		t.Error("TrySubmitBatchFor succeeded on a full shard queue")
 	}
 	if st := e.Stats(); st.QueueDepth != 4 {
 		t.Errorf("QueueDepth = %d with a full queue, want 4", st.QueueDepth)
@@ -286,7 +290,7 @@ func TestEngineConcurrentSubmitters(t *testing.T) {
 			// needs to hold within one submitter.
 			for i, p := range pkgs[pr*chunk : (pr+1)*chunk] {
 				key := fmt.Sprintf("prod%d-dev%d", pr, i%3)
-				if err := e.Submit(key, p); err != nil {
+				if err := e.SubmitBatchFor(nil, key, []*dataset.Package{p}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -338,7 +342,7 @@ func TestEngineBarrier(t *testing.T) {
 			hi = len(pkgs)
 		}
 		for _, p := range pkgs[lo:hi] {
-			if err := e.Submit("dev", p); err != nil {
+			if err := e.SubmitBatchFor(nil, "dev", []*dataset.Package{p}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -376,19 +380,21 @@ func TestEngineSubmitAfterStop(t *testing.T) {
 	}
 	e.Stop()
 	e.Stop() // idempotent
-	if err := e.Submit("dev", split.Test[0]); err == nil {
-		t.Error("Submit after Stop did not error")
+	if err := e.SubmitBatchFor(nil, "dev", []*dataset.Package{split.Test[0]}); err == nil {
+		t.Error("SubmitBatchFor after Stop did not error")
 	}
-	if ok, err := e.TrySubmit("dev", split.Test[0]); ok || err == nil {
-		t.Error("TrySubmit after Stop did not error")
+	if ok, err := e.TrySubmitBatchFor(nil, "dev", []*dataset.Package{split.Test[0]}); ok || err == nil {
+		t.Error("TrySubmitBatchFor after Stop did not error")
 	}
 }
 
-// TestEngineRejectsBadMode verifies config validation.
+// TestEngineRejectsBadMode verifies config validation: a stack with an
+// unknown level fails at New.
 func TestEngineRejectsBadMode(t *testing.T) {
 	fw, _ := testFramework(t)
-	if _, err := engine.New(fw, engine.Config{Mode: core.Mode(99)}, nil); err == nil {
-		t.Error("engine accepted an unknown mode")
+	bad := core.StackSpec{Stages: []core.StageSpec{{Kind: "no-such-level"}}}
+	if _, err := engine.New(fw, engine.Config{Stack: bad}, nil); err == nil {
+		t.Error("engine accepted an unknown level")
 	}
 }
 
@@ -413,26 +419,26 @@ func TestEngineStreamBinding(t *testing.T) {
 	defer e.Stop()
 	pkg := split.Test[0]
 
-	if err := e.SubmitFor(fw2, "tank-1", pkg); err != nil {
+	if err := e.SubmitBatchFor(fw2, "tank-1", []*dataset.Package{pkg}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SubmitFor(fw2, "tank-1", pkg); err != nil {
+	if err := e.SubmitBatchFor(fw2, "tank-1", []*dataset.Package{pkg}); err != nil {
 		t.Errorf("resubmission under the bound framework errored: %v", err)
 	}
-	if err := e.Submit("tank-1", pkg); err == nil {
+	if err := e.SubmitBatchFor(nil, "tank-1", []*dataset.Package{pkg}); err == nil {
 		t.Error("default-framework submit on a stream bound elsewhere was accepted")
 	}
-	if ok, err := e.TrySubmit("tank-1", pkg); ok || err == nil {
-		t.Error("TrySubmit on a stream bound elsewhere was accepted")
+	if ok, err := e.TrySubmitBatchFor(nil, "tank-1", []*dataset.Package{pkg}); ok || err == nil {
+		t.Error("TrySubmitBatchFor on a stream bound elsewhere was accepted")
 	}
 
-	if err := e.Submit("plc-1", pkg); err != nil {
+	if err := e.SubmitBatchFor(nil, "plc-1", []*dataset.Package{pkg}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SubmitFor(fw, "plc-1", pkg); err != nil {
+	if err := e.SubmitBatchFor(fw, "plc-1", []*dataset.Package{pkg}); err != nil {
 		t.Errorf("explicit default framework rejected on a default-bound stream: %v", err)
 	}
-	if err := e.SubmitFor(fw2, "plc-1", pkg); err == nil {
+	if err := e.SubmitBatchFor(fw2, "plc-1", []*dataset.Package{pkg}); err == nil {
 		t.Error("rebinding a default-bound stream to another framework was accepted")
 	}
 }

@@ -11,3 +11,15 @@ func (e *Engine) StreamSession(stream string) *core.Session {
 	}
 	return nil
 }
+
+// ShardBatches returns, per shard, the framework of each micro-batch the
+// shard holds. Like StreamSession, call it only after a Barrier.
+func (e *Engine) ShardBatches() [][]*core.Framework {
+	out := make([][]*core.Framework, len(e.shards))
+	for i, s := range e.shards {
+		for _, fb := range s.batches {
+			out[i] = append(out[i], fb.key.fw)
+		}
+	}
+	return out
+}

@@ -66,7 +66,7 @@ func TestEngineReleaseResetsStreamState(t *testing.T) {
 	// stream's first package).
 	for pass := 0; pass < 2; pass++ {
 		for _, p := range pkgs {
-			if err := e.Submit("conn-1", p); err != nil {
+			if err := e.SubmitBatchFor(nil, "conn-1", []*dataset.Package{p}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -109,7 +109,7 @@ func TestEngineReleaseResetsStreamState(t *testing.T) {
 	if err := e.BindPrecision("conn-2", core.PrecisionF32); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit("conn-2", pkgs[0]); err != nil {
+	if err := e.SubmitBatchFor(nil, "conn-2", []*dataset.Package{pkgs[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.BindPrecision("conn-2", core.PrecisionF64); err == nil {
@@ -213,7 +213,7 @@ func releaseFreesBatchedStreams(t *testing.T, fw *core.Framework, pkgs []*datase
 			if err := e.BindPrecision(id, prec); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Submit(id, pkgs[i]); err != nil {
+			if err := e.SubmitBatchFor(nil, id, []*dataset.Package{pkgs[i]}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -276,25 +276,74 @@ func TestEngineReleaseRebindsFramework(t *testing.T) {
 	defer e.Stop()
 	pkg := split.Test[0]
 
-	if err := e.SubmitFor(fw2, "conn", pkg); err != nil {
+	if err := e.SubmitBatchFor(fw2, "conn", []*dataset.Package{pkg}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit("conn", pkg); err == nil {
+	if err := e.SubmitBatchFor(nil, "conn", []*dataset.Package{pkg}); err == nil {
 		t.Fatal("default-framework submit on a bound stream was accepted")
 	}
 	if err := e.Release("conn"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit("conn", pkg); err != nil {
+	if err := e.SubmitBatchFor(nil, "conn", []*dataset.Package{pkg}); err != nil {
 		t.Errorf("released stream could not rebind to the default framework: %v", err)
+	}
+}
+
+// TestEngineReleaseFreesSwappedFrameworks: every hot-swap binds new
+// connections to a fresh framework, and once the last stream of an old one
+// is released the engine must let it go — its binding, its validation and
+// every shard's batch for it. Before the binding table, each served
+// framework stayed reachable for the engine's lifetime, and every tick's
+// flush and precompute walked one more batch per swap.
+func TestEngineReleaseFreesSwappedFrameworks(t *testing.T) {
+	fw, split := testFramework(t)
+	pkgs := split.Test[:16]
+	e, err := engine.New(fw, engine.Config{Shards: 2, MaxBatch: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	// Default traffic on every shard: its batch is the one that stays.
+	for i := 0; i < 8; i++ {
+		if err := e.SubmitBatchFor(nil, streamKey(i, 8), pkgs[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const cycles = 20
+	var collected atomic.Int64
+	for i := 0; i < cycles; i++ {
+		clone := cloneFramework(t, fw)
+		runtime.SetFinalizer(clone, func(*core.Framework) { collected.Add(1) })
+		if err := e.SubmitBatchFor(clone, "conn", pkgs[:8]); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Release("conn"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); collected.Load() < cycles-1 && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := collected.Load(); n < cycles-1 {
+		t.Errorf("%d of %d released frameworks were collected, want at least %d", n, cycles, cycles-1)
+	}
+	if err := e.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	for shard, fws := range e.ShardBatches() {
+		if len(fws) != 1 || fws[0] != fw {
+			t.Errorf("shard %d holds %d batches, want only the default framework's", shard, len(fws))
+		}
 	}
 }
 
 // TestEngineHandlerPanicRecovery: a panicking Handler must not kill its
 // shard goroutine — pre-fix it did, wedging every stream pinned to the
-// shard while Submit kept blocking on the full queue. The worker recovers,
-// counts the panic, keeps serving the other streams exactly, and Stop
-// surfaces the first panic value.
+// shard while SubmitBatchFor kept blocking on the full queue. The worker
+// recovers, counts the panic, keeps serving the other streams exactly, and
+// Stop surfaces the first panic value.
 func TestEngineHandlerPanicRecovery(t *testing.T) {
 	fw, split := testFramework(t)
 	pkgs := split.Test
@@ -321,7 +370,7 @@ func TestEngineHandlerPanicRecovery(t *testing.T) {
 	// package must leave dev-b's sequence untouched.
 	streams := []string{"dev-a", "dev-b"}
 	for i, p := range pkgs {
-		if err := e.Submit(streams[i%2], p); err != nil {
+		if err := e.SubmitBatchFor(nil, streams[i%2], []*dataset.Package{p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -376,7 +425,7 @@ func TestEngineReleaseSurvivesPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit("dev", split.Test[0]); err != nil {
+	if err := e.SubmitBatchFor(nil, "dev", []*dataset.Package{split.Test[0]}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -394,11 +443,11 @@ func TestEngineReleaseSurvivesPanic(t *testing.T) {
 	}
 }
 
-// TestEngineTrySubmitForValidation: TrySubmit used to skip the
-// (framework, precision) stack validation SubmitFor performs, so a
-// framework missing a level's stage model was quietly accepted and later
-// panicked the shard when the stack resolved. TrySubmitFor must run the
-// same validated-cache check and binding semantics.
+// TestEngineTrySubmitForValidation: the shedding admission once skipped
+// the (framework, precision) stack validation the blocking one performs,
+// so a framework missing a level's stage model was quietly accepted and
+// later panicked the shard when the stack resolved. TrySubmitBatchFor must
+// run the same validation and binding semantics.
 func TestEngineTrySubmitForValidation(t *testing.T) {
 	fw, split := testFramework(t)
 	pkg := split.Test[0]
@@ -420,31 +469,31 @@ func TestEngineTrySubmitForValidation(t *testing.T) {
 	}
 	defer e.Stop()
 
-	// The fixture lacks Extra["pca"]: TrySubmitFor must reject it the way
-	// SubmitFor does, instead of enqueueing a package whose stack cannot
+	// The fixture lacks Extra["pca"]: TrySubmitBatchFor must reject it the
+	// way SubmitBatchFor does, instead of enqueueing a package whose stack cannot
 	// resolve.
-	if ok, err := e.TrySubmitFor(fw, "bad", pkg); ok || err == nil {
-		t.Fatalf("TrySubmitFor accepted a framework without the pca stage model (ok=%v err=%v)", ok, err)
+	if ok, err := e.TrySubmitBatchFor(fw, "bad", []*dataset.Package{pkg}); ok || err == nil {
+		t.Fatalf("TrySubmitBatchFor accepted a framework without the pca stage model (ok=%v err=%v)", ok, err)
 	}
 	// A rejected probe must not have bound the stream: the ID is still free
 	// for the default framework.
-	if ok, err := e.TrySubmit("bad", pkg); !ok || err != nil {
+	if ok, err := e.TrySubmitBatchFor(nil, "bad", []*dataset.Package{pkg}); !ok || err != nil {
 		t.Fatalf("rejected probe bound the stream (ok=%v err=%v)", ok, err)
 	}
 
 	// Positive path plus binding semantics, with a second valid framework.
 	fwPCA2 := cloneFramework(t, fwPCA)
-	if ok, err := e.TrySubmitFor(fwPCA2, "tenant", pkg); !ok || err != nil {
-		t.Fatalf("TrySubmitFor with a valid framework: ok=%v err=%v", ok, err)
+	if ok, err := e.TrySubmitBatchFor(fwPCA2, "tenant", []*dataset.Package{pkg}); !ok || err != nil {
+		t.Fatalf("TrySubmitBatchFor with a valid framework: ok=%v err=%v", ok, err)
 	}
-	if ok, err := e.TrySubmitFor(fwPCA2, "tenant", pkg); !ok || err != nil {
+	if ok, err := e.TrySubmitBatchFor(fwPCA2, "tenant", []*dataset.Package{pkg}); !ok || err != nil {
 		t.Fatalf("resubmission under the bound framework: ok=%v err=%v", ok, err)
 	}
-	if ok, err := e.TrySubmit("tenant", pkg); ok || err == nil {
-		t.Error("TrySubmit on a stream bound elsewhere was accepted")
+	if ok, err := e.TrySubmitBatchFor(nil, "tenant", []*dataset.Package{pkg}); ok || err == nil {
+		t.Error("TrySubmitBatchFor on a stream bound elsewhere was accepted")
 	}
-	if err := e.Submit("tenant", pkg); err == nil {
-		t.Error("Submit on a stream bound elsewhere was accepted")
+	if err := e.SubmitBatchFor(nil, "tenant", []*dataset.Package{pkg}); err == nil {
+		t.Error("SubmitBatchFor on a stream bound elsewhere was accepted")
 	}
 }
 
@@ -467,7 +516,7 @@ func TestEngineStatsSince(t *testing.T) {
 
 	prev := e.Stats()
 	for _, p := range pkgs {
-		if err := e.Submit("dev", p); err != nil {
+		if err := e.SubmitBatchFor(nil, "dev", []*dataset.Package{p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -512,8 +561,8 @@ func TestEngineStatsSince(t *testing.T) {
 	}
 }
 
-// TestEngineSubmitStopRace hammers Submit/TrySubmit from several goroutines
-// while Stop races them: every submission must either land before the
+// TestEngineSubmitStopRace hammers SubmitBatchFor/TrySubmitBatchFor from
+// several goroutines while Stop races them: every submission must either land before the
 // shutdown or return the stopped error — never panic on a closed shard
 // channel.
 func TestEngineSubmitStopRace(t *testing.T) {
@@ -534,9 +583,9 @@ func TestEngineSubmitStopRace(t *testing.T) {
 					stream := fmt.Sprintf("g%d-s%d", g, i%3)
 					var err error
 					if i%2 == 0 {
-						err = e.Submit(stream, pkg)
+						err = e.SubmitBatchFor(nil, stream, []*dataset.Package{pkg})
 					} else {
-						_, err = e.TrySubmit(stream, pkg)
+						_, err = e.TrySubmitBatchFor(nil, stream, []*dataset.Package{pkg})
 					}
 					if err != nil {
 						return // stopped: the only legal failure

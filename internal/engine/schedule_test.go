@@ -114,7 +114,7 @@ func TestEngineRandomSchedules(t *testing.T) {
 						boom.Store(pkg)
 						want[id] = want[id][:len(want[id])-1]
 					}
-					if err := e.Submit(id, pkg); err != nil {
+					if err := e.SubmitBatchFor(nil, id, []*dataset.Package{pkg}); err != nil {
 						t.Fatal(err)
 					}
 					admitted++
@@ -135,7 +135,7 @@ func TestEngineRandomSchedules(t *testing.T) {
 						w := want[id]
 						want[id] = append(w[:len(w)-n+i], w[len(w)-n+i+1:]...)
 					}
-					if err := e.SubmitBatch(id, burst); err != nil {
+					if err := e.SubmitBatchFor(nil, id, burst); err != nil {
 						t.Fatal(err)
 					}
 					admitted += uint64(n)
@@ -253,7 +253,7 @@ func TestEngineDrainedHoldsNoPackages(t *testing.T) {
 			cp := *split.Test[(b*width+i)%len(split.Test)]
 			burst[i] = &cp
 		}
-		if err := e.SubmitBatch(streamKey(b, streams), burst); err != nil {
+		if err := e.SubmitBatchFor(nil, streamKey(b, streams), burst); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +271,7 @@ func TestEngineDrainedHoldsNoPackages(t *testing.T) {
 	// The first package blocks in the handler; everything else queues
 	// behind it and drains as one tick once the gate opens.
 	gate.Lock()
-	if err := e.Submit(streamKey(0, streams), split.Test[0]); err != nil {
+	if err := e.SubmitBatchFor(nil, streamKey(0, streams), []*dataset.Package{split.Test[0]}); err != nil {
 		t.Fatal(err)
 	}
 	for b := 0; b < bursts; b++ {

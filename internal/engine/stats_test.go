@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"icsdetect/internal/core"
+	"icsdetect/internal/dataset"
 	"icsdetect/internal/engine"
 )
 
@@ -125,7 +126,7 @@ func TestStatsConcurrentRelease(t *testing.T) {
 	}
 	defer e.Stop()
 	for i, p := range pkgs {
-		if err := e.Submit(streamKey(i, streams), p); err != nil {
+		if err := e.SubmitBatchFor(nil, streamKey(i, streams), []*dataset.Package{p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +197,7 @@ func TestStatsConcurrentRelease(t *testing.T) {
 
 	// A released ID resubmits as a fresh stream: Streams grows, proving
 	// Release dropped the shard state rather than just hiding it.
-	if err := e.Submit(streamKey(0, streams), pkgs[0]); err != nil {
+	if err := e.SubmitBatchFor(nil, streamKey(0, streams), []*dataset.Package{pkgs[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Barrier(); err != nil {

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 
 	"icsdetect/internal/trace"
@@ -43,21 +42,11 @@ type ReplayOptions struct {
 // returns the number of packages the server accepted. The raw argument is
 // a complete ICSTRACE byte stream (a testdata .trace file).
 func Replay(addr string, raw []byte, opts ReplayOptions) (uint64, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, br, err := dialIngest(addr, ModeReplay, opts)
 	if err != nil {
-		return 0, fmt.Errorf("serve: dial ingest: %w", err)
-	}
-	defer conn.Close()
-	hb := appendHello(nil, hello{
-		Mode: ModeReplay, Stream: opts.Stream, Model: opts.Model, Precision: opts.Precision,
-	})
-	if _, err := conn.Write(hb); err != nil {
-		return 0, fmt.Errorf("serve: send handshake: %w", err)
-	}
-	br := bufio.NewReader(conn)
-	if err := readStatus(br); err != nil {
 		return 0, err
 	}
+	defer conn.Close()
 	if opts.OnRecord == nil {
 		if _, err := conn.Write(raw); err != nil {
 			return 0, fmt.Errorf("serve: send trace: %w", err)
@@ -111,22 +100,29 @@ func Replay(addr string, raw []byte, opts ReplayOptions) (uint64, error) {
 // connection is handed back, the caller streams raw MBAP-framed
 // Modbus/TCP bytes (modbus.WriteTCPFrame) and closes when done.
 func DialLive(addr string, opts ReplayOptions) (net.Conn, error) {
+	conn, _, err := dialIngest(addr, ModeLive, opts)
+	return conn, err
+}
+
+// dialIngest opens an ingest connection and completes its handshake.
+func dialIngest(addr string, mode byte, opts ReplayOptions) (net.Conn, *bufio.Reader, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("serve: dial ingest: %w", err)
+		return nil, nil, fmt.Errorf("serve: dial ingest: %w", err)
 	}
 	hb := appendHello(nil, hello{
-		Mode: ModeLive, Stream: opts.Stream, Model: opts.Model, Precision: opts.Precision,
+		Mode: mode, Stream: opts.Stream, Model: opts.Model, Precision: opts.Precision,
 	})
 	if _, err := conn.Write(hb); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("serve: send handshake: %w", err)
+		return nil, nil, fmt.Errorf("serve: send handshake: %w", err)
 	}
-	if err := readStatus(bufio.NewReader(conn)); err != nil {
+	br := bufio.NewReader(conn)
+	if err := readStatus(br); err != nil {
 		conn.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	return conn, nil
+	return conn, br, nil
 }
 
 // Subscription is an attached verdict stream.
@@ -158,13 +154,7 @@ func Subscribe(addr string) (*Subscription, error) {
 
 // Next reads the next event, blocking until one arrives. It returns
 // io.EOF when the server flushed and closed the stream (shutdown).
-func (s *Subscription) Next() (Event, error) {
-	ev, err := readEvent(s.br)
-	if err != nil && err != io.EOF {
-		return ev, err
-	}
-	return ev, err
-}
+func (s *Subscription) Next() (Event, error) { return readEvent(s.br) }
 
 // Close detaches the subscriber.
 func (s *Subscription) Close() error { return s.conn.Close() }

@@ -67,15 +67,9 @@ func (s *Server) ListenHTTP(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("serve: listen http: %w", err)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return "", fmt.Errorf("serve: server is shut down")
+	if err := s.track(ln); err != nil {
+		return "", err
 	}
-	s.listeners = append(s.listeners, ln)
-	s.acceptWG.Add(1)
-	s.mu.Unlock()
 	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		defer s.acceptWG.Done()
@@ -146,12 +140,8 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	fmt.Fprintf(w, "swapped %s to %s\n", nameOrDefault(name, s.def.name), fw.Fingerprint())
-}
-
-func nameOrDefault(name, def string) string {
 	if name == "" {
-		return def
+		name = s.def.name
 	}
-	return name
+	fmt.Fprintf(w, "swapped %s to %s\n", name, fw.Fingerprint())
 }

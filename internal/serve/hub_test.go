@@ -25,8 +25,8 @@ func testEvent(stream string, seq uint64) []byte {
 }
 
 // publishOne publishes one pre-encoded event as a single-event frame —
-// the per-package fan-out shape, and the granularity the conservation
-// arithmetic of these tests is written in.
+// the granularity the conservation arithmetic of these tests is written
+// in.
 func publishOne(h *hub, b []byte) {
 	f := h.newFrame()
 	f.buf = append(f.buf, b...)

@@ -9,10 +9,11 @@
 //   - Ingest (this file): a connection handshakes with an 8-byte magic,
 //     a version, a mode byte and three uvarint-prefixed strings (stream ID,
 //     model name, precision), then streams either a recorded ICSTRACE
-//     byte stream (replay mode, admitted with blocking SubmitFor — a
-//     saturated engine pushes back on the socket) or raw Modbus/TCP
-//     frames (live mode, admitted with TrySubmitFor — an in-path tap
-//     sheds rather than stalls the protocol path).
+//     byte stream (replay mode, admitted in bursts with blocking
+//     SubmitBatchFor — a saturated engine pushes back on the socket) or
+//     raw Modbus/TCP frames (live mode, admitted in bursts with
+//     TrySubmitBatchFor — an in-path tap sheds rather than stalls the
+//     protocol path).
 //   - Verdicts: a subscriber handshakes with its own magic and then
 //     receives every engine.Result as a length-prefixed binary event,
 //     through a per-subscriber bounded buffer with slow-consumer drop
@@ -21,7 +22,9 @@
 //     and model hot-swap (see http.go).
 //
 // All multi-byte integers are big-endian; "uvarint"/"varint" are the
-// varints of encoding/binary. Strings are uvarint length + UTF-8 bytes.
+// varints of encoding/binary in their shortest form (a longer encoding of
+// the same value is rejected, so every message has exactly one wire form).
+// Strings are uvarint length + UTF-8 bytes.
 //
 // Ingest handshake:
 //
@@ -52,11 +55,15 @@
 //	             evidence uvarint n, n × (stage string, level varint,
 //	               flags u8 (bit0 scored, bit1 flagged),
 //	               score u64 (IEEE-754 bits), rank varint)
+//
+// Flag bits beyond those listed and payload bytes past the last field are
+// rejected.
 package serve
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -105,9 +112,35 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// errLongVarint rejects a varint longer than its value needs.
+var errLongVarint = errors.New("serve: varint too long for its value")
+
+// readUvarint is binary.ReadUvarint restricted to the shortest form: a
+// last byte of zero after a continuation byte adds nothing.
+func readUvarint(br *bufio.Reader) (uint64, error) {
+	var x uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, err := br.ReadByte()
+		if err != nil {
+			if err == io.EOF && i > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		x |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			if i > 0 && b == 0 || i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, errLongVarint
+			}
+			return x, nil
+		}
+	}
+	return 0, errLongVarint
+}
+
 // readProtoString reads a uvarint-prefixed string.
 func readProtoString(br *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
+	n, err := readUvarint(br)
 	if err != nil {
 		return "", err
 	}
@@ -261,29 +294,36 @@ func (c *eventCursor) fail(what string) {
 	}
 }
 
+// uvarint reads a uvarint in its shortest form.
 func (c *eventCursor) uvarint(what string) uint64 {
 	if c.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
+	switch {
+	case n <= 0:
 		c.fail(what)
+		return 0
+	case n > 1 && c.b[n-1] == 0:
+		c.err = errLongVarint
 		return 0
 	}
 	c.b = c.b[n:]
 	return v
 }
 
+// varint reads a zig-zag varint: a uvarint underneath, in shortest form.
 func (c *eventCursor) varint(what string) int64 {
-	if c.err != nil {
-		return 0
+	u := c.uvarint(what)
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// flags reads a flag byte with no bits set outside mask.
+func (c *eventCursor) flags(what string, mask byte) byte {
+	v := c.u8(what)
+	if v&^mask != 0 && c.err == nil {
+		c.err = fmt.Errorf("serve: event %s %#x has unknown bits", what, v)
 	}
-	v, n := binary.Varint(c.b)
-	if n <= 0 {
-		c.fail(what)
-		return 0
-	}
-	c.b = c.b[n:]
 	return v
 }
 
@@ -335,7 +375,7 @@ func (c *eventCursor) f64(what string) float64 {
 // io.EOF at a clean end of stream.
 func readEvent(br *bufio.Reader) (Event, error) {
 	var ev Event
-	plen, err := binary.ReadUvarint(br)
+	plen, err := readUvarint(br)
 	if err != nil {
 		if err == io.EOF {
 			return ev, io.EOF
@@ -352,7 +392,7 @@ func readEvent(br *bufio.Reader) (Event, error) {
 	c := eventCursor{b: payload}
 	ev.Stream = c.str("stream")
 	ev.Seq = c.uvarint("seq")
-	flag := c.u8("flags")
+	flag := c.flags("flags", 1)
 	ev.Verdict.Anomaly = flag&1 != 0
 	ev.Verdict.Level = core.Level(c.varint("level"))
 	ev.Verdict.Rank = int(c.varint("rank"))
@@ -367,7 +407,7 @@ func readEvent(br *bufio.Reader) (Event, error) {
 			e := &ev.Verdict.Evidence[i]
 			e.Stage = c.str("evidence stage")
 			e.Level = core.Level(c.varint("evidence level"))
-			eb := c.u8("evidence flags")
+			eb := c.flags("evidence flags", 3)
 			e.Scored, e.Flagged = eb&1 != 0, eb&2 != 0
 			e.Score = c.f64("evidence score")
 			e.Rank = int(c.varint("evidence rank"))
@@ -375,6 +415,9 @@ func readEvent(br *bufio.Reader) (Event, error) {
 				break
 			}
 		}
+	}
+	if c.err == nil && len(c.b) > 0 {
+		c.err = fmt.Errorf("serve: %d bytes after the event's last field", len(c.b))
 	}
 	if c.err != nil {
 		return ev, c.err

@@ -106,6 +106,13 @@ func cloneFramework(t *testing.T, fw *core.Framework) *core.Framework {
 // verdict listeners on ephemeral ports.
 func newTestServer(t *testing.T, cfg serve.Config, corpora []*serveCorpus) (srv *serve.Server, ingest, verdicts string) {
 	t.Helper()
+	return newBurstServer(t, cfg, corpora, 0)
+}
+
+// newBurstServer is newTestServer with the ingest burst cap lowered to
+// burst (0 keeps the default).
+func newBurstServer(t *testing.T, cfg serve.Config, corpora []*serveCorpus, burst int) (srv *serve.Server, ingest, verdicts string) {
+	t.Helper()
 	if cfg.Models == nil {
 		for _, c := range corpora {
 			cfg.Models = append(cfg.Models, serve.Model{Name: c.scenario, Framework: c.fw})
@@ -116,6 +123,9 @@ func newTestServer(t *testing.T, cfg serve.Config, corpora []*serveCorpus) (srv 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Shutdown() })
+	if burst > 0 {
+		srv.SetIngestBurst(burst)
+	}
 	if ingest, err = srv.ListenIngest("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +141,10 @@ func newTestServer(t *testing.T, cfg serve.Config, corpora []*serveCorpus) (srv 
 // Shutdown, and every stream's verdicts — received over the subscription
 // socket — match the committed goldens byte for byte.
 func TestServeReplayEndToEnd(t *testing.T) {
-	// The drill runs twice: at full scale over the default burst ingest
-	// path (SubmitBatchFor admission, coalesced verdict frames), and at
-	// reduced scale over the per-package legacy path (IngestBurst: 1, one
-	// submit and one published event per package). Both must reproduce the
-	// committed goldens byte for byte.
+	// The drill runs twice: at full scale with the default ingest burst
+	// cap, and at reduced scale with a cap of one, so every package is its
+	// own admission. Both must reproduce the committed goldens byte for
+	// byte.
 	t.Run("burst", func(t *testing.T) {
 		copies := 16 // 16 traces × 16 copies = 256 concurrent connections
 		if testing.Short() {
@@ -155,12 +164,11 @@ func TestServeReplayEndToEnd(t *testing.T) {
 func replayEndToEnd(t *testing.T, ingestBurst, copies int) {
 	corpora := loadCorpora(t)
 
-	srv, ingest, verdicts := newTestServer(t, serve.Config{
+	srv, ingest, verdicts := newBurstServer(t, serve.Config{
 		Engine:           engine.Config{MaxBatch: 16, QueueDepth: 64},
 		SubscriberBuffer: 1 << 15,
-		IngestBurst:      ingestBurst,
 		DrainGrace:       time.Minute,
-	}, corpora)
+	}, corpora, ingestBurst)
 
 	sub, err := serve.Subscribe(verdicts)
 	if err != nil {
@@ -310,9 +318,9 @@ func replayEndToEnd(t *testing.T, ingestBurst, copies int) {
 	if sst.HubPublishedEvents != records {
 		t.Errorf("HubPublishedEvents = %d, want %d", sst.HubPublishedEvents, records)
 	}
-	if ingestBurst == 1 && sst.HubPublishes != records {
-		t.Errorf("per-package path published %d frames for %d events, want one frame per event",
-			sst.HubPublishes, records)
+	if ingestBurst == 1 && sst.IngestBursts != records {
+		t.Errorf("a burst cap of one admitted %d bursts for %d packages, want one per package",
+			sst.IngestBursts, records)
 	}
 }
 
@@ -375,16 +383,14 @@ func TestServeLiveIngest(t *testing.T) {
 	blocked := make(chan struct{})
 	var dirMu sync.Mutex
 	var directions []float64
-	srv, ingest, _ := newTestServer(t, serve.Config{
+	// A burst cap of one: this test's shed count and strict
+	// command/response alternation depend on packages being admitted (and
+	// dropped) one at a time. Whole-burst shedding gets its own test below.
+	srv, ingest, _ := newBurstServer(t, serve.Config{
 		Models: []serve.Model{{
 			Name: "gaspipeline", Framework: corpora[0].fw, Registers: gaspipeline.Registers(),
 		}},
 		Engine: engine.Config{Shards: 1, MaxBatch: 4, QueueDepth: 4},
-		// Pin the per-package admission path: this test's shed count and
-		// strict command/response alternation depend on packages being
-		// admitted (and dropped) one at a time. The burst path's whole-burst
-		// shed semantics get their own test below.
-		IngestBurst: 1,
 		OnResult: func(r engine.Result) {
 			dirMu.Lock()
 			directions = append(directions, r.Package.CmdResponse)
@@ -392,7 +398,7 @@ func TestServeLiveIngest(t *testing.T) {
 			gateOnce.Do(func() { close(blocked) })
 			<-gate
 		},
-	}, corpora[:1])
+	}, corpora[:1], 1)
 
 	conn, err := serve.DialLive(ingest, serve.ReplayOptions{Stream: "plc-9"})
 	if err != nil {
@@ -481,12 +487,11 @@ func TestServeLiveBurstSheds(t *testing.T) {
 	blocked := make(chan struct{})
 	var resMu sync.Mutex
 	var times []float64
-	srv, ingest, _ := newTestServer(t, serve.Config{
+	srv, ingest, _ := newBurstServer(t, serve.Config{
 		Models: []serve.Model{{
 			Name: "gaspipeline", Framework: corpora[0].fw, Registers: gaspipeline.Registers(),
 		}},
-		Engine:      engine.Config{Shards: 1, MaxBatch: 4, QueueDepth: 1},
-		IngestBurst: 4,
+		Engine: engine.Config{Shards: 1, MaxBatch: 4, QueueDepth: 1},
 		OnResult: func(r engine.Result) {
 			resMu.Lock()
 			times = append(times, r.Package.Time)
@@ -494,7 +499,7 @@ func TestServeLiveBurstSheds(t *testing.T) {
 			gateOnce.Do(func() { close(blocked) })
 			<-gate
 		},
-	}, corpora[:1])
+	}, corpora[:1], 4)
 
 	conn, err := serve.DialLive(ingest, serve.ReplayOptions{Stream: "plc-burst"})
 	if err != nil {

@@ -54,14 +54,6 @@ type Config struct {
 	// the subscriber-side mirror of the ingest IdleTimeout. Zero disables
 	// the deadline.
 	SubscriberWriteTimeout time.Duration
-	// IngestBurst caps how many packages an ingest connection admits into
-	// the engine per submit: the replay and live loops batch every record
-	// already buffered on the wire (up to the cap) into one
-	// SubmitBatchFor/TrySubmitBatchFor call, and verdict fan-out coalesces
-	// each shard tick's events into one published frame. 0 picks the
-	// default (256); 1 (or negative) selects the per-package legacy path —
-	// one submit and one published event per package.
-	IngestBurst int
 	// DrainGrace bounds how long Shutdown waits for ingest connections to
 	// finish before force-closing them. Default: 5s.
 	DrainGrace time.Duration
@@ -78,6 +70,11 @@ type Config struct {
 	// shard goroutines under the engine Handler contract.
 	OnResult func(engine.Result)
 }
+
+// ingestBurst caps how many packages an ingest connection admits into the
+// engine per call: the replay and live loops batch every record already
+// buffered on the wire, up to the cap, into one burst.
+const ingestBurst = 256
 
 // modelEntry is the server's mutable slot for one served model. The
 // framework pointer is read at connection accept (and pinned for the
@@ -121,10 +118,9 @@ type Server struct {
 	ingestWG  sync.WaitGroup
 	acceptWG  sync.WaitGroup
 
-	// burst is the resolved IngestBurst; coalesce reports whether verdict
-	// fan-out batches per shard tick (burst > 1).
-	burst    int
-	coalesce bool
+	// burst caps the packages one ingest admission carries (ingestBurst;
+	// tests lower it).
+	burst int
 	// frames holds, per engine shard, the frame accumulating the current
 	// tick's encoded events. Each slot is touched only by its shard's
 	// worker goroutine (handleResult and the TickEnd callback run there),
@@ -170,8 +166,7 @@ type ServerStats struct {
 	// included) and every decoded record/frame, admitted or shed.
 	IngestBytes, IngestRecords uint64
 	// IngestBursts counts engine admission calls; IngestBurstPkgs the
-	// packages they carried. A per-package submit counts as a burst of
-	// one, so MeanIngestBurst is comparable across IngestBurst settings.
+	// packages they carried.
 	IngestBursts, IngestBurstPkgs uint64
 	// Subscribers is the number of attached verdict subscribers;
 	// SubscriberDrops counts events lost to slow (or abandoned)
@@ -235,29 +230,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 5 * time.Second
 	}
-	burst := cfg.IngestBurst
-	if burst == 0 {
-		burst = 256
-	}
-	if burst < 1 {
-		burst = 1
-	}
 	s := &Server{
 		cfg:      cfg,
 		hub:      newHub(cfg.SubscriberBuffer, cfg.SubscriberWriteTimeout),
 		models:   make(map[string]*modelEntry, len(cfg.Models)),
 		active:   make(map[string]net.Conn),
-		burst:    burst,
-		coalesce: burst > 1,
+		burst:    ingestBurst,
 		lastTime: time.Now(),
 	}
-	if s.coalesce {
-		// Coalesce verdict fan-out per shard tick: handleResult accumulates
-		// into per-shard frames, and the engine's TickEnd callback (on the
-		// same shard goroutine) publishes each shard's frame once per tick.
-		cfg.Engine.TickEnd = s.tickEnd
-		s.cfg.Engine = cfg.Engine
-	}
+	// Coalesce verdict fan-out per shard tick: handleResult accumulates
+	// into per-shard frames, and the engine's TickEnd callback (on the
+	// same shard goroutine) publishes each shard's frame once per tick.
+	s.cfg.Engine.TickEnd = s.tickEnd
 	for _, m := range cfg.Models {
 		if m.Name == "" {
 			return nil, fmt.Errorf("serve: model with empty name")
@@ -277,7 +261,7 @@ func New(cfg Config) (*Server, error) {
 			s.def = entry
 		}
 	}
-	eng, err := engine.New(cfg.Models[0].Framework, cfg.Engine, s.handleResult)
+	eng, err := engine.New(cfg.Models[0].Framework, s.cfg.Engine, s.handleResult)
 	if err != nil {
 		return nil, err
 	}
@@ -301,27 +285,19 @@ func New(cfg Config) (*Server, error) {
 // tests.
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
-// handleResult is the engine Handler: observe, encode once, fan out.
-// With tick coalescing the event is appended to the shard's pending frame
-// (published by tickEnd); on the per-package path it publishes alone.
+// handleResult is the engine Handler: observe, encode once, and append
+// the event to the shard's pending frame (published by tickEnd).
 func (s *Server) handleResult(r engine.Result) {
 	if s.cfg.OnResult != nil {
 		s.cfg.OnResult(r)
 	}
-	if s.coalesce {
-		f := s.frames[r.Shard]
-		if f == nil {
-			f = s.hub.newFrame()
-			s.frames[r.Shard] = f
-		}
-		f.buf, s.scratch[r.Shard] = appendEvent(f.buf, s.scratch[r.Shard], r)
-		f.events++
-		return
+	f := s.frames[r.Shard]
+	if f == nil {
+		f = s.hub.newFrame()
+		s.frames[r.Shard] = f
 	}
-	f := s.hub.newFrame()
 	f.buf, s.scratch[r.Shard] = appendEvent(f.buf, s.scratch[r.Shard], r)
-	f.events = 1
-	s.hub.publishFrame(f)
+	f.events++
 }
 
 // tickEnd is the engine's per-shard tick callback: publish the shard's
@@ -351,15 +327,9 @@ func (s *Server) listen(addr string, handler func(net.Conn)) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("serve: listen: %w", err)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return "", fmt.Errorf("serve: server is shut down")
+	if err := s.track(ln); err != nil {
+		return "", err
 	}
-	s.listeners = append(s.listeners, ln)
-	s.acceptWG.Add(1)
-	s.mu.Unlock()
 	go func() {
 		defer s.acceptWG.Done()
 		for {
@@ -371,6 +341,20 @@ func (s *Server) listen(addr string, handler func(net.Conn)) (string, error) {
 		}
 	}()
 	return ln.Addr().String(), nil
+}
+
+// track registers a bound listener, and its accept loop, with Shutdown —
+// or closes it when the server is already shut down.
+func (s *Server) track(ln net.Listener) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		ln.Close()
+		return fmt.Errorf("serve: server is shut down")
+	}
+	s.listeners = append(s.listeners, ln)
+	s.acceptWG.Add(1)
+	return nil
 }
 
 // model resolves a handshake model name.
@@ -490,7 +474,7 @@ func (s *Server) serveIngest(conn net.Conn) {
 // admission: every record is decoded through the exact tap rules
 // (trace.Decoder) and submitted under the connection's model; a saturated
 // engine pushes back on the socket. Records are admitted in bursts —
-// decode until IngestBurst packages have accumulated or the reader's
+// decode until ingestBurst packages have accumulated or the reader's
 // buffered data runs dry, then one SubmitBatchFor — so the engine's
 // per-submit costs amortize over whatever the wire already delivered. It
 // returns the accepted-package count at EOF, which the client gets in a
@@ -539,15 +523,6 @@ func (s *Server) serveReplay(br *bufio.Reader, fw *core.Framework, fp, stream st
 			return 0, err
 		}
 		s.ingestRecords.Add(1)
-		if s.burst <= 1 {
-			if err := s.eng.SubmitFor(fw, stream, pkg); err != nil {
-				return 0, err
-			}
-			count++
-			s.bursts.Add(1)
-			s.burstPkgs.Add(1)
-			continue
-		}
 		if batch == nil {
 			batch = make([]*dataset.Package, 0, s.burst)
 		}
@@ -573,7 +548,7 @@ func (s *Server) serveReplay(br *bufio.Reader, fw *core.Framework, fp, stream st
 // direction inferred from the MBAP transaction ID (an unseen ID opens a
 // command, a matching outstanding ID closes it as the response). Each
 // wakeup blocks for one frame, then drains every complete MBAP frame
-// already sitting in the read buffer (up to IngestBurst) and admits the
+// already sitting in the read buffer (up to ingestBurst) and admits the
 // burst with one TrySubmitBatchFor — a full shard queue drops the whole
 // burst and counts the shed instead of stalling the wire.
 func (s *Server) serveLive(br *bufio.Reader, fw *core.Framework, regs tap.RegisterMap, stream string) {
@@ -584,24 +559,8 @@ func (s *Server) serveLive(br *bufio.Reader, fw *core.Framework, regs tap.Regist
 		if err != nil {
 			return
 		}
-		pkg := dec.decode(f)
 		s.ingestRecords.Add(1)
-		if s.burst <= 1 {
-			ok, err := s.eng.TrySubmitFor(fw, stream, pkg)
-			if err != nil {
-				return
-			}
-			s.bursts.Add(1)
-			s.burstPkgs.Add(1)
-			if ok {
-				s.live.Add(1)
-			} else {
-				s.shed.Add(1)
-			}
-			continue
-		}
-		batch := make([]*dataset.Package, 0, s.burst)
-		batch = append(batch, pkg)
+		batch := append(make([]*dataset.Package, 0, s.burst), dec.decode(f))
 		for len(batch) < s.burst && bufferedFrame(br) {
 			f, err := fr.Next()
 			if err != nil {

@@ -21,11 +21,9 @@ const episodeGap = 8
 // possible through a sequential session over the default two-level stack.
 type ReplayConfig struct {
 	// Stack describes the detection stack to replay through (levels +
-	// fusion policy). Empty means the stack equivalent of Mode.
+	// fusion policy). Empty means Engine's stack, and without one the
+	// paper's two-level bloom,lstm stack.
 	Stack core.StackSpec
-	// Mode selects the legacy detector levels (default core.ModeCombined);
-	// it is consulted only when Stack is empty.
-	Mode core.Mode
 	// Timed replays on the trace's own timeline (latency mode): package i
 	// is delivered Time(i)/Speed after the replay started. False replays as
 	// fast as possible (throughput mode).
@@ -36,11 +34,10 @@ type ReplayConfig struct {
 	// Engine, when non-nil, drives the batched multi-stream engine instead
 	// of a sequential session; the trace becomes one stream.
 	Engine *engine.Config
-	// Burst, when Engine is non-nil and Burst > 1, admits packages in
-	// bursts of up to Burst via Engine.SubmitBatch instead of one Submit
-	// per package — the serving daemon's amortized admission path. In
-	// timed mode the pacing clock is consulted once per burst (at its
-	// first package).
+	// Burst, when Engine is non-nil, admits packages in bursts of up to
+	// Burst (default 1) per Engine.SubmitBatchFor call — the serving
+	// daemon's amortized admission path. In timed mode the pacing clock is
+	// consulted once per burst (at its first package).
 	Burst int
 	// Stream is the engine stream key (default: the trace's scenario name).
 	Stream string
@@ -110,44 +107,21 @@ func findEpisodes(pkgs []*dataset.Package) ([]*episode, []int) {
 	return eps, idx
 }
 
-// replaySpec resolves the detection stack of a replay: an explicit Stack
-// wins (and must not conflict with legacy mode fields); otherwise the
-// legacy Mode / Engine.Mode merge decides, exactly as before the stack
-// refactor.
+// replaySpec resolves the detection stack of a replay: the replay's Stack,
+// else the engine config's, else the paper's two-level stack. Setting both
+// is an error.
 func replaySpec(cfg *ReplayConfig) (core.StackSpec, error) {
-	if len(cfg.Stack.Stages) > 0 {
-		if cfg.Mode != 0 {
-			return core.StackSpec{}, fmt.Errorf("trace: replay stack %s conflicts with legacy mode %d",
-				cfg.Stack, cfg.Mode)
-		}
-		if cfg.Engine != nil && cfg.Engine.Mode != 0 {
-			return core.StackSpec{}, fmt.Errorf("trace: replay stack %s conflicts with engine mode %d",
-				cfg.Stack, cfg.Engine.Mode)
-		}
-		if cfg.Engine != nil && len(cfg.Engine.Stack.Stages) > 0 {
+	spec := cfg.Stack
+	if cfg.Engine != nil && len(cfg.Engine.Stack.Stages) > 0 {
+		if len(spec.Stages) > 0 {
 			return core.StackSpec{}, fmt.Errorf("trace: set the replay stack on ReplayConfig, not EngineConfig")
 		}
-		return cfg.Stack, cfg.Stack.Validate()
+		spec = cfg.Engine.Stack
 	}
-	mode := cfg.Mode
-	if cfg.Engine != nil && cfg.Engine.Mode != 0 {
-		if mode != 0 && mode != cfg.Engine.Mode {
-			return core.StackSpec{}, fmt.Errorf("trace: replay mode %d conflicts with engine mode %d",
-				mode, cfg.Engine.Mode)
-		}
-		mode = cfg.Engine.Mode
+	if len(spec.Stages) == 0 {
+		return core.DefaultStackSpec(), nil
 	}
-	if cfg.Engine != nil && len(cfg.Engine.Stack.Stages) > 0 {
-		if mode != 0 {
-			return core.StackSpec{}, fmt.Errorf("trace: engine stack %s conflicts with legacy mode %d",
-				cfg.Engine.Stack, mode)
-		}
-		return cfg.Engine.Stack, cfg.Engine.Stack.Validate()
-	}
-	if mode == 0 {
-		mode = core.ModeCombined
-	}
-	return core.SpecForMode(mode)
+	return spec, spec.Validate()
 }
 
 // Replay drives a recorded trace through a trained framework and scores the
@@ -213,7 +187,6 @@ func Replay(fw *core.Framework, h Header, recs []*Record, cfg ReplayConfig) (*Re
 	} else {
 		ecfg := *cfg.Engine
 		ecfg.Stack = spec
-		ecfg.Mode = 0
 		stream := cfg.Stream
 		if stream == "" {
 			stream = h.Scenario
@@ -228,30 +201,15 @@ func Replay(fw *core.Framework, h Header, recs []*Record, cfg ReplayConfig) (*Re
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Burst > 1 {
-			for i := 0; i < len(pkgs); {
-				j := i + cfg.Burst
-				if j > len(pkgs) {
-					j = len(pkgs)
-				}
-				pace(i)
-				// The engine owns the burst slice once admitted: hand it a
-				// fresh copy per burst.
-				batch := make([]*dataset.Package, j-i)
-				copy(batch, pkgs[i:j])
-				if err := e.SubmitBatch(stream, batch); err != nil {
-					e.Stop()
-					return nil, err
-				}
-				i = j
-			}
-		} else {
-			for i, p := range pkgs {
-				pace(i)
-				if err := e.Submit(stream, p); err != nil {
-					e.Stop()
-					return nil, err
-				}
+		burst := max(cfg.Burst, 1)
+		for i := 0; i < len(pkgs); i += burst {
+			j := min(i+burst, len(pkgs))
+			pace(i)
+			// The engine only reads an admitted burst, and pkgs is never
+			// written again, so each burst is a window of it.
+			if err := e.SubmitBatchFor(nil, stream, pkgs[i:j:j]); err != nil {
+				e.Stop()
+				return nil, err
 			}
 		}
 		if err := e.Barrier(); err != nil {

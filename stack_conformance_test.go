@@ -131,7 +131,7 @@ func TestStackConformance(t *testing.T) {
 		}
 		for _, p := range pkgs {
 			for s := 0; s < streams; s++ {
-				if err := eng.Submit(fmt.Sprintf("dev-%d", s), p); err != nil {
+				if err := eng.SubmitBatchFor(nil, fmt.Sprintf("dev-%d", s), []*icsdetect.Package{p}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -201,7 +201,7 @@ func TestStackConformanceRecon(t *testing.T) {
 		}
 		for _, p := range pkgs {
 			for s := 0; s < streams; s++ {
-				if err := eng.Submit(fmt.Sprintf("dev-%d", s), p); err != nil {
+				if err := eng.SubmitBatchFor(nil, fmt.Sprintf("dev-%d", s), []*icsdetect.Package{p}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -274,7 +274,7 @@ func TestStackConformanceDynamicK(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range pkgs {
-		if err := eng.Submit("plc", p); err != nil {
+		if err := eng.SubmitBatchFor(nil, "plc", []*icsdetect.Package{p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -346,7 +346,7 @@ func TestStackConformanceFusionPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range pkgs {
-				if err := eng.Submit("dev", p); err != nil {
+				if err := eng.SubmitBatchFor(nil, "dev", []*icsdetect.Package{p}); err != nil {
 					t.Fatal(err)
 				}
 			}
