@@ -108,7 +108,8 @@ benchmark-smoke:
 # format's limits, decode→encode reproduces the input), and of the LSTM
 # step's kernels: the f32 multi-stream packed product and the one-hot
 # gather of both precisions, bitwise against their references on every
-# kernel tier.
+# kernel tier; and of the reconstruction nets' lock-step trainer, whose
+# gradients and losses must equal the per-window oracle's bit for bit.
 fuzz-smoke:
 	$(GO) test ./internal/modbus/ -run=NONE -fuzz=FuzzPDUDecode -fuzztime=5s
 	$(GO) test ./internal/modbus/ -run=NONE -fuzz=FuzzFrameDecode -fuzztime=5s
@@ -116,3 +117,4 @@ fuzz-smoke:
 	$(GO) test ./internal/serve/ -run=NONE -fuzz=FuzzReadEvent -fuzztime=5s
 	$(GO) test ./internal/mathx/ -run=NONE -fuzz=FuzzApplyBatch32 -fuzztime=5s
 	$(GO) test ./internal/mathx/ -run=NONE -fuzz=FuzzOneHotGather -fuzztime=5s
+	$(GO) test ./internal/nn/ -run=NONE -fuzz=FuzzReconTrainBatch -fuzztime=5s

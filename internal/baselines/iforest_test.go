@@ -128,7 +128,7 @@ func TestIsolationForestFlatMatchesTrees(t *testing.T) {
 	}
 	trees := refForest(train, cfg)
 
-	std := &Standardizer{Mean: make([]float64, SampleDim), Std: make([]float64, SampleDim)}
+	std := unitStandardizer()
 	refSnap := &ifSnap{Sub: cfg.Subsample, Expected: avgPathLength(cfg.Subsample)}
 	for _, root := range trees {
 		refSnap.Roots = append(refSnap.Roots, refFlattenIso(refSnap, root))
@@ -179,7 +179,7 @@ func TestIsolationForestRestoreRejectsHostile(t *testing.T) {
 		{"root past the array", ifSnap{Nodes: []ifNodeSnap{leaf}, Roots: []int32{3}}, "out of range"},
 		{"empty forest", ifSnap{Nodes: []ifNodeSnap{leaf}}, "no trees"},
 	}
-	std := &Standardizer{Mean: make([]float64, SampleDim), Std: make([]float64, SampleDim)}
+	std := unitStandardizer()
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -193,4 +193,12 @@ func TestIsolationForestRestoreRejectsHostile(t *testing.T) {
 			}
 		})
 	}
+}
+
+// unitStandardizer is the identity standardizer (zero means, unit
+// deviations) — the smallest one a window-level snapshot accepts.
+func unitStandardizer() *Standardizer {
+	std := &Standardizer{Mean: make([]float64, SampleDim), Std: make([]float64, SampleDim)}
+	mathx.Fill(std.Std, 1)
+	return std
 }

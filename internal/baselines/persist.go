@@ -207,6 +207,9 @@ func decodeWindowModel(b []byte) (*WindowModel, error) {
 	if snap.Std == nil {
 		return nil, fmt.Errorf("baselines: window level snapshot has no standardizer")
 	}
+	if err := snap.Std.Validate(); err != nil {
+		return nil, err
+	}
 	sc, err := snap.restoreScorer()
 	if err != nil {
 		return nil, err

@@ -111,6 +111,23 @@ func FitStandardizer(samples [][]float64) (*Standardizer, error) {
 	return s, nil
 }
 
+// Validate reports a standardizer that cannot standardize a window
+// sample: Mean and Std must each hold SampleDim values, and every Std
+// must be finite and positive. The window-level snapshot decoders (here
+// and in internal/recon) run it.
+func (s *Standardizer) Validate() error {
+	if len(s.Mean) != SampleDim || len(s.Std) != SampleDim {
+		return fmt.Errorf("baselines: standardizer has %d means and %d deviations, want %d",
+			len(s.Mean), len(s.Std), SampleDim)
+	}
+	for i, v := range s.Std {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("baselines: standardizer deviation %d is %v", i, v)
+		}
+	}
+	return nil
+}
+
 // Apply standardizes x in place and returns it.
 func (s *Standardizer) Apply(x []float64) []float64 {
 	for i := range x {

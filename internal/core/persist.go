@@ -73,6 +73,9 @@ func Load(r io.Reader) (*Framework, error) {
 	if p.K < 1 {
 		return nil, fmt.Errorf("core: loaded framework has invalid k=%d", p.K)
 	}
+	if err := p.Model.Validate(); err != nil {
+		return nil, fmt.Errorf("core: load framework: %w", err)
+	}
 	var filter bloom.Filter
 	if _, err := filter.ReadFrom(bytes.NewReader(p.Bloom)); err != nil {
 		return nil, fmt.Errorf("core: load bloom filter: %w", err)

@@ -77,7 +77,7 @@ func (d *Dense) validate() error {
 	if d.InputSize <= 0 || d.OutputSize <= 0 {
 		return fmt.Errorf("nn: dense layer with non-positive sizes (%d, %d)", d.InputSize, d.OutputSize)
 	}
-	if d.W == nil || d.W.Rows != d.OutputSize || d.W.Cols != d.InputSize || len(d.B) != d.OutputSize {
+	if !shaped(d.W, d.OutputSize, d.InputSize) || len(d.B) != d.OutputSize {
 		return fmt.Errorf("nn: dense layer shape corruption")
 	}
 	return nil

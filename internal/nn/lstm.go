@@ -1,9 +1,10 @@
 // Package nn is the from-scratch neural substrate for the time-series level
 // anomaly detector: LSTM layers implementing exactly the memory-cell
 // equations of the paper (§V, Fig. 1), a dense softmax head (Fig. 2),
-// cross-entropy loss, full backpropagation through time, Adam/SGD
-// optimizers, and a data-parallel minibatch trainer. It has no dependencies
-// beyond the repository's math kernels.
+// cross-entropy loss, full backpropagation through time, the Adam
+// optimizer, and lock-step minibatch trainers for the classifier and the
+// reconstruction nets. It has no dependencies beyond the repository's
+// math kernels.
 package nn
 
 import (
@@ -202,14 +203,19 @@ func (g *lstmGrads) slices() [][]float64 {
 	return [][]float64{g.dW.Data, g.dU.Data, g.dB}
 }
 
+// shaped reports whether m is a rows×cols matrix whose data has exactly
+// that many elements.
+func shaped(m *mathx.Matrix, rows, cols int) bool {
+	return m != nil && m.Rows == rows && m.Cols == cols && len(m.Data) == rows*cols
+}
+
 // validate reports structural corruption after deserialization.
 func (l *LSTMLayer) validate() error {
 	if l.HiddenSize <= 0 || l.InputSize <= 0 {
 		return fmt.Errorf("nn: LSTM layer with non-positive sizes (%d, %d)", l.InputSize, l.HiddenSize)
 	}
-	if l.W == nil || l.U == nil ||
-		l.W.Rows != numGates*l.HiddenSize || l.W.Cols != l.InputSize ||
-		l.U.Rows != numGates*l.HiddenSize || l.U.Cols != l.HiddenSize ||
+	if !shaped(l.W, numGates*l.HiddenSize, l.InputSize) ||
+		!shaped(l.U, numGates*l.HiddenSize, l.HiddenSize) ||
 		len(l.B) != numGates*l.HiddenSize {
 		return fmt.Errorf("nn: LSTM layer shape corruption")
 	}

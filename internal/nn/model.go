@@ -325,16 +325,36 @@ func Load(r io.Reader) (*Classifier, error) {
 	if err := gob.NewDecoder(r).Decode(&c); err != nil {
 		return nil, fmt.Errorf("nn: load classifier: %w", err)
 	}
-	if len(c.Layers) == 0 || c.Out == nil {
-		return nil, fmt.Errorf("nn: loaded classifier is empty")
-	}
-	for _, l := range c.Layers {
-		if err := l.validate(); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.Out.validate(); err != nil {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	return &c, nil
+}
+
+// Validate reports structural corruption after deserialization: a
+// missing part, a tensor whose shape or data length is wrong, or layers
+// whose widths do not chain. Load and core.Load run it.
+func (c *Classifier) Validate() error {
+	if len(c.Layers) == 0 || c.Out == nil {
+		return fmt.Errorf("nn: classifier is empty")
+	}
+	for i, l := range c.Layers {
+		if l == nil {
+			return fmt.Errorf("nn: classifier layer %d is missing", i)
+		}
+		if err := l.validate(); err != nil {
+			return err
+		}
+		if i > 0 && l.InputSize != c.Layers[i-1].HiddenSize {
+			return fmt.Errorf("nn: classifier layer %d reads %d inputs, layer %d has %d units",
+				i, l.InputSize, i-1, c.Layers[i-1].HiddenSize)
+		}
+	}
+	if err := c.Out.validate(); err != nil {
+		return err
+	}
+	if top := c.Layers[len(c.Layers)-1].HiddenSize; c.Out.InputSize != top {
+		return fmt.Errorf("nn: classifier head reads %d inputs, top layer has %d units", c.Out.InputSize, top)
+	}
+	return nil
 }

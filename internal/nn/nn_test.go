@@ -338,27 +338,13 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumConverges(t *testing.T) {
-	params := []Param{{Name: "w", Data: []float64{10}}}
-	opt := NewSGD(0.05, 0.9)
-	for iter := 0; iter < 300; iter++ {
-		grad := []float64{2 * params[0].Data[0]}
-		if err := opt.Step(params, [][]float64{grad}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if math.Abs(params[0].Data[0]) > 0.01 {
-		t.Errorf("w = %v, want ~0", params[0].Data[0])
-	}
-}
-
 func TestOptimizerShapeErrors(t *testing.T) {
 	params := []Param{{Name: "w", Data: []float64{1, 2}}}
 	if err := NewAdam(0.1).Step(params, [][]float64{{1}}); err == nil {
 		t.Error("adam accepted mismatched grad shape")
 	}
-	if err := NewSGD(0.1, 0).Step(params, nil); err == nil {
-		t.Error("sgd accepted missing grads")
+	if err := NewAdam(0.1).Step(params, nil); err == nil {
+		t.Error("adam accepted missing grads")
 	}
 }
 

@@ -5,52 +5,6 @@ import (
 	"math"
 )
 
-// Optimizer applies a gradient step to model parameters. Gradients are
-// provided as flat slices aligned with Classifier.Params.
-type Optimizer interface {
-	// Step updates params in place from grads (same order and shapes).
-	Step(params []Param, grads [][]float64) error
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity [][]float64
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD constructs an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum}
-}
-
-// Step applies one SGD update.
-func (o *SGD) Step(params []Param, grads [][]float64) error {
-	if len(params) != len(grads) {
-		return fmt.Errorf("nn: sgd: %d params vs %d grads", len(params), len(grads))
-	}
-	if o.velocity == nil {
-		o.velocity = make([][]float64, len(params))
-		for i, p := range params {
-			o.velocity[i] = make([]float64, len(p.Data))
-		}
-	}
-	for i, p := range params {
-		g := grads[i]
-		if len(g) != len(p.Data) {
-			return fmt.Errorf("nn: sgd: param %q has %d values, grad has %d", p.Name, len(p.Data), len(g))
-		}
-		v := o.velocity[i]
-		for j := range p.Data {
-			v[j] = o.Momentum*v[j] - o.LR*g[j]
-			p.Data[j] += v[j]
-		}
-	}
-	return nil
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba), the de-facto default
 // for LSTM training.
 type Adam struct {
@@ -63,8 +17,6 @@ type Adam struct {
 	m [][]float64
 	v [][]float64
 }
-
-var _ Optimizer = (*Adam)(nil)
 
 // NewAdam constructs Adam with standard hyper-parameters (β1=0.9, β2=0.999,
 // ε=1e-8).

@@ -52,16 +52,17 @@ type ReconNet interface {
 	Validate() error
 
 	// Training internals (unexported: implementations live in this
-	// package so they can reuse the LSTM step/backward kernels).
+	// package so they can reuse the LSTM kernels). newTrainer allocates
+	// TrainRecon's lock-step scratch for minibatches of up to maxBatch
+	// windows (recon_train.go).
 	params() []Param
 	newGrads() reconGrads
-	forwardBackward(x []float64, g reconGrads) float64
+	newTrainer(maxBatch int) reconTrainer
 	invalidate()
 }
 
 // reconGrads is a gradient accumulator matching one ReconNet's params().
 type reconGrads interface {
-	zero()
 	slices() [][]float64
 }
 
@@ -264,12 +265,6 @@ func (g *encDecGrads) slices() [][]float64 {
 	return append(append(g.enc.slices(), g.dec.slices()...), g.out.slices()...)
 }
 
-func (g *encDecGrads) zero() {
-	for _, s := range g.slices() {
-		mathx.Fill(s, 0)
-	}
-}
-
 func (m *AutoEncoder) newGrads() reconGrads {
 	return &encDecGrads{enc: newLSTMGrads(m.Enc), dec: newLSTMGrads(m.Dec), out: newDenseGrads(m.Out)}
 }
@@ -278,64 +273,6 @@ func (m *AutoEncoder) invalidate() {
 	m.Enc.invalidate()
 	m.Dec.invalidate()
 	m.Out.pack.Store(nil)
-}
-
-// forwardBackward runs one window through the autoencoder, accumulates
-// parameter gradients of the mean-squared-error loss into g, and returns
-// the window's loss.
-func (m *AutoEncoder) forwardBackward(x []float64, g reconGrads) float64 {
-	ag := g.(*encDecGrads)
-	H := m.Enc.HiddenSize
-	T, D := m.T, m.D
-
-	encCaches := make([]*lstmStepCache, T)
-	h := make([]float64, H)
-	c := make([]float64, H)
-	for t := 0; t < T; t++ {
-		cache := m.Enc.stepForward(x[t*D:(t+1)*D], h, c)
-		encCaches[t] = cache
-		h, c = cache.h, cache.c
-	}
-	code := h
-
-	decCaches := make([]*lstmStepCache, T)
-	preds := make([][]float64, T)
-	hd := make([]float64, H)
-	cd := make([]float64, H)
-	var loss float64
-	for t := 0; t < T; t++ {
-		cache := m.Dec.stepForward(code, hd, cd)
-		decCaches[t] = cache
-		hd, cd = cache.h, cache.c
-		pred := make([]float64, D)
-		m.Out.Forward(pred, cache.h)
-		preds[t] = pred
-		loss += sqErr(pred, x[t*D:(t+1)*D])
-	}
-	inv := 1 / float64(T*D)
-
-	dh := make([]float64, H)
-	dc := make([]float64, H)
-	dCode := make([]float64, H)
-	dLogits := make([]float64, D)
-	for t := T - 1; t >= 0; t-- {
-		for j := 0; j < D; j++ {
-			dLogits[j] = 2 * inv * (preds[t][j] - x[t*D+j])
-		}
-		dhOut := m.Out.Backward(dLogits, decCaches[t].h, ag.out)
-		mathx.Axpy(dh, 1, dhOut)
-		dx, dhPrev, dcPrev := m.Dec.stepBackward(decCaches[t], dh, dc, ag.dec)
-		mathx.Axpy(dCode, 1, dx)
-		dh, dc = dhPrev, dcPrev
-	}
-
-	dhE := dCode // every decoder step read the encoder's final hidden state
-	dcE := make([]float64, H)
-	for t := T - 1; t >= 0; t-- {
-		_, dhPrev, dcPrev := m.Enc.stepBackward(encCaches[t], dhE, dcE, ag.enc)
-		dhE, dcE = dhPrev, dcPrev
-	}
-	return loss * inv
 }
 
 // ---------------------------------------------------------------------------
@@ -487,65 +424,6 @@ func (m *Seq2Seq) invalidate() {
 	m.Out.pack.Store(nil)
 }
 
-// forwardBackward runs one window through the predictor, accumulates
-// gradients of the mean-squared prediction error into g (backpropagating
-// through the free-running feedback path), and returns the window's loss.
-func (m *Seq2Seq) forwardBackward(x []float64, g reconGrads) float64 {
-	sg := g.(*encDecGrads)
-	H := m.Enc.HiddenSize
-	T, D, W := m.T, m.D, m.Warm
-
-	encCaches := make([]*lstmStepCache, W)
-	h := make([]float64, H)
-	c := make([]float64, H)
-	for t := 0; t < W; t++ {
-		cache := m.Enc.stepForward(x[t*D:(t+1)*D], h, c)
-		encCaches[t] = cache
-		h, c = cache.h, cache.c
-	}
-
-	decCaches := make([]*lstmStepCache, T)
-	preds := make([][]float64, T)
-	hd, cd := h, c
-	u := x[(W-1)*D : W*D]
-	var loss float64
-	for t := W; t < T; t++ {
-		cache := m.Dec.stepForward(u, hd, cd)
-		decCaches[t] = cache
-		hd, cd = cache.h, cache.c
-		pred := make([]float64, D)
-		m.Out.Forward(pred, cache.h)
-		preds[t] = pred
-		loss += sqErr(pred, x[t*D:(t+1)*D])
-		u = pred
-	}
-	inv := 1 / float64((T-W)*D)
-
-	dh := make([]float64, H)
-	dc := make([]float64, H)
-	dLogits := make([]float64, D)
-	dPredNext := make([]float64, D) // ∂L/∂pred_t via the t+1 input path
-	for t := T - 1; t >= W; t-- {
-		for j := 0; j < D; j++ {
-			dLogits[j] = 2*inv*(preds[t][j]-x[t*D+j]) + dPredNext[j]
-		}
-		dhOut := m.Out.Backward(dLogits, decCaches[t].h, sg.out)
-		mathx.Axpy(dh, 1, dhOut)
-		dx, dhPrev, dcPrev := m.Dec.stepBackward(decCaches[t], dh, dc, sg.dec)
-		if t > W {
-			copy(dPredNext, dx) // this step's input was pred_{t-1}
-		}
-		dh, dc = dhPrev, dcPrev
-	}
-
-	// dh/dc are now ∂L/∂(encoder final state), handed across the bridge.
-	for t := W - 1; t >= 0; t-- {
-		_, dhPrev, dcPrev := m.Enc.stepBackward(encCaches[t], dh, dc, sg.enc)
-		dh, dc = dhPrev, dcPrev
-	}
-	return loss * inv
-}
-
 // ---------------------------------------------------------------------------
 // 1D-CNN predictor
 
@@ -682,7 +560,7 @@ func (m *ConvNet) Validate() error {
 	if m.T <= 0 || m.D <= 0 || m.K <= 0 || m.K >= m.T || m.Filters == nil || m.Out == nil {
 		return fmt.Errorf("nn: convnet missing components or bad kernel")
 	}
-	if m.Filters.Cols != m.K*m.D || m.Filters.Rows <= 0 || len(m.Bias) != m.Filters.Rows {
+	if m.Filters.Rows <= 0 || !shaped(m.Filters, m.Filters.Rows, m.K*m.D) || len(m.Bias) != m.Filters.Rows {
 		return fmt.Errorf("nn: convnet filter shape mismatch")
 	}
 	if err := m.Out.validate(); err != nil {
@@ -712,12 +590,6 @@ func (g *convGrads) slices() [][]float64 {
 	return append([][]float64{g.dW.Data, g.dB}, g.out.slices()...)
 }
 
-func (g *convGrads) zero() {
-	for _, s := range g.slices() {
-		mathx.Fill(s, 0)
-	}
-}
-
 func (m *ConvNet) newGrads() reconGrads {
 	return &convGrads{
 		dW:  mathx.NewMatrix(m.Filters.Rows, m.Filters.Cols),
@@ -728,52 +600,4 @@ func (m *ConvNet) newGrads() reconGrads {
 
 func (m *ConvNet) invalidate() {
 	m.Out.pack.Store(nil)
-}
-
-// forwardBackward runs one window through the CNN, accumulates gradients
-// of the mean-squared prediction error into g, and returns the window's
-// loss.
-func (m *ConvNet) forwardBackward(x []float64, g reconGrads) float64 {
-	cg := g.(*convGrads)
-	P := m.positions()
-	F := m.Filters.Rows
-	D := m.D
-
-	acts := make([][]float64, P)
-	preds := make([][]float64, P)
-	var loss float64
-	for p := 0; p < P; p++ {
-		win := x[p*D : p*D+m.K*D]
-		a := make([]float64, F)
-		m.Filters.MulVec(a, win)
-		for f := 0; f < F; f++ {
-			a[f] += m.Bias[f]
-		}
-		relu(a)
-		acts[p] = a
-		pred := make([]float64, D)
-		m.Out.Forward(pred, a)
-		preds[p] = pred
-		loss += sqErr(pred, x[(p+m.K)*D:(p+m.K+1)*D])
-	}
-	inv := 1 / float64(P*D)
-
-	dLogits := make([]float64, D)
-	for p := 0; p < P; p++ {
-		tgt := x[(p+m.K)*D : (p+m.K+1)*D]
-		for j := 0; j < D; j++ {
-			dLogits[j] = 2 * inv * (preds[p][j] - tgt[j])
-		}
-		dA := m.Out.Backward(dLogits, acts[p], cg.out)
-		for f := 0; f < F; f++ {
-			if acts[p][f] <= 0 { // ReLU inactive: no gradient
-				dA[f] = 0
-			}
-		}
-		cg.dW.AddOuter(1, dA, x[p*D:p*D+m.K*D])
-		for f := 0; f < F; f++ {
-			cg.dB[f] += dA[f]
-		}
-	}
-	return loss * inv
 }

@@ -126,8 +126,9 @@ func TestReconBatchReuse(t *testing.T) {
 }
 
 // TestReconGradientsNumeric checks every architecture's analytic
-// backward pass against central finite differences of the loss, on every
-// parameter tensor. The loss surface is smooth except for the CNN's ReLU
+// backward pass — the lock-step trainer on a one-window minibatch —
+// against central finite differences of the loss, on every parameter
+// tensor. The loss surface is smooth except for the CNN's ReLU
 // kink; the tolerance absorbs the usual finite-difference noise.
 func TestReconGradientsNumeric(t *testing.T) {
 	const T, D = 4, 5
@@ -142,8 +143,10 @@ func TestReconGradientsNumeric(t *testing.T) {
 		x[i] = rng.Range(-1, 1)
 	}
 	loss := func(net ReconNet, g reconGrads) float64 {
-		g.zero()
-		return net.forwardBackward(x, g)
+		zeroGrads(g)
+		l := make([]float64, 1)
+		net.newTrainer(1).trainBatch([][]float64{x}, g, l)
+		return l[0]
 	}
 	for name, net := range nets {
 		t.Run(name, func(t *testing.T) {
@@ -247,5 +250,52 @@ func TestTrainReconDeterministic(t *testing.T) {
 		if math.Float64bits(a.Out.B[i]) != math.Float64bits(b.Out.B[i]) {
 			t.Fatalf("training not deterministic at Out.B[%d]", i)
 		}
+	}
+}
+
+// TestTrainReconAllocations: TrainRecon allocates only its per-call
+// scratch — nothing per window, minibatch, timestep or epoch — so a
+// 4× larger sample set over 4× the epochs makes the same allocations.
+func TestTrainReconAllocations(t *testing.T) {
+	const T, D = 4, 17
+	samples := randWindows(mathx.NewRNG(9), 64, T, D)
+	for name, net := range reconNets(T, D) {
+		t.Run(name, func(t *testing.T) {
+			allocs := func(n, epochs int) float64 {
+				return testing.AllocsPerRun(3, func() {
+					if _, err := TrainRecon(net, samples[:n], ReconTrainConfig{Epochs: epochs, BatchSize: 8}); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if small, large := allocs(16, 1), allocs(64, 4); small != large {
+				t.Errorf("16 windows × 1 epoch: %v allocations; 64 windows × 4 epochs: %v", small, large)
+			}
+		})
+	}
+}
+
+// BenchmarkTrainRecon trains each reconstruction net at the stage
+// family's shape (4×17 windows, H = 32, the CNN's 32 filters of length 2)
+// on 450 windows × 20 epochs — one stage's training in the all-levels
+// stack. Run with -benchmem.
+func BenchmarkTrainRecon(b *testing.B) {
+	const T, D, H = 4, 17, 32
+	samples := randWindows(mathx.NewRNG(1), 450, T, D)
+	for _, k := range []struct {
+		name string
+		mk   func() ReconNet
+	}{
+		{"ae", func() ReconNet { return NewAutoEncoder(T, D, H, 1) }},
+		{"seq2seq", func() ReconNet { return NewSeq2Seq(T, D, T/2, H, 1) }},
+		{"cnn", func() ReconNet { return NewConvNet(T, D, 2, 32, 1) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := TrainRecon(k.mk(), samples, ReconTrainConfig{Epochs: 20, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -216,23 +216,10 @@ func (bt *batchTrainer) forward(batch []Sequence, maxT int) {
 				}
 				T := len(batch[w].Inputs)
 				k := T - 1 - t
-				gr := bt.gates[l][w][k*G : (k+1)*G]
-				for h := 0; h < H; h++ {
-					gr[gateI*H+h] = mathx.Sigmoid(row[gateI*H+h])
-					gr[gateF*H+h] = mathx.Sigmoid(row[gateF*H+h])
-					gr[gateO*H+h] = mathx.Sigmoid(row[gateO*H+h])
-					gr[gateG*H+h] = math.Tanh(row[gateG*H+h])
-				}
-				cPrev := bt.cells[l][w][(k+1)*H : (k+2)*H]
-				cRow := bt.cells[l][w][k*H : (k+1)*H]
-				tRow := bt.tanhC[l][w][k*H : (k+1)*H]
 				hRow := bt.hs[l][w][k*H : (k+1)*H]
-				for j := 0; j < H; j++ {
-					cj := gr[gateF*H+j]*cPrev[j] + gr[gateI*H+j]*gr[gateG*H+j]
-					cRow[j] = cj
-					tRow[j] = math.Tanh(cj)
-					hRow[j] = gr[gateO*H+j] * tRow[j]
-				}
+				lstmCellForward(bt.gates[l][w][k*G:(k+1)*G], row,
+					bt.cells[l][w][(k+1)*H:(k+2)*H], bt.cells[l][w][k*H:(k+1)*H],
+					bt.tanhC[l][w][k*H:(k+1)*H], hRow)
 				xs[a] = hRow // the next layer reads this layer's fresh h
 			}
 		}
@@ -316,35 +303,9 @@ func (bt *batchTrainer) backward(batch []Sequence, maxT int) {
 			for _, w := range act {
 				T := len(batch[w].Inputs)
 				k := T - 1 - t
-				gr := bt.gates[l][w][k*G : (k+1)*G]
-				tc := bt.tanhC[l][w][k*H : (k+1)*H]
-				cPrev := bt.cells[l][w][(k+1)*H : (k+2)*H]
-				dhw := bt.dh[l][w]
-				dcw := bt.dc[l][w]
 				dzr := bt.dz[l][w][k*G : (k+1)*G]
-				// Elementwise gate gradients in stepBackward's exact
-				// expression shapes; dcw is updated in place to the
-				// carried ∂L/∂c_{t-1}.
-				for j := 0; j < H; j++ {
-					gi := gr[gateI*H+j]
-					f := gr[gateF*H+j]
-					o := gr[gateO*H+j]
-					gg := gr[gateG*H+j]
-					tcj := tc[j]
-
-					do := dhw[j] * tcj
-					dcj := dcw[j] + dhw[j]*o*(1-tcj*tcj)
-
-					di := dcj * gg
-					df := dcj * cPrev[j]
-					dg := dcj * gi
-					dcw[j] = dcj * f
-
-					dzr[gateI*H+j] = di * gi * (1 - gi)
-					dzr[gateF*H+j] = df * f * (1 - f)
-					dzr[gateO*H+j] = do * o * (1 - o)
-					dzr[gateG*H+j] = dg * (1 - gg*gg)
-				}
+				lstmGateGrads(dzr, bt.gates[l][w][k*G:(k+1)*G], bt.tanhC[l][w][k*H:(k+1)*H],
+					bt.cells[l][w][(k+1)*H:(k+2)*H], bt.dh[l][w], bt.dc[l][w])
 				dzs = append(dzs, dzr)
 			}
 			// dh_{t-1} = dz·U overwrites the carry; dx = dz·W flows into
@@ -386,12 +347,7 @@ func (bt *batchTrainer) accumulate(batch []Sequence) {
 		T := len(batch[w].Inputs)
 		if ns := bt.sc[w]; ns > 0 {
 			g.dense.dW.AddOuterSeq(bt.dlog[w][:ns*K], bt.htop[w][:ns*Htop], ns)
-			for s := 0; s < ns; s++ {
-				row := bt.dlog[w][s*K : (s+1)*K]
-				for j, v := range row {
-					g.dense.dB[j] += v
-				}
-			}
+			addRows(g.dense.dB, bt.dlog[w][:ns*K])
 		}
 		for l, layer := range c.Layers {
 			H := layer.HiddenSize
@@ -405,13 +361,72 @@ func (bt *batchTrainer) accumulate(batch []Sequence) {
 				lg.dW.AddOuterSeq(dz, bt.hs[l-1][w][:T*Hin], T)
 			}
 			lg.dU.AddOuterSeq(dz, bt.hs[l][w][H:(T+1)*H], T)
-			for k := 0; k < T; k++ {
-				row := dz[k*G : (k+1)*G]
-				for j, v := range row {
-					lg.dB[j] += v
-				}
-			}
+			addRows(lg.dB, dz)
 		}
 		g.Steps += bt.sc[w]
+	}
+}
+
+// lstmCellForward is the training forward's gate epilogue, shared by the
+// classifier's and the reconstruction nets' batched trainers: it
+// activates the combined pre-activation row z into gates (σ on i, f, o;
+// τ on g), then writes c = f⊙cPrev + i⊙g, τ(c) and h = o⊙τ(c). Per
+// element these are stepForward's operations in its expression shapes —
+// the vector activations are bitwise equal to the scalar Sigmoid/Tanh —
+// so the cached rows match the per-window reference bit for bit.
+func lstmCellForward(gates, z, cPrev, c, tanhC, h []float64) {
+	H := len(c)
+	mathx.VSigmoid(gates[:3*H], z[:3*H])
+	mathx.VTanh(gates[3*H:4*H], z[3*H:4*H])
+	gi := gates[gateI*H : gateI*H+H]
+	gf := gates[gateF*H : gateF*H+H]
+	gO := gates[gateO*H : gateO*H+H]
+	gg := gates[gateG*H : gateG*H+H]
+	for j := 0; j < H; j++ {
+		c[j] = gf[j]*cPrev[j] + gi[j]*gg[j]
+	}
+	mathx.VTanh(tanhC[:H], c[:H])
+	for j := 0; j < H; j++ {
+		h[j] = gO[j] * tanhC[j]
+	}
+}
+
+// lstmGateGrads is the gate-gradient loop of one BPTT step, shared by
+// both batched trainers and written in stepBackward's exact expression
+// shapes: from the cached activated gates, τ(c_t) and c_{t-1} and the
+// carries dh = ∂L/∂h_t and dc = ∂L/∂c_t it writes the pre-activation
+// gradient dz and updates dc in place to ∂L/∂c_{t-1}.
+func lstmGateGrads(dz, gates, tanhC, cPrev, dh, dc []float64) {
+	H := len(dh)
+	for j := 0; j < H; j++ {
+		gi := gates[gateI*H+j]
+		f := gates[gateF*H+j]
+		o := gates[gateO*H+j]
+		gg := gates[gateG*H+j]
+		tcj := tanhC[j]
+
+		do := dh[j] * tcj
+		dcj := dc[j] + dh[j]*o*(1-tcj*tcj)
+
+		di := dcj * gg
+		df := dcj * cPrev[j]
+		dg := dcj * gi
+		dc[j] = dcj * f
+
+		dz[gateI*H+j] = di * gi * (1 - gi)
+		dz[gateF*H+j] = df * f * (1 - f)
+		dz[gateO*H+j] = do * o * (1 - o)
+		dz[gateG*H+j] = dg * (1 - gg*gg)
+	}
+}
+
+// addRows adds each len(dst)-wide row of rows into dst, rows ascending —
+// the bias-gradient chain of a sequence of per-step updates.
+func addRows(dst, rows []float64) {
+	w := len(dst)
+	for s := 0; w > 0 && s+w <= len(rows); s += w {
+		for j, v := range rows[s : s+w] {
+			dst[j] += v
+		}
 	}
 }

@@ -53,6 +53,9 @@ func decodeModel(b []byte) (*Model, error) {
 	if snap.Std == nil {
 		return nil, fmt.Errorf("recon: stage model snapshot missing standardizer")
 	}
+	if err := snap.Std.Validate(); err != nil {
+		return nil, err
+	}
 	var net nn.ReconNet
 	n := 0
 	if snap.AE != nil {
