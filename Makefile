@@ -108,8 +108,9 @@ benchmark-smoke:
 # format's limits, decode→encode reproduces the input), and of the LSTM
 # step's kernels: the f32 multi-stream packed product and the one-hot
 # gather of both precisions, bitwise against their references on every
-# kernel tier; and of the reconstruction nets' lock-step trainer, whose
-# gradients and losses must equal the per-window oracle's bit for bit.
+# kernel tier; and of the lock-step trainers — the classifier's and the
+# reconstruction nets', all built on one LSTM trace — whose gradients and
+# losses must equal the per-window oracles' bit for bit.
 fuzz-smoke:
 	$(GO) test ./internal/modbus/ -run=NONE -fuzz=FuzzPDUDecode -fuzztime=5s
 	$(GO) test ./internal/modbus/ -run=NONE -fuzz=FuzzFrameDecode -fuzztime=5s

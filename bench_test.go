@@ -207,44 +207,17 @@ func BenchmarkTrainLSTM(b *testing.B) {
 	b.ReportMetric(float64(steps), "steps/epoch")
 }
 
-// BenchmarkTrainThroughput measures the batched training engine against
-// the per-window reference engine at the paper's full model scale (2x256),
-// in truncated-BPTT windows per second. Before timing, it re-proves bitwise
-// parameter equivalence between the two engines on a small model — the
-// invariant that makes the trainers interchangeable. The corpus is trimmed
-// so one epoch stays benchmark-friendly; the per-window compute profile is
-// the full-scale one.
+// BenchmarkTrainThroughput measures the training engine at the paper's
+// full model scale (2x256), in truncated-BPTT windows per second. Its
+// bitwise parity with the per-window oracle is proven by internal/nn's
+// tests. The corpus is trimmed so one epoch stays benchmark-friendly; the
+// per-window compute profile is the full-scale one.
 func BenchmarkTrainThroughput(b *testing.B) {
 	env := benchEnvironment(b)
 	fw := env.Framework
 	seqs := core.BuildSequences(fw.Encoder, fw.Input, fw.DB, env.Split.Train, nil)
 
-	// Untimed: both engines must produce bitwise-identical parameters.
-	trainSmall := func(tr nn.TrainerKind) *nn.Classifier {
-		model, err := nn.NewClassifier(fw.Input.Dim, []int{24, 24}, fw.DB.Size(), 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := nn.Train(model, seqs[:min(len(seqs), 4)], nn.TrainConfig{
-			Epochs: 2, Window: 32, BatchSize: 4, LR: 2e-3, ClipNorm: 5,
-			Seed: 3, Workers: 1, Trainer: tr,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		return model
-	}
-	refParams := trainSmall(nn.TrainerReference).Params()
-	batParams := trainSmall(nn.TrainerBatched).Params()
-	for i := range refParams {
-		for j := range refParams[i].Data {
-			if refParams[i].Data[j] != batParams[i].Data[j] {
-				b.Fatalf("trainer divergence at %s[%d]: reference %v, batched %v",
-					refParams[i].Name, j, refParams[i].Data[j], batParams[i].Data[j])
-			}
-		}
-	}
-
-	// Trim the corpus to roughly 48 full windows for the timed runs.
+	// Trim the corpus to roughly 48 full windows.
 	const benchWindow, targetWindows = 32, 48
 	var trimmed []nn.Sequence
 	var steps int
@@ -257,24 +230,19 @@ func BenchmarkTrainThroughput(b *testing.B) {
 	}
 	nWindows := len(nn.MakeWindows(trimmed, benchWindow))
 
-	for _, tr := range []nn.TrainerKind{nn.TrainerReference, nn.TrainerBatched} {
-		tr := tr
-		b.Run(string(tr), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				model, err := nn.NewClassifier(fw.Input.Dim, []int{256, 256}, fw.DB.Size(), 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := nn.Train(model, trimmed, nn.TrainConfig{
-					Epochs: 1, Window: benchWindow, BatchSize: 16, LR: 2e-3,
-					ClipNorm: 5, Seed: 1, Workers: 1, Trainer: tr,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(nWindows)*float64(b.N)/b.Elapsed().Seconds(), "windows/s")
-		})
+	for i := 0; i < b.N; i++ {
+		model, err := nn.NewClassifier(fw.Input.Dim, []int{256, 256}, fw.DB.Size(), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := nn.Train(model, trimmed, nn.TrainConfig{
+			Epochs: 1, Window: benchWindow, BatchSize: 16, LR: 2e-3,
+			ClipNorm: 5, Seed: 1,
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(nWindows)*float64(b.N)/b.Elapsed().Seconds(), "windows/s")
 }
 
 // BenchmarkModelMemory reports the storage cost of the two detection models

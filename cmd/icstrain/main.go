@@ -5,8 +5,7 @@
 //
 //	icstrain -in capture.arff -model model.bin [-hidden 64,64] [-epochs 12]
 //	         [-scenario watertank] [-search] [-no-noise]
-//	         [-trainer batched|reference] [-checkpoint prefix]
-//	         [-levels bloom,pca,lstm]
+//	         [-checkpoint prefix] [-levels bloom,pca,lstm]
 //
 // -levels additionally trains the stage models of the named promoted
 // detection levels (pca, gmm, iforest, bayesnet, svdd, bf4) from the same
@@ -16,9 +15,8 @@
 // By default the Table III-style fixed granularity is tuned to the capture
 // size through the scenario's scale heuristic (-scenario names the testbed
 // the capture came from); -search runs the paper's §IV-B granularity search
-// instead. Training uses the batched gradient engine; -trainer=reference
-// selects the per-window engine (both produce bitwise-identical models for
-// the same seed). Each epoch reports loss, wall time and windows/sec, and
+// instead. Training is deterministic: one capture and one -seed give one
+// model. Each epoch reports loss, wall time and windows/sec, and
 // -checkpoint writes a loadable model snapshot after every epoch.
 package main
 
@@ -60,7 +58,6 @@ func run() error {
 		search    = flag.Bool("search", false, "run the granularity search instead of the scale heuristic")
 		lambda    = flag.Float64("lambda", 10, "noise frequency parameter λ")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		trainer   = flag.String("trainer", "batched", "gradient engine: batched or reference")
 		ckpt      = flag.String("checkpoint", "", "when set, write <prefix>-epochNNN.bin after every epoch")
 		levels    = flag.String("levels", "", "also train these promoted detection levels into the model, e.g. bloom,pca,lstm (registered: "+strings.Join(core.StageKinds(), ", ")+")")
 		fusion    = flag.String("fusion", "", "fusion policy used only to validate -levels")
@@ -71,10 +68,6 @@ func run() error {
 		return fmt.Errorf("-in is required")
 	}
 	sc, err := scenario.Get(*scName)
-	if err != nil {
-		return err
-	}
-	engine, err := nn.ParseTrainer(*trainer)
 	if err != nil {
 		return err
 	}
@@ -105,7 +98,6 @@ func run() error {
 	if !*search {
 		cfg.Granularity = sc.Granularity(ds.Len())
 	}
-	cfg.Fit.Trainer = engine
 	cfg.Fit.EpochEnd = func(st nn.EpochStats) {
 		fmt.Fprintf(os.Stderr, "epoch %d/%d: loss %.4f  %.2fs  %.0f windows/s\n",
 			st.Epoch, st.Epochs, st.MeanLoss, st.Duration.Seconds(), st.WindowsPerSec())

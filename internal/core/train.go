@@ -33,9 +33,8 @@ type Config struct {
 	ThetaSeries float64
 	// MaxK bounds the top-k error curve (paper plots k ≤ 10).
 	MaxK int
-	// Fit configures the LSTM optimizer loop, including the gradient
-	// engine (Fit.Trainer: batched by default, reference as the escape
-	// hatch — both produce bitwise-identical models).
+	// Fit configures the LSTM optimizer loop. Training is deterministic:
+	// one split, one Seed and one Fit give one model.
 	Fit nn.TrainConfig
 	// Checkpoint, when non-nil, receives a provisional framework after
 	// every training epoch so long runs can be saved incrementally. The

@@ -6,56 +6,6 @@ import (
 	"icsdetect/internal/mathx"
 )
 
-// batchScratch is the batched trainer's storage: per-layer gate rows, logit
-// rows and input row pointers for one GEMM block of streams. It starts empty
-// and grows to the widest block actually stepped.
-type batchScratch[T float32 | float64] struct {
-	maxBatch int
-	// gates[l] is layer l's 4H row width and classes the logit row width:
-	// the strides grow sizes the rows by.
-	gates   []int
-	classes int
-	// z[l] holds the concatenated 4H gate pre-activations of layer l for the
-	// whole block, row-major with stride 4H (one row per stream); zu[l] is
-	// the recurrent U·h product, combined into z elementwise so both
-	// products can use the overwriting GEMM kernel.
-	z, zu [][]T
-	// logits holds the batched dense-head outputs, stride classes.
-	logits []T
-	// xs collects the per-stream input slices handed to the GEMM kernels;
-	// its length is the block width the scratch currently holds.
-	xs [][]T
-}
-
-func newBatchScratch[T float32 | float64](maxBatch int, gates []int, classes int) batchScratch[T] {
-	return batchScratch[T]{
-		maxBatch: max(maxBatch, 1),
-		gates:    gates,
-		classes:  classes,
-		z:        make([][]T, len(gates)),
-		zu:       make([][]T, len(gates)),
-	}
-}
-
-// MaxBatch returns the widest batch the buffer accepts.
-func (b *batchScratch[T]) MaxBatch() int { return b.maxBatch }
-
-// grow makes room for a block of n ≤ maxBatch streams, at least doubling so
-// a widening shard reallocates O(log maxBatch) times. The old rows are
-// scratch and are dropped, not copied.
-func (b *batchScratch[T]) grow(n int) {
-	if n <= len(b.xs) {
-		return
-	}
-	w := min(max(n, 2*len(b.xs)), b.maxBatch)
-	for l, g := range b.gates {
-		b.z[l] = make([]T, w*g)
-		b.zu[l] = make([]T, w*g)
-	}
-	b.logits = make([]T, w*b.classes)
-	b.xs = make([][]T, w)
-}
-
 // checkBatch panics unless a batch of n streams has one input and one score
 // row per stream and fits a buffer of capacity maxBatch.
 func checkBatch(n, inputs, scores, maxBatch int) {

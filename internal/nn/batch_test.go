@@ -216,9 +216,7 @@ func requireRowsCleared[T float32 | float64](t *testing.T, b *batchRows[T], maxB
 }
 
 // TestBatchBufferGrowsOnDemand: the inference buffers of both precisions
-// are row tables that every step leaves empty. The batched trainer's
-// scratch, which still owns rows, starts with none and grows to the widest
-// block actually stepped — doubling, capped at MaxBatch, never shrinking.
+// are row tables, sized at construction, that every step leaves empty.
 func TestBatchBufferGrowsOnDemand(t *testing.T) {
 	c, err := NewClassifier(13, []int{11, 8}, 9, 42)
 	if err != nil {
@@ -236,27 +234,6 @@ func TestBatchBufferGrowsOnDemand(t *testing.T) {
 	requireRowsCleared(t, &buf.batchRows, 20)
 	m.StepBatchLogitsOneHot(buf32, states32, idxs, scores32)
 	requireRowsCleared(t, &buf32.batchRows, 20)
-
-	scratch := newBatchScratch[float64](20, []int{44, 32}, 9)
-	if scratch.MaxBatch() != 20 || len(scratch.xs) != 0 || scratch.logits != nil {
-		t.Fatalf("fresh scratch: MaxBatch %d, %d rows, logits %d", scratch.MaxBatch(), len(scratch.xs), len(scratch.logits))
-	}
-	for _, step := range []struct{ n, rows int }{
-		{1, 1}, {2, 2}, {3, 4}, {9, 9}, {10, 18}, {19, 20}, {5, 20},
-	} {
-		scratch.grow(step.n)
-		if len(scratch.xs) != step.rows {
-			t.Fatalf("grow(%d): %d rows, want %d", step.n, len(scratch.xs), step.rows)
-		}
-		for l, g := range scratch.gates {
-			if len(scratch.z[l]) != step.rows*g || len(scratch.zu[l]) != step.rows*g {
-				t.Fatalf("grow(%d): layer %d holds %d/%d gate values, want %d", step.n, l, len(scratch.z[l]), len(scratch.zu[l]), step.rows*g)
-			}
-		}
-		if len(scratch.logits) != step.rows*9 {
-			t.Fatalf("grow(%d): %d logits, want %d", step.n, len(scratch.logits), step.rows*9)
-		}
-	}
 }
 
 // TestLazyInferenceCachesPublishOnce: goroutines racing on a cold model —

@@ -33,14 +33,6 @@ func NewDense(inputSize, outputSize int, rng *mathx.RNG) *Dense {
 	return d
 }
 
-// Forward computes logits = W·h + b into dst.
-func (d *Dense) Forward(dst, h []float64) {
-	d.W.MulVec(dst, h)
-	for i := range dst {
-		dst[i] += d.B[i]
-	}
-}
-
 type denseGrads struct {
 	dW *mathx.Matrix
 	dB []float64
@@ -48,18 +40,6 @@ type denseGrads struct {
 
 func newDenseGrads(d *Dense) *denseGrads {
 	return &denseGrads{dW: mathx.NewMatrix(d.W.Rows, d.W.Cols), dB: make([]float64, len(d.B))}
-}
-
-// Backward accumulates gradients for dLogits at input h and returns
-// ∂L/∂h.
-func (d *Dense) Backward(dLogits, h []float64, g *denseGrads) []float64 {
-	g.dW.AddOuter(1, dLogits, h)
-	for i, v := range dLogits {
-		g.dB[i] += v
-	}
-	dh := make([]float64, d.InputSize)
-	d.W.MulVecT(dh, dLogits)
-	return dh
 }
 
 func (d *Dense) params() []Param {

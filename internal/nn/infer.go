@@ -69,7 +69,7 @@ func (l *LSTMLayer) invalidate() {
 // InvalidateInference drops every cached inference layout (packed GEMV
 // tiles, transposed input weights). The trainer calls it after each
 // optimizer step; anything else that mutates weights in place must do the
-// same. GrowClasses replaces the head wholesale, so its caches start empty.
+// same.
 func (c *Classifier) InvalidateInference() {
 	for _, l := range c.Layers {
 		l.invalidate()

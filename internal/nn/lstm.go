@@ -92,102 +92,19 @@ func newLSTMGrads(l *LSTMLayer) *lstmGrads {
 	}
 }
 
-// lstmStepCache holds everything the backward pass needs for one timestep.
-type lstmStepCache struct {
-	x     []float64 // input at t
-	hPrev []float64 // h_{t-1}
-	cPrev []float64 // c_{t-1}
-	gates []float64 // post-activation (i,f,o,g), length 4H
-	c     []float64 // c_t
-	tanhC []float64 // τ(c_t)
-	h     []float64 // h_t
-}
-
-// stepForward advances one timestep. x, hPrev and cPrev are not retained by
-// the layer; the returned cache aliases the slices it allocates.
 // stepInfer is the allocation-free inference step: gate pre-activations
 // go through the caller's z scratch and h/c update in place. It runs on
 // the packed inference weights (infer.go) with the bias and gate epilogue
-// fused, but per element it performs exactly stepForward's operations in
-// the same order (gate pre-activation sums, activations, then the
-// cell/hidden update), so the inference path stays bitwise-identical to
-// the training-forward path and to the batched StepBatchLogits (which
-// also updates h/c in place).
+// fused, but per element it performs exactly the operations of the
+// per-window reference step (stepForward in train_oracle_test.go) in the
+// same order — gate pre-activation sums, activations, then the
+// cell/hidden update — so inference stays bitwise-identical to that
+// reference, to the lock-step trainer's forward and to the batched
+// StepBatchLogits (which also updates h/c in place).
 func (l *LSTMLayer) stepInfer(z, x, h, c []float64) {
 	lazyPack(&l.packW, l.W).Apply(z, x, nil, mathx.GemvSet)
 	lazyPack(&l.packU, l.U).Apply(z, h, l.B, mathx.GemvAddBias)
 	l.gatesCellUpdate(z, h, c)
-}
-
-func (l *LSTMLayer) stepForward(x, hPrev, cPrev []float64) *lstmStepCache {
-	H := l.HiddenSize
-	z := make([]float64, numGates*H)
-	l.W.MulVec(z, x)
-	l.U.MulVecAdd(z, hPrev)
-	for i := range z {
-		z[i] += l.B[i]
-	}
-	gates := z // reuse storage: overwrite pre-activations with activations
-	for h := 0; h < H; h++ {
-		gates[gateI*H+h] = mathx.Sigmoid(z[gateI*H+h])
-		gates[gateF*H+h] = mathx.Sigmoid(z[gateF*H+h])
-		gates[gateO*H+h] = mathx.Sigmoid(z[gateO*H+h])
-		gates[gateG*H+h] = math.Tanh(z[gateG*H+h])
-	}
-	c := make([]float64, H)
-	tanhC := make([]float64, H)
-	h := make([]float64, H)
-	for j := 0; j < H; j++ {
-		c[j] = gates[gateF*H+j]*cPrev[j] + gates[gateI*H+j]*gates[gateG*H+j]
-		tanhC[j] = math.Tanh(c[j])
-		h[j] = gates[gateO*H+j] * tanhC[j]
-	}
-	return &lstmStepCache{
-		x: x, hPrev: hPrev, cPrev: cPrev,
-		gates: gates, c: c, tanhC: tanhC, h: h,
-	}
-}
-
-// stepBackward backpropagates one timestep. dh is ∂L/∂h_t (including the
-// contribution flowing back from t+1), dc is ∂L/∂c_t carried from t+1.
-// It accumulates parameter gradients into g and returns ∂L/∂x_t, ∂L/∂h_{t-1}
-// and ∂L/∂c_{t-1}.
-func (l *LSTMLayer) stepBackward(cache *lstmStepCache, dh, dc []float64, g *lstmGrads) (dx, dhPrev, dcPrev []float64) {
-	H := l.HiddenSize
-	dz := make([]float64, numGates*H)
-	dcPrev = make([]float64, H)
-	for j := 0; j < H; j++ {
-		i := cache.gates[gateI*H+j]
-		f := cache.gates[gateF*H+j]
-		o := cache.gates[gateO*H+j]
-		gg := cache.gates[gateG*H+j]
-		tc := cache.tanhC[j]
-
-		do := dh[j] * tc
-		dcj := dc[j] + dh[j]*o*(1-tc*tc)
-
-		di := dcj * gg
-		df := dcj * cache.cPrev[j]
-		dg := dcj * i
-		dcPrev[j] = dcj * f
-
-		dz[gateI*H+j] = di * i * (1 - i)
-		dz[gateF*H+j] = df * f * (1 - f)
-		dz[gateO*H+j] = do * o * (1 - o)
-		dz[gateG*H+j] = dg * (1 - gg*gg)
-	}
-
-	g.dW.AddOuter(1, dz, cache.x)
-	g.dU.AddOuter(1, dz, cache.hPrev)
-	for i, v := range dz {
-		g.dB[i] += v
-	}
-
-	dx = make([]float64, l.InputSize)
-	l.W.MulVecT(dx, dz)
-	dhPrev = make([]float64, H)
-	l.U.MulVecT(dhPrev, dz)
-	return dx, dhPrev, dcPrev
 }
 
 // params returns the layer's parameter tensors (aliases, not copies).

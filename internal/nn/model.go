@@ -155,8 +155,8 @@ func (c *Classifier) StepLogits(state *State, x, scores []float64) {
 	c.Out.forwardInfer(scores, cur)
 }
 
-// GradBuffer accumulates gradients for every parameter of a classifier. One
-// buffer per training worker; buffers merge before the optimizer step.
+// GradBuffer accumulates gradients for every parameter of a classifier
+// over one minibatch.
 type GradBuffer struct {
 	lstm  []*lstmGrads
 	dense *denseGrads
@@ -190,15 +190,6 @@ func (g *GradBuffer) Zero() {
 		mathx.Fill(s, 0)
 	}
 	g.Steps = 0
-}
-
-// Merge adds other into g.
-func (g *GradBuffer) Merge(other *GradBuffer) {
-	gs, os := g.Slices(), other.Slices()
-	for i := range gs {
-		mathx.Axpy(gs[i], 1, os[i])
-	}
-	g.Steps += other.Steps
 }
 
 // ClipAndScale normalizes by the accumulated step count and applies global
@@ -237,78 +228,6 @@ func (g *GradBuffer) ClipAndScale(clipNorm float64) float64 {
 type Sequence struct {
 	Inputs  [][]float64
 	Targets []int
-}
-
-// lossForwardBackward runs truncated BPTT over one window starting from a
-// zero state, accumulating gradients into g. It returns the summed
-// cross-entropy loss and the number of scored steps.
-func (c *Classifier) lossForwardBackward(seq *Sequence, g *GradBuffer) (loss float64, steps int) {
-	T := len(seq.Inputs)
-	if T == 0 {
-		return 0, 0
-	}
-	L := len(c.Layers)
-	caches := make([][]*lstmStepCache, L)
-	for i := range caches {
-		caches[i] = make([]*lstmStepCache, T)
-	}
-	hidden := make([][]float64, L)
-	cell := make([][]float64, L)
-	for i, l := range c.Layers {
-		hidden[i] = make([]float64, l.HiddenSize)
-		cell[i] = make([]float64, l.HiddenSize)
-	}
-	probs := make([][]float64, T)
-	tops := make([][]float64, T) // last-layer h per step, for dense backward
-
-	// Forward.
-	logits := make([]float64, c.Out.OutputSize)
-	for t := 0; t < T; t++ {
-		cur := seq.Inputs[t]
-		for i, l := range c.Layers {
-			cache := l.stepForward(cur, hidden[i], cell[i])
-			caches[i][t] = cache
-			hidden[i] = cache.h
-			cell[i] = cache.c
-			cur = cache.h
-		}
-		tops[t] = cur
-		if seq.Targets[t] >= 0 {
-			c.Out.Forward(logits, cur)
-			p := make([]float64, len(logits))
-			mathx.Softmax(p, logits)
-			probs[t] = p
-			loss += -math.Log(math.Max(p[seq.Targets[t]], 1e-12))
-			steps++
-		}
-	}
-
-	// Backward through time.
-	dh := make([][]float64, L)
-	dc := make([][]float64, L)
-	for i, l := range c.Layers {
-		dh[i] = make([]float64, l.HiddenSize)
-		dc[i] = make([]float64, l.HiddenSize)
-	}
-	for t := T - 1; t >= 0; t-- {
-		if probs[t] != nil {
-			dLogits := make([]float64, len(probs[t]))
-			copy(dLogits, probs[t])
-			dLogits[seq.Targets[t]] -= 1 // softmax cross-entropy gradient
-			dhOut := c.Out.Backward(dLogits, tops[t], g.dense)
-			mathx.Axpy(dh[L-1], 1, dhOut)
-		}
-		for i := L - 1; i >= 0; i-- {
-			dx, dhPrev, dcPrev := c.Layers[i].stepBackward(caches[i][t], dh[i], dc[i], g.lstm[i])
-			dh[i] = dhPrev
-			dc[i] = dcPrev
-			if i > 0 {
-				mathx.Axpy(dh[i-1], 1, dx)
-			}
-		}
-	}
-	g.Steps += steps
-	return loss, steps
 }
 
 // Save serializes the classifier with gob.

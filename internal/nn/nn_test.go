@@ -43,8 +43,9 @@ func randomSequence(rng *mathx.RNG, c *Classifier, T int) *Sequence {
 
 // TestGradientCheck validates the full BPTT implementation (both LSTM
 // layers, the dense head, and the softmax loss) against central finite
-// differences on a small random network. This is the load-bearing
-// correctness test for the entire neural substrate.
+// differences on a small random network, for both the per-window oracle
+// and the lock-step trainer (a one-window minibatch). This is the
+// load-bearing correctness test for the entire neural substrate.
 func TestGradientCheck(t *testing.T) {
 	rng := mathx.NewRNG(7)
 	c, err := NewClassifier(6, []int{5, 4}, 3, 11)
@@ -53,13 +54,16 @@ func TestGradientCheck(t *testing.T) {
 	}
 	seq := randomSequence(rng, c, 7)
 
-	g := c.NewGradBuffer()
-	if _, steps := c.lossForwardBackward(seq, g); steps != 7 {
-		t.Fatalf("scored %d steps", steps)
+	oracle := c.NewGradBuffer()
+	if _, steps := c.lossForwardBackward(seq, oracle); steps != 7 {
+		t.Fatalf("oracle scored %d steps", steps)
+	}
+	bt := newBatchTrainer(c, 1, len(seq.Inputs))
+	if _, steps := bt.run([]Sequence{*seq}); steps != 7 {
+		t.Fatalf("lock-step pass scored %d steps", steps)
 	}
 
 	params := c.Params()
-	grads := g.Slices()
 	const eps = 1e-5
 	checked := 0
 	for pi, p := range params {
@@ -74,11 +78,16 @@ func TestGradientCheck(t *testing.T) {
 			p.Data[j] = orig
 
 			numeric := (up - down) / (2 * eps)
-			analytic := grads[pi][j]
-			scale := math.Max(1, math.Max(math.Abs(numeric), math.Abs(analytic)))
-			if math.Abs(numeric-analytic)/scale > 1e-5 {
-				t.Errorf("%s[%d]: numeric %.8g vs analytic %.8g",
-					p.Name, j, numeric, analytic)
+			for _, g := range []struct {
+				name string
+				buf  *GradBuffer
+			}{{"oracle", oracle}, {"lock-step", bt.grads}} {
+				analytic := g.buf.Slices()[pi][j]
+				scale := math.Max(1, math.Max(math.Abs(numeric), math.Abs(analytic)))
+				if math.Abs(numeric-analytic)/scale > 1e-5 {
+					t.Errorf("%s %s[%d]: numeric %.8g vs analytic %.8g",
+						g.name, p.Name, j, numeric, analytic)
+				}
 			}
 			checked++
 		}
@@ -106,7 +115,7 @@ func TestTrainingLearnsDeterministicSequence(t *testing.T) {
 		seq.Targets = append(seq.Targets, (i+1)%classes)
 	}
 	loss, err := Train(c, []Sequence{seq}, TrainConfig{
-		Epochs: 30, Window: 16, BatchSize: 4, LR: 5e-3, ClipNorm: 5, Seed: 1, Workers: 2,
+		Epochs: 30, Window: 16, BatchSize: 4, LR: 5e-3, ClipNorm: 5, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,18 +357,18 @@ func TestOptimizerShapeErrors(t *testing.T) {
 	}
 }
 
+// TestGradBufferMergeAndClip: a buffer that accumulated two windows
+// counts both windows' steps, and ClipAndScale caps its norm.
 func TestGradBufferMergeAndClip(t *testing.T) {
 	c, _ := NewClassifier(3, []int{4}, 2, 2)
 	rng := mathx.NewRNG(3)
 	seq := randomSequence(rng, c, 5)
 
 	a := c.NewGradBuffer()
-	b := c.NewGradBuffer()
 	c.lossForwardBackward(seq, a)
-	c.lossForwardBackward(seq, b)
-	a.Merge(b)
+	c.lossForwardBackward(seq, a)
 	if a.Steps != 10 {
-		t.Errorf("merged steps = %d", a.Steps)
+		t.Errorf("accumulated steps = %d", a.Steps)
 	}
 	norm := a.ClipAndScale(0.001)
 	if norm <= 0 {

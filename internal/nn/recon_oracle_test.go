@@ -304,23 +304,30 @@ func TestTrainReconMatchesOracle(t *testing.T) {
 	}
 }
 
-// FuzzReconTrainBatch draws an architecture, its shape (T, D, H, the
-// seq2seq warm-up or CNN kernel length), the window count, the minibatch
-// width and the seed, and requires the lock-step trainer to match the
-// oracle bit for bit on every minibatch, on every kernel tier.
+// FuzzReconTrainBatch draws a network — one of the three reconstruction
+// architectures or, as the fourth kind, the classifier — its shape (T, D,
+// H, the seq2seq warm-up or CNN kernel length), the window count, the
+// minibatch width and the seed, and requires the lock-step trainer to
+// match the oracle bit for bit on every minibatch, on every kernel tier.
+// Every LSTM of every kind trains on the one lstmTrace.
 func FuzzReconTrainBatch(f *testing.F) {
 	f.Add(uint8(0), uint8(4), uint8(17), uint8(32), uint8(9), uint8(4), uint64(1))
 	f.Add(uint8(1), uint8(4), uint8(17), uint8(32), uint8(9), uint8(8), uint64(2))
 	f.Add(uint8(2), uint8(4), uint8(17), uint8(32), uint8(9), uint8(3), uint64(3))
+	f.Add(uint8(3), uint8(6), uint8(17), uint8(32), uint8(9), uint8(4), uint64(5))
 	f.Fuzz(func(t *testing.T, kind, tt, d, h, n, b uint8, seed uint64) {
 		T := 2 + int(tt)%7
 		D := 1 + int(d)%20
 		H := 1 + int(h)%36
 		N := 1 + int(n)%20
 		B := 1 + int(b)%N
+		if kind%4 == 3 {
+			fuzzClassifierBatch(t, T, D, H, N, B, seed)
+			return
+		}
 		cut := 1 + int(seed%uint64(T-1)) // warm-up or kernel length, in [1, T)
 		mk := func() oracleNet {
-			switch kind % 3 {
+			switch kind % 4 {
 			case 0:
 				return NewAutoEncoder(T, D, H, seed)
 			case 1:

@@ -122,9 +122,10 @@ func scaleAndClip(grads [][]float64, scale, clipNorm float64) {
 // network and all the scratch a minibatch needs; the network never holds
 // it, so the scratch lives exactly as long as one TrainRecon call.
 //
-// Its contract is the classifier trainer's: for the same windows in the
-// same order it accumulates the identical gradients and losses, bit for
-// bit, as the per-window reference (recon_oracle_test.go). Products run
+// Its contract is lstmTrace's, which its LSTMs train on: for the same
+// windows in the same order it accumulates the identical gradients and
+// losses, bit for bit, as the per-window reference (recon_oracle_test.go).
+// The dense heads and the CNN follow the trace's discipline: products run
 // through the kernels whose per-element association equals the
 // reference's GEMV primitives (MulRowsT ↔ MulVec, MulRows ↔ MulVecT),
 // elementwise formulas keep the reference's expression shapes, and weight
@@ -136,142 +137,6 @@ type reconTrainer interface {
 	// ascending) and writes each window's loss into loss. len(xs) must
 	// not exceed the maxBatch the trainer was built for.
 	trainBatch(xs [][]float64, g reconGrads, loss []float64)
-}
-
-// lstmTrace is one LSTM layer's cache for a lock-step pass over a
-// minibatch of windows of S steps each. Rows are step-major in the
-// reference's accumulation order — step s = w·S + S-1-t holds window w's
-// timestep t, so windows ascend and time descends, the classifier
-// trainer's reversed-time layout with the windows laid end to end — and
-// every weight gradient of the minibatch is one AddOuterSeq.
-type lstmTrace struct {
-	l             *LSTMLayer
-	S             int
-	in            []float64   // [n·S·I] the input each step read
-	hprev         []float64   // [n·S·H] the h_{t-1} each step read
-	hs, cs, tanhC []float64   // [n·S·H] h_t, c_t, τ(c_t)
-	gates, dz     []float64   // [n·S·4H] activated gates, gate gradients
-	c0            []float64   // [n·H] initial cell state
-	dh, dc        []float64   // [n·H] BPTT carries
-	z, zu         []float64   // [n·4H] lock-step pre-activation rows
-	hp, dzs       [][]float64 // [n] GEMM row lists
-}
-
-func newLSTMTrace(l *LSTMLayer, maxB, steps int) lstmTrace {
-	H, G, N := l.HiddenSize, numGates*l.HiddenSize, maxB*steps
-	return lstmTrace{
-		l: l, S: steps,
-		in:    make([]float64, N*l.InputSize),
-		hprev: make([]float64, N*H),
-		hs:    make([]float64, N*H), cs: make([]float64, N*H), tanhC: make([]float64, N*H),
-		gates: make([]float64, N*G), dz: make([]float64, N*G),
-		c0: make([]float64, maxB*H),
-		dh: make([]float64, maxB*H), dc: make([]float64, maxB*H),
-		z: make([]float64, maxB*G), zu: make([]float64, maxB*G),
-		hp: make([][]float64, maxB), dzs: make([][]float64, maxB),
-	}
-}
-
-// at is the cache step of window w's timestep t.
-func (tr *lstmTrace) at(w, t int) int { return w*tr.S + tr.S - 1 - t }
-
-// final is window w's hidden state after its last step.
-func (tr *lstmTrace) final(w int) []float64 {
-	H, s := tr.l.HiddenSize, tr.at(w, tr.S-1)
-	return tr.hs[s*H : (s+1)*H]
-}
-
-// start sets n windows' initial state — zero, or the final (h, c) of
-// from's windows when a decoder takes over from an encoder — and clears
-// the BPTT carries.
-func (tr *lstmTrace) start(n int, from *lstmTrace) {
-	H := tr.l.HiddenSize
-	for w := 0; w < n; w++ {
-		s := tr.at(w, 0)
-		h0, c0 := tr.hprev[s*H:(s+1)*H], tr.c0[w*H:(w+1)*H]
-		if from == nil {
-			mathx.Fill(h0, 0)
-			mathx.Fill(c0, 0)
-			continue
-		}
-		fs := from.at(w, from.S-1)
-		copy(h0, from.final(w))
-		copy(c0, from.cs[fs*H:(fs+1)*H])
-	}
-	mathx.Fill(tr.dh[:n*H], 0)
-	mathx.Fill(tr.dc[:n*H], 0)
-}
-
-// cPrev is the c_{t-1} window w's timestep t read.
-func (tr *lstmTrace) cPrev(w, t int) []float64 {
-	H := tr.l.HiddenSize
-	if t == 0 {
-		return tr.c0[w*H : (w+1)*H]
-	}
-	s := tr.at(w, t) + 1
-	return tr.cs[s*H : (s+1)*H]
-}
-
-// forward advances every window by timestep t on the inputs xs, one row
-// per window: z = W·x, + U·h_{t-1}, + b in stepForward's order, then the
-// shared gate epilogue. wx, when non-nil, already holds each window's
-// W·x row — the autoencoder decoder's input is constant per window.
-func (tr *lstmTrace) forward(t int, xs [][]float64, wx []float64) {
-	l := tr.l
-	n, H, I, G := len(xs), l.HiddenSize, l.InputSize, numGates*l.HiddenSize
-	z, zu, hp := tr.z[:n*G], tr.zu[:n*G], tr.hp[:n]
-	if wx != nil {
-		copy(z, wx)
-	} else {
-		l.W.MulRowsT(z, xs)
-	}
-	for w, x := range xs {
-		s := tr.at(w, t)
-		copy(tr.in[s*I:(s+1)*I], x)
-		hp[w] = tr.hprev[s*H : (s+1)*H]
-		if t > 0 {
-			copy(hp[w], tr.hs[(s+1)*H:(s+2)*H])
-		}
-	}
-	l.U.MulRowsT(zu, hp)
-	for w := range xs {
-		s := tr.at(w, t)
-		row, urow := z[w*G:(w+1)*G], zu[w*G:(w+1)*G]
-		for j := range row {
-			row[j] += urow[j]
-			row[j] += l.B[j]
-		}
-		lstmCellForward(tr.gates[s*G:(s+1)*G], row, tr.cPrev(w, t),
-			tr.cs[s*H:(s+1)*H], tr.tanhC[s*H:(s+1)*H], tr.hs[s*H:(s+1)*H])
-	}
-}
-
-// backward runs timestep t's BPTT step for n windows: the shared
-// gate-gradient loop caches dz and carries dc, dh_{t-1} = dz·U overwrites
-// the dh carry and, when dx is non-nil, it receives the input-gradient
-// rows dz·W.
-func (tr *lstmTrace) backward(n, t int, dx []float64) {
-	H, G := tr.l.HiddenSize, numGates*tr.l.HiddenSize
-	dzs := tr.dzs[:n]
-	for w := range dzs {
-		s := tr.at(w, t)
-		dzs[w] = tr.dz[s*G : (s+1)*G]
-		lstmGateGrads(dzs[w], tr.gates[s*G:(s+1)*G], tr.tanhC[s*H:(s+1)*H], tr.cPrev(w, t),
-			tr.dh[w*H:(w+1)*H], tr.dc[w*H:(w+1)*H])
-	}
-	tr.l.U.MulRows(tr.dh[:n*H], dzs)
-	if dx != nil {
-		tr.l.W.MulRows(dx, dzs)
-	}
-}
-
-// accumulate replays n windows' cached rows into g, steps in the
-// reference order.
-func (tr *lstmTrace) accumulate(n int, g *lstmGrads) {
-	N, H, I, G := n*tr.S, tr.l.HiddenSize, tr.l.InputSize, numGates*tr.l.HiddenSize
-	g.dW.AddOuterSeq(tr.dz[:N*G], tr.in[:N*I], N)
-	g.dU.AddOuterSeq(tr.dz[:N*G], tr.hprev[:N*H], N)
-	addRows(g.dB, tr.dz[:N*G])
 }
 
 // encDecTrainer is the lock-step core shared by the two encoder-decoder
@@ -312,7 +177,7 @@ func (tr *encDecTrainer) encode(xs [][]float64, steps int) {
 }
 
 // headForward computes the head's predictions for decoder step t of n
-// windows (W·h + b, Dense.Forward's order), caches them at their step rows
+// windows (W·h + b, the reference's order), caches them at their step rows
 // and returns the rows.
 func (tr *encDecTrainer) headForward(n, t int) [][]float64 {
 	D, H := tr.out.OutputSize, tr.dec.l.HiddenSize
@@ -346,13 +211,13 @@ func (tr *encDecTrainer) headBackward(n, t int) {
 	mathx.Axpy(tr.dec.dh[:n*H], 1, dst)
 }
 
-// accumulate replays n windows' head, decoder and encoder rows into g.
-func (tr *encDecTrainer) accumulate(n int, g *encDecGrads) {
-	N, D := n*tr.dec.S, tr.out.OutputSize
+// accumulate replays the head, decoder and encoder rows into g.
+func (tr *encDecTrainer) accumulate(g *encDecGrads) {
+	N, D := tr.dec.rows, tr.out.OutputSize
 	g.out.dW.AddOuterSeq(tr.dlog[:N*D], tr.dec.hs[:N*tr.dec.l.HiddenSize], N)
 	addRows(g.out.dB, tr.dlog[:N*D])
-	tr.dec.accumulate(n, g.dec)
-	tr.enc.accumulate(n, g.enc)
+	tr.dec.accumulate(g.dec)
+	tr.enc.accumulate(g.enc)
 }
 
 type aeTrainer struct {
@@ -398,13 +263,13 @@ func (tr *aeTrainer) trainBatch(xs [][]float64, g reconGrads, loss []float64) {
 		}
 		tr.headBackward(n, t)
 		dx := tr.dst[:n*H]
-		dec.backward(n, t, dx)
+		dec.backward(t, dx)
 		mathx.Axpy(enc.dh[:n*H], 1, dx) // ∂L/∂code sums over the decoder steps
 	}
 	for t := T - 1; t >= 0; t-- {
-		enc.backward(n, t, nil)
+		enc.backward(t, nil)
 	}
-	tr.accumulate(n, g.(*encDecGrads))
+	tr.accumulate(g.(*encDecGrads))
 	for w := range loss {
 		loss[w] *= inv
 	}
@@ -453,18 +318,18 @@ func (tr *s2sTrainer) trainBatch(xs [][]float64, g reconGrads, loss []float64) {
 		}
 		tr.headBackward(n, t-W)
 		if t > W {
-			dec.backward(n, t-W, next) // this step's input was pred_{t-1}
+			dec.backward(t-W, next) // this step's input was pred_{t-1}
 		} else {
-			dec.backward(n, t-W, nil)
+			dec.backward(t-W, nil)
 		}
 	}
 	// The decoder's carries are ∂L/∂(encoder final state), across the bridge.
 	copy(enc.dh[:n*H], dec.dh[:n*H])
 	copy(enc.dc[:n*H], dec.dc[:n*H])
 	for t := W - 1; t >= 0; t-- {
-		enc.backward(n, t, nil)
+		enc.backward(t, nil)
 	}
-	tr.accumulate(n, g.(*encDecGrads))
+	tr.accumulate(g.(*encDecGrads))
 	for w := range loss {
 		loss[w] *= inv
 	}

@@ -2,43 +2,10 @@ package nn
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"icsdetect/internal/mathx"
 )
-
-// TrainerKind selects the gradient engine used by Train.
-type TrainerKind string
-
-const (
-	// TrainerBatched is the default engine: a whole minibatch of
-	// truncated-BPTT windows advances lock-step through one matrix-matrix
-	// pass per layer per timestep (forward and backward), and weight
-	// gradients accumulate through the chained GEMM kernels. It is fully
-	// deterministic and produces bitwise-identical parameters to
-	// TrainerReference with Workers=1 for the same seed and window order.
-	TrainerBatched TrainerKind = "batched"
-	// TrainerReference is the original engine: one GEMV-based
-	// forward/backward pass per window, fanned out over a worker pool. It
-	// is kept as the executable specification the batched engine is tested
-	// against (with Workers=1 it is the bitwise reference).
-	TrainerReference TrainerKind = "reference"
-)
-
-// ParseTrainer maps a command-line string to a TrainerKind. The empty
-// string selects the default (batched) engine.
-func ParseTrainer(s string) (TrainerKind, error) {
-	switch TrainerKind(s) {
-	case "", TrainerBatched:
-		return TrainerBatched, nil
-	case TrainerReference:
-		return TrainerReference, nil
-	default:
-		return "", fmt.Errorf("nn: unknown trainer %q (want %q or %q)", s, TrainerBatched, TrainerReference)
-	}
-}
 
 // EpochStats captures one epoch of training for progress reporting and
 // checkpointing decisions.
@@ -79,20 +46,11 @@ type TrainConfig struct {
 	// LRDecayFactor once that epoch is reached (simple step schedule).
 	LRDecayEpoch  int
 	LRDecayFactor float64
-	// Trainer selects the gradient engine; empty means TrainerBatched.
-	Trainer TrainerKind
-	// Workers bounds data-parallel gradient computation for
-	// TrainerReference; 0 means GOMAXPROCS. The batched engine ignores it
-	// (its parallelism is inside the GEMM kernels).
-	Workers int
 	// Seed drives window shuffling.
 	Seed uint64
-	// Progress, when non-nil, receives the mean per-step loss after each
-	// epoch.
-	Progress func(epoch int, meanLoss float64)
-	// EpochEnd, when non-nil, receives full per-epoch statistics (wall
-	// time, throughput, loss) after each epoch — the richer sibling of
-	// Progress, used for reporting and periodic checkpointing.
+	// EpochEnd, when non-nil, receives the per-epoch statistics (loss,
+	// wall time, throughput) after each epoch, for reporting and periodic
+	// checkpointing.
 	EpochEnd func(EpochStats)
 }
 
@@ -111,12 +69,6 @@ func (c *TrainConfig) defaults() {
 	}
 	if c.ClipNorm < 0 {
 		c.ClipNorm = 0
-	}
-	if c.Trainer == "" {
-		c.Trainer = TrainerBatched
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -143,12 +95,11 @@ func MakeWindows(seqs []Sequence, window int) []Sequence {
 }
 
 // Train fits the classifier on the given full sequences with Adam over
-// shuffled minibatches of truncated-BPTT windows. The gradient engine is
-// selected by cfg.Trainer: the batched engine (default) runs the whole
-// minibatch through matrix-matrix kernels, the reference engine runs one
-// window at a time over a worker pool. Both produce bitwise-identical
-// parameters for the same seed and window order (reference with
-// Workers=1). It returns the mean per-step loss of the final epoch.
+// shuffled minibatches of truncated-BPTT windows. Each minibatch runs as
+// one lock-step pass of all its windows (batchTrainer), bitwise identical
+// to running the per-window reference over the windows in order, so the
+// trained parameters are a function of the data and the seed. It returns
+// the mean per-step loss of the final epoch.
 func Train(c *Classifier, seqs []Sequence, cfg TrainConfig) (float64, error) {
 	cfg.defaults()
 	for _, s := range seqs {
@@ -175,25 +126,7 @@ func Train(c *Classifier, seqs []Sequence, cfg TrainConfig) (float64, error) {
 	opt := NewAdam(cfg.LR)
 	params := c.Params()
 
-	var bt *batchTrainer
-	var workerGrads []*GradBuffer
-	var master *GradBuffer
-	switch cfg.Trainer {
-	case TrainerBatched:
-		bt = newBatchTrainer(c, min(cfg.BatchSize, len(windows)), cfg.Window)
-	case TrainerReference:
-		workers := cfg.Workers
-		if workers > cfg.BatchSize {
-			workers = cfg.BatchSize
-		}
-		workerGrads = make([]*GradBuffer, workers)
-		for i := range workerGrads {
-			workerGrads[i] = c.NewGradBuffer()
-		}
-		master = c.NewGradBuffer()
-	default:
-		return 0, fmt.Errorf("nn: unknown trainer %q", cfg.Trainer)
-	}
+	bt := newBatchTrainer(c, min(cfg.BatchSize, len(windows)), cfg.Window)
 
 	var finalLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -214,25 +147,9 @@ func Train(c *Classifier, seqs []Sequence, cfg TrainConfig) (float64, error) {
 			}
 			batch := windows[start:end]
 
-			var batchLoss float64
-			var batchSteps int
-			var grads *GradBuffer
-			if bt != nil {
-				// bt.run zeroes and fills its own buffer; its element
-				// chains start at +0 so using it directly is bitwise
-				// identical to the reference's zero-then-merge.
-				batchLoss, batchSteps = bt.run(batch)
-				grads = bt.grads
-			} else {
-				batchLoss, batchSteps = referenceBatch(c, batch, workerGrads)
-				master.Zero()
-				for _, g := range workerGrads {
-					master.Merge(g)
-				}
-				grads = master
-			}
-			grads.ClipAndScale(cfg.ClipNorm)
-			if err := opt.Step(params, grads.Slices()); err != nil {
+			batchLoss, batchSteps := bt.run(batch)
+			bt.grads.ClipAndScale(cfg.ClipNorm)
+			if err := opt.Step(params, bt.grads.Slices()); err != nil {
 				return 0, err
 			}
 			// The step mutated every weight tensor in place: drop the
@@ -244,9 +161,6 @@ func Train(c *Classifier, seqs []Sequence, cfg TrainConfig) (float64, error) {
 
 		if epochSteps > 0 {
 			finalLoss = epochLoss / float64(epochSteps)
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(epoch+1, finalLoss)
 		}
 		if cfg.EpochEnd != nil {
 			cfg.EpochEnd(EpochStats{
@@ -260,44 +174,4 @@ func Train(c *Classifier, seqs []Sequence, cfg TrainConfig) (float64, error) {
 		}
 	}
 	return finalLoss, nil
-}
-
-// referenceBatch computes one minibatch's gradients with the per-window
-// reference engine: windows fan out over the worker pool, each worker
-// accumulating into its own buffer (the caller merges them). With a single
-// worker the accumulation order is exactly window order — the bitwise
-// reference the batched engine is tested against.
-func referenceBatch(c *Classifier, batch []Sequence, workerGrads []*GradBuffer) (float64, int) {
-	var (
-		mu         sync.Mutex
-		batchLoss  float64
-		batchSteps int
-		wg         sync.WaitGroup
-	)
-	next := make(chan int)
-	for w := 0; w < len(workerGrads); w++ {
-		g := workerGrads[w]
-		g.Zero()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var localLoss float64
-			var localSteps int
-			for idx := range next {
-				loss, steps := c.lossForwardBackward(&batch[idx], g)
-				localLoss += loss
-				localSteps += steps
-			}
-			mu.Lock()
-			batchLoss += localLoss
-			batchSteps += localSteps
-			mu.Unlock()
-		}()
-	}
-	for i := range batch {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return batchLoss, batchSteps
 }

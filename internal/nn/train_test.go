@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"testing"
 
 	"icsdetect/internal/mathx"
@@ -24,54 +23,6 @@ func makeCyclicData(rng *mathx.RNG, classes, frags, length int) []Sequence {
 	return out
 }
 
-// TestWorkerCountEquivalence: gradients are summed over the batch before
-// the optimizer step, so the reference trainer must produce an equivalent
-// model regardless of the worker count (bitwise equality is too strict with
-// float reordering across workers; the loss must agree closely and
-// predictions must match). The batched trainer has the stronger bitwise
-// guarantee, covered in trainbatch_test.go.
-func TestWorkerCountEquivalence(t *testing.T) {
-	rng := mathx.NewRNG(13)
-	data := makeCyclicData(rng, 5, 4, 60)
-
-	train := func(workers int) (*Classifier, float64) {
-		c, err := NewClassifier(5, []int{12}, 5, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loss, err := Train(c, data, TrainConfig{
-			Epochs: 5, Window: 20, BatchSize: 4, LR: 3e-3, ClipNorm: 5,
-			Seed: 7, Workers: workers, Trainer: TrainerReference,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, loss
-	}
-	c1, l1 := train(1)
-	c2, l2 := train(4)
-	if math.Abs(l1-l2) > 0.05*(math.Abs(l1)+0.01) {
-		t.Errorf("losses diverge across worker counts: %v vs %v", l1, l2)
-	}
-	// Predictions agree on argmax for a probe sequence.
-	s1, s2 := c1.NewState(), c2.NewState()
-	p1 := make([]float64, 5)
-	p2 := make([]float64, 5)
-	agree := 0
-	for i := 0; i < 30; i++ {
-		x := make([]float64, 5)
-		x[i%5] = 1
-		c1.Step(s1, x, p1)
-		c2.Step(s2, x, p2)
-		if mathx.ArgMax(p1) == mathx.ArgMax(p2) {
-			agree++
-		}
-	}
-	if agree < 27 {
-		t.Errorf("only %d/30 argmax agreements across worker counts", agree)
-	}
-}
-
 func TestLRDecaySchedule(t *testing.T) {
 	rng := mathx.NewRNG(14)
 	data := makeCyclicData(rng, 4, 2, 40)
@@ -83,15 +34,15 @@ func TestLRDecaySchedule(t *testing.T) {
 	_, err = Train(c, data, TrainConfig{
 		Epochs: 8, Window: 16, BatchSize: 2, LR: 5e-3, ClipNorm: 5, Seed: 1,
 		LRDecayEpoch: 4, LRDecayFactor: 0.1,
-		Progress: func(epoch int, loss float64) {
-			losses = append(losses, loss)
+		EpochEnd: func(s EpochStats) {
+			losses = append(losses, s.MeanLoss)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(losses) != 8 {
-		t.Fatalf("progress called %d times", len(losses))
+		t.Fatalf("EpochEnd called %d times", len(losses))
 	}
 	// Loss must improve from first to last epoch.
 	if losses[len(losses)-1] >= losses[0] {

@@ -6,374 +6,213 @@ import (
 	"icsdetect/internal/mathx"
 )
 
-// batchTrainer is the scratch state of the batched gradient engine: a whole
-// minibatch of truncated-BPTT windows advances lock-step, one matrix-matrix
-// pass per layer per timestep, through both the forward and the backward
-// sweep. All buffers are allocated once per Train call, so the steady-state
-// training loop is allocation-free.
+// lstmTrace is one LSTM layer's cache for a lock-step pass over a
+// minibatch of windows — the one BPTT implementation every trainer (the
+// classifier's and the reconstruction nets') stacks its layers from.
 //
-// The engine's contract is bitwise equivalence with the per-window
-// reference (lossForwardBackward applied window by window): for the same
-// windows in the same order it produces the identical GradBuffer and loss,
-// bit for bit. Three structural decisions make that possible:
+// Its contract is bitwise equivalence with the per-window reference
+// (train_oracle_test.go): for the same windows in the same order it
+// accumulates the identical gradients, bit for bit. Three structural
+// decisions make that possible:
 //
 //   - Every matrix product runs through a kernel whose per-element
 //     association equals the reference primitive's (MulRowsT ↔ MulVec for
 //     the forward, MulRows ↔ MulVecT for the input gradients), and every
-//     elementwise formula is written in exactly the reference expression
-//     shape, so each scalar is the same sequence of rounded operations.
+//     elementwise formula keeps the reference's expression shape, so each
+//     scalar is the same sequence of rounded operations.
 //
 //   - Weight-gradient accumulation — the only place where batching would
 //     naturally reorder a floating-point reduction across windows — is
-//     deferred: the lock-step backward sweep only caches dz (and dLogits)
-//     rows, and after the sweep AddOuterSeq replays each window's rank-1
-//     updates in the reference order, window ascending, timestep
-//     descending. Per-tensor chains are untouched; the GEMM still wins
-//     because the gradient matrix streams once per window instead of once
-//     per timestep.
+//     deferred: the lock-step backward sweep only caches dz rows, and
+//     accumulate replays them after the sweep, one AddOuterSeq per tensor
+//     over the whole minibatch.
 //
-//   - Per-window caches store time REVERSED: timestep t of a T-step window
-//     lives at block k = T-1-t. The deferred accumulation therefore reads
-//     every us/vs sequence as one contiguous ascending run — dz, inputs,
-//     and (offset by one block) the h history that forms each layer's
-//     recurrent inputs — with the extra block k = T holding the zero
-//     initial state.
-type batchTrainer struct {
-	c     *Classifier
-	grads *GradBuffer
-	buf   batchScratch[float64] // lock-step gate/logit rows, always maxB wide
-
-	maxB int
-
-	gates [][][]float64 // [L][B] length T*4H, post-activation (i,f,o,g)
-	cells [][][]float64 // [L][B] length (T+1)*H
-	hs    [][][]float64 // [L][B] length (T+1)*H
-	tanhC [][][]float64 // [L][B] length T*H
-	dz    [][][]float64 // [L][B] length T*4H, backward gate gradients
-	xbuf  [][]float64   // [B] length T*I, window inputs (reversed)
-	probs [][]float64   // [B] length T*K, softmax rows at scored steps
-	dlog  [][]float64   // [B] length T*K, dLogits rows in backward order
-	htop  [][]float64   // [B] length T*Htop, matching top-layer h rows
-	loss  []float64     // [B] per-window summed loss
-	sc    []int         // [B] scored-step count, doubles as dlog cursor
-
-	dh, dc [][][]float64 // [L][B] length H: BPTT carries
-	hp     [][]float64   // second row-pointer list (buf.xs is the first)
-	rows   [][]float64   // row-pointer list for the backward GEMMs
-	dst    []float64     // contiguous GEMM output scratch, B*maxH
-	act    []int         // active-window index scratch
-	sact   []int         // scored-window index scratch
+//   - Rows are step-major in the reference's accumulation order: window
+//     w's timestep t is row off[w] + lens[w]-1-t, so windows ascend, time
+//     descends and the windows lie end to end. Windows may differ in
+//     length (a sequence's remainder window is shorter); at timestep t
+//     only the windows longer than t are active.
+type lstmTrace struct {
+	l             *LSTMLayer
+	n, rows       int         // windows and rows of the current pass
+	lens, off     []int       // [maxB] window lengths and first rows
+	act           []int       // [maxB] the windows active at a timestep
+	in            []float64   // [rows·I] the input each step read
+	hprev         []float64   // [rows·H] the h_{t-1} each step read
+	hs, cs, tanhC []float64   // [rows·H] h_t, c_t, τ(c_t)
+	gates, dz     []float64   // [rows·4H] activated gates, gate gradients
+	c0            []float64   // [maxB·H] initial cell state
+	dh, dc        []float64   // [maxB·H] BPTT carries, by window
+	z, zu         []float64   // [maxB·4H] lock-step pre-activation rows
+	dst           []float64   // [maxB·H] lock-step dz·U rows
+	hp, dzs       [][]float64 // [maxB] GEMM row lists
 }
 
-// newBatchTrainer sizes the engine for minibatches of up to maxB windows of
-// up to maxT timesteps on classifier c.
-func newBatchTrainer(c *Classifier, maxB, maxT int) *batchTrainer {
-	if maxB < 1 {
-		maxB = 1
+// newLSTMTrace sizes a trace for up to maxB windows of up to steps
+// timesteps, laid out as windows of exactly steps timesteps until reshape
+// says otherwise.
+func newLSTMTrace(l *LSTMLayer, maxB, steps int) lstmTrace {
+	H, G, N := l.HiddenSize, numGates*l.HiddenSize, maxB*steps
+	tr := lstmTrace{
+		l:    l,
+		lens: make([]int, maxB), off: make([]int, maxB), act: make([]int, 0, maxB),
+		in:    make([]float64, N*l.InputSize),
+		hprev: make([]float64, N*H),
+		hs:    make([]float64, N*H), cs: make([]float64, N*H), tanhC: make([]float64, N*H),
+		gates: make([]float64, N*G), dz: make([]float64, N*G),
+		c0: make([]float64, maxB*H),
+		dh: make([]float64, maxB*H), dc: make([]float64, maxB*H),
+		z: make([]float64, maxB*G), zu: make([]float64, maxB*G),
+		dst: make([]float64, maxB*H),
+		hp:  make([][]float64, maxB), dzs: make([][]float64, maxB),
 	}
-	L := len(c.Layers)
-	I := c.InputSize()
-	K := c.Out.OutputSize
-	Htop := c.Layers[L-1].HiddenSize
-	maxH := 0
-	gateWidths := make([]int, L)
-	for i, l := range c.Layers {
-		maxH = max(maxH, l.HiddenSize)
-		gateWidths[i] = numGates * l.HiddenSize
+	for w := range tr.lens {
+		tr.lens[w] = steps
 	}
-	bt := &batchTrainer{
-		c:     c,
-		grads: c.NewGradBuffer(),
-		buf:   newBatchScratch[float64](maxB, gateWidths, K),
-		maxB:  maxB,
-		gates: make([][][]float64, L),
-		cells: make([][][]float64, L),
-		hs:    make([][][]float64, L),
-		tanhC: make([][][]float64, L),
-		dz:    make([][][]float64, L),
-		dh:    make([][][]float64, L),
-		dc:    make([][][]float64, L),
-		xbuf:  make([][]float64, maxB),
-		probs: make([][]float64, maxB),
-		dlog:  make([][]float64, maxB),
-		htop:  make([][]float64, maxB),
-		loss:  make([]float64, maxB),
-		sc:    make([]int, maxB),
-		hp:    make([][]float64, maxB),
-		rows:  make([][]float64, 0, maxB),
-		dst:   make([]float64, maxB*maxH),
-		act:   make([]int, 0, maxB),
-		sact:  make([]int, 0, maxB),
-	}
-	bt.buf.grow(maxB)
-	for l, layer := range c.Layers {
-		H := layer.HiddenSize
-		G := numGates * H
-		bt.gates[l] = make([][]float64, maxB)
-		bt.cells[l] = make([][]float64, maxB)
-		bt.hs[l] = make([][]float64, maxB)
-		bt.tanhC[l] = make([][]float64, maxB)
-		bt.dz[l] = make([][]float64, maxB)
-		bt.dh[l] = make([][]float64, maxB)
-		bt.dc[l] = make([][]float64, maxB)
-		for w := 0; w < maxB; w++ {
-			bt.gates[l][w] = make([]float64, maxT*G)
-			bt.cells[l][w] = make([]float64, (maxT+1)*H)
-			bt.hs[l][w] = make([]float64, (maxT+1)*H)
-			bt.tanhC[l][w] = make([]float64, maxT*H)
-			bt.dz[l][w] = make([]float64, maxT*G)
-			bt.dh[l][w] = make([]float64, H)
-			bt.dc[l][w] = make([]float64, H)
-		}
-	}
-	for w := 0; w < maxB; w++ {
-		bt.xbuf[w] = make([]float64, maxT*I)
-		bt.probs[w] = make([]float64, maxT*K)
-		bt.dlog[w] = make([]float64, maxT*K)
-		bt.htop[w] = make([]float64, maxT*Htop)
-	}
-	return bt
+	tr.reshape(tr.lens)
+	return tr
 }
 
-// run computes one minibatch's gradients into bt.grads and returns the
-// summed loss and scored-step count, bitwise identical to running
-// lossForwardBackward over the windows in order into one buffer.
-func (bt *batchTrainer) run(batch []Sequence) (float64, int) {
-	c := bt.c
-	I := c.InputSize()
-	bt.grads.Zero()
-	maxT := 0
-	for w := range batch {
-		T := len(batch[w].Inputs)
-		maxT = max(maxT, T)
-		xb := bt.xbuf[w]
-		for t := 0; t < T; t++ {
-			copy(xb[(T-1-t)*I:(T-t)*I], batch[w].Inputs[t])
-		}
-		bt.loss[w] = 0
-		bt.sc[w] = 0
-		for l, layer := range c.Layers {
-			H := layer.HiddenSize
-			mathx.Fill(bt.hs[l][w][T*H:(T+1)*H], 0)
-			mathx.Fill(bt.cells[l][w][T*H:(T+1)*H], 0)
-			mathx.Fill(bt.dh[l][w], 0)
-			mathx.Fill(bt.dc[l][w], 0)
-		}
+// reshape lays out windows of the given lengths end to end.
+func (tr *lstmTrace) reshape(lens []int) {
+	row := 0
+	for w, T := range lens {
+		tr.lens[w], tr.off[w] = T, row
+		row += T
 	}
-	bt.forward(batch, maxT)
-	bt.backward(batch, maxT)
-	bt.accumulate(batch)
-	var loss float64
-	var steps int
-	for w := range batch {
-		loss += bt.loss[w]
-		steps += bt.sc[w]
-	}
-	return loss, steps
 }
 
-// forward runs the lock-step forward sweep, caching gates, cell states,
-// tanh(c), hidden vectors, and the softmax rows of scored steps. Ragged
-// batches are handled by shrinking the active set as shorter windows end.
-func (bt *batchTrainer) forward(batch []Sequence, maxT int) {
-	c := bt.c
-	I := c.InputSize()
-	K := c.Out.OutputSize
-	for t := 0; t < maxT; t++ {
-		act := bt.act[:0]
-		for w := range batch {
-			if len(batch[w].Inputs) > t {
-				act = append(act, w)
-			}
+// at is the cache row of window w's timestep t.
+func (tr *lstmTrace) at(w, t int) int { return tr.off[w] + tr.lens[w] - 1 - t }
+
+// h is window w's hidden state after timestep t.
+func (tr *lstmTrace) h(w, t int) []float64 {
+	H, s := tr.l.HiddenSize, tr.at(w, t)
+	return tr.hs[s*H : (s+1)*H]
+}
+
+// final is window w's hidden state after its last step.
+func (tr *lstmTrace) final(w int) []float64 { return tr.h(w, tr.lens[w]-1) }
+
+// active lists, ascending, the windows of the current pass that have a
+// timestep t. The list is the trace's scratch: every call for the same t
+// returns the same windows.
+func (tr *lstmTrace) active(t int) []int {
+	act := tr.act[:0]
+	for w, T := range tr.lens[:tr.n] {
+		if T > t {
+			act = append(act, w)
 		}
-		n := len(act)
-		xs := bt.buf.xs[:n]
-		for a, w := range act {
-			T := len(batch[w].Inputs)
-			xs[a] = bt.xbuf[w][(T-1-t)*I : (T-t)*I]
-		}
-		for l, layer := range c.Layers {
-			H := layer.HiddenSize
-			G := numGates * H
-			z := bt.buf.z[l][:n*G]
-			zu := bt.buf.zu[l][:n*G]
-			// z = X·Wᵀ + H_prev·Uᵀ + B, combined in stepForward's exact
-			// order (Wx, then +Uh, then +B) so the sums stay bitwise
-			// identical to the per-window GEMV path.
-			layer.W.MulRowsT(z, xs)
-			hp := bt.hp[:n]
-			for a, w := range act {
-				T := len(batch[w].Inputs)
-				hp[a] = bt.hs[l][w][(T-t)*H : (T-t+1)*H]
-			}
-			layer.U.MulRowsT(zu, hp)
-			for a, w := range act {
-				row := z[a*G : (a+1)*G]
-				urow := zu[a*G : (a+1)*G]
-				for j := range row {
-					row[j] += urow[j]
-					row[j] += layer.B[j]
-				}
-				T := len(batch[w].Inputs)
-				k := T - 1 - t
-				hRow := bt.hs[l][w][k*H : (k+1)*H]
-				lstmCellForward(bt.gates[l][w][k*G:(k+1)*G], row,
-					bt.cells[l][w][(k+1)*H:(k+2)*H], bt.cells[l][w][k*H:(k+1)*H],
-					bt.tanhC[l][w][k*H:(k+1)*H], hRow)
-				xs[a] = hRow // the next layer reads this layer's fresh h
-			}
-		}
-		// Batched dense head and loss on the scored subset.
-		sact := bt.sact[:0]
-		hps := bt.hp[:0]
-		for a, w := range act {
-			if batch[w].Targets[t] >= 0 {
-				sact = append(sact, w)
-				hps = append(hps, xs[a])
-			}
-		}
-		if len(sact) == 0 {
+	}
+	return act
+}
+
+// start begins a pass over the first n windows of the layout: it sets
+// their initial state — zero, or the final (h, c) of from's windows when
+// a decoder takes over from an encoder — and clears the BPTT carries.
+func (tr *lstmTrace) start(n int, from *lstmTrace) {
+	H := tr.l.HiddenSize
+	tr.n, tr.rows = n, tr.off[n-1]+tr.lens[n-1]
+	for w := 0; w < n; w++ {
+		s := tr.at(w, 0)
+		h0, c0 := tr.hprev[s*H:(s+1)*H], tr.c0[w*H:(w+1)*H]
+		if from == nil {
+			mathx.Fill(h0, 0)
+			mathx.Fill(c0, 0)
 			continue
 		}
-		logits := bt.buf.logits[:len(sact)*K]
-		c.Out.W.MulRowsT(logits, hps)
-		for a, w := range sact {
-			row := logits[a*K : (a+1)*K]
-			for j := range row {
-				row[j] += c.Out.B[j]
-			}
-			T := len(batch[w].Inputs)
-			k := T - 1 - t
-			p := bt.probs[w][k*K : (k+1)*K]
-			mathx.Softmax(p, row)
-			bt.loss[w] += -math.Log(math.Max(p[batch[w].Targets[t]], 1e-12))
+		fs := from.off[w] // the row of from's last timestep
+		copy(h0, from.hs[fs*H:(fs+1)*H])
+		copy(c0, from.cs[fs*H:(fs+1)*H])
+	}
+	mathx.Fill(tr.dh[:n*H], 0)
+	mathx.Fill(tr.dc[:n*H], 0)
+}
+
+// cPrev is the c_{t-1} window w's timestep t read.
+func (tr *lstmTrace) cPrev(w, t int) []float64 {
+	H := tr.l.HiddenSize
+	if t == 0 {
+		return tr.c0[w*H : (w+1)*H]
+	}
+	s := tr.at(w, t) + 1
+	return tr.cs[s*H : (s+1)*H]
+}
+
+// forward advances every active window by timestep t on the inputs xs,
+// one row per active window: z = W·x, + U·h_{t-1}, + b in the reference's
+// order, then the gate epilogue. wx, when non-nil, already holds each
+// window's W·x row — the autoencoder decoder's input is constant per
+// window.
+func (tr *lstmTrace) forward(t int, xs [][]float64, wx []float64) {
+	l := tr.l
+	act := tr.active(t)
+	n, H, I, G := len(act), l.HiddenSize, l.InputSize, numGates*l.HiddenSize
+	z, zu, hp := tr.z[:n*G], tr.zu[:n*G], tr.hp[:n]
+	if wx != nil {
+		copy(z, wx)
+	} else {
+		l.W.MulRowsT(z, xs)
+	}
+	for a, w := range act {
+		s := tr.at(w, t)
+		copy(tr.in[s*I:(s+1)*I], xs[a])
+		hp[a] = tr.hprev[s*H : (s+1)*H]
+		if t > 0 {
+			copy(hp[a], tr.hs[(s+1)*H:(s+2)*H])
 		}
+	}
+	l.U.MulRowsT(zu, hp)
+	for a, w := range act {
+		s := tr.at(w, t)
+		row, urow := z[a*G:(a+1)*G], zu[a*G:(a+1)*G]
+		for j := range row {
+			row[j] += urow[j]
+			row[j] += l.B[j]
+		}
+		lstmCellForward(tr.gates[s*G:(s+1)*G], row, tr.cPrev(w, t),
+			tr.cs[s*H:(s+1)*H], tr.tanhC[s*H:(s+1)*H], tr.hs[s*H:(s+1)*H])
 	}
 }
 
-// backward runs the lock-step BPTT sweep. It computes and caches the dz and
-// dLogits rows every weight gradient needs (accumulation itself is
-// deferred to accumulate, which replays them in the reference order) and
-// propagates the dh/dc carries with the batched input-gradient kernel.
-func (bt *batchTrainer) backward(batch []Sequence, maxT int) {
-	c := bt.c
-	L := len(c.Layers)
-	K := c.Out.OutputSize
-	Htop := c.Layers[L-1].HiddenSize
-	for t := maxT - 1; t >= 0; t-- {
-		act := bt.act[:0]
-		for w := range batch {
-			if len(batch[w].Inputs) > t {
-				act = append(act, w)
-			}
-		}
-		// Dense backward on the scored subset: pack dLogits = p - onehot
-		// and the matching top-layer h row, then dhOut = dLogits·W flows
-		// into the top carry.
-		sact := bt.sact[:0]
-		dls := bt.rows[:0]
-		for _, w := range act {
-			tgt := batch[w].Targets[t]
-			if tgt < 0 {
-				continue
-			}
-			T := len(batch[w].Inputs)
-			k := T - 1 - t
-			cur := bt.sc[w]
-			row := bt.dlog[w][cur*K : (cur+1)*K]
-			copy(row, bt.probs[w][k*K:(k+1)*K])
-			row[tgt] -= 1 // softmax cross-entropy gradient
-			copy(bt.htop[w][cur*Htop:(cur+1)*Htop], bt.hs[L-1][w][k*Htop:(k+1)*Htop])
-			bt.sc[w] = cur + 1
-			sact = append(sact, w)
-			dls = append(dls, row)
-		}
-		if len(sact) > 0 {
-			dst := bt.dst[:len(sact)*Htop]
-			c.Out.W.MulRows(dst, dls)
-			for a, w := range sact {
-				mathx.Axpy(bt.dh[L-1][w], 1, dst[a*Htop:(a+1)*Htop])
-			}
-		}
-		for l := L - 1; l >= 0; l-- {
-			layer := c.Layers[l]
-			H := layer.HiddenSize
-			G := numGates * H
-			dzs := bt.rows[:0]
-			for _, w := range act {
-				T := len(batch[w].Inputs)
-				k := T - 1 - t
-				dzr := bt.dz[l][w][k*G : (k+1)*G]
-				lstmGateGrads(dzr, bt.gates[l][w][k*G:(k+1)*G], bt.tanhC[l][w][k*H:(k+1)*H],
-					bt.cells[l][w][(k+1)*H:(k+2)*H], bt.dh[l][w], bt.dc[l][w])
-				dzs = append(dzs, dzr)
-			}
-			// dh_{t-1} = dz·U overwrites the carry; dx = dz·W flows into
-			// the layer below (the reference computes dx for layer 0 too
-			// but discards it, so skipping it changes nothing).
-			dst := bt.dst[:len(act)*H]
-			layer.U.MulRows(dst, dzs)
-			for a, w := range act {
-				copy(bt.dh[l][w], dst[a*H:(a+1)*H])
-			}
-			if l > 0 {
-				Hin := c.Layers[l-1].HiddenSize
-				dst := bt.dst[:len(act)*Hin]
-				layer.W.MulRows(dst, dzs)
-				for a, w := range act {
-					mathx.Axpy(bt.dh[l-1][w], 1, dst[a*Hin:(a+1)*Hin])
-				}
-			}
-		}
+// backward runs timestep t's BPTT step for the active windows: the
+// gate-gradient loop caches dz and carries dc, dh_{t-1} = dz·U overwrites
+// the dh carry and, when dx is non-nil, it receives the input-gradient
+// rows dz·W, one per active window.
+func (tr *lstmTrace) backward(t int, dx []float64) {
+	act := tr.active(t)
+	H, G := tr.l.HiddenSize, numGates*tr.l.HiddenSize
+	dzs, dst := tr.dzs[:len(act)], tr.dst[:len(act)*H]
+	for a, w := range act {
+		s := tr.at(w, t)
+		dzs[a] = tr.dz[s*G : (s+1)*G]
+		lstmGateGrads(dzs[a], tr.gates[s*G:(s+1)*G], tr.tanhC[s*H:(s+1)*H], tr.cPrev(w, t),
+			tr.dh[w*H:(w+1)*H], tr.dc[w*H:(w+1)*H])
+	}
+	tr.l.U.MulRows(dst, dzs)
+	for a, w := range act {
+		copy(tr.dh[w*H:(w+1)*H], dst[a*H:(a+1)*H])
+	}
+	if dx != nil {
+		tr.l.W.MulRows(dx, dzs)
 	}
 }
 
-// accumulate replays every window's cached gradient rows into bt.grads with
-// the chained outer-product kernel, window ascending and timestep
-// descending — the reference accumulation order, so every per-element chain
-// is bitwise identical to the sequential trainer's. Thanks to the reversed
-// cache layout each us/vs pair is one contiguous run: dz rows pair with the
-// reversed inputs (layer 0) or the previous layer's h history (deeper
-// layers), and dU pairs dz with the same window's h history offset by one
-// block, whose final block is the zero initial state.
-func (bt *batchTrainer) accumulate(batch []Sequence) {
-	c := bt.c
-	L := len(c.Layers)
-	I := c.InputSize()
-	K := c.Out.OutputSize
-	Htop := c.Layers[L-1].HiddenSize
-	g := bt.grads
-	for w := range batch {
-		T := len(batch[w].Inputs)
-		if ns := bt.sc[w]; ns > 0 {
-			g.dense.dW.AddOuterSeq(bt.dlog[w][:ns*K], bt.htop[w][:ns*Htop], ns)
-			addRows(g.dense.dB, bt.dlog[w][:ns*K])
-		}
-		for l, layer := range c.Layers {
-			H := layer.HiddenSize
-			G := numGates * H
-			lg := g.lstm[l]
-			dz := bt.dz[l][w][:T*G]
-			if l == 0 {
-				lg.dW.AddOuterSeq(dz, bt.xbuf[w][:T*I], T)
-			} else {
-				Hin := c.Layers[l-1].HiddenSize
-				lg.dW.AddOuterSeq(dz, bt.hs[l-1][w][:T*Hin], T)
-			}
-			lg.dU.AddOuterSeq(dz, bt.hs[l][w][H:(T+1)*H], T)
-			addRows(lg.dB, dz)
-		}
-		g.Steps += bt.sc[w]
-	}
+// accumulate replays the pass's cached rows into g, rows in the reference
+// order.
+func (tr *lstmTrace) accumulate(g *lstmGrads) {
+	N, H, I, G := tr.rows, tr.l.HiddenSize, tr.l.InputSize, numGates*tr.l.HiddenSize
+	g.dW.AddOuterSeq(tr.dz[:N*G], tr.in[:N*I], N)
+	g.dU.AddOuterSeq(tr.dz[:N*G], tr.hprev[:N*H], N)
+	addRows(g.dB, tr.dz[:N*G])
 }
 
-// lstmCellForward is the training forward's gate epilogue, shared by the
-// classifier's and the reconstruction nets' batched trainers: it
-// activates the combined pre-activation row z into gates (σ on i, f, o;
-// τ on g), then writes c = f⊙cPrev + i⊙g, τ(c) and h = o⊙τ(c). Per
-// element these are stepForward's operations in its expression shapes —
-// the vector activations are bitwise equal to the scalar Sigmoid/Tanh —
-// so the cached rows match the per-window reference bit for bit.
+// lstmCellForward is the training forward's gate epilogue: it activates
+// the combined pre-activation row z into gates (σ on i, f, o; τ on g),
+// then writes c = f⊙cPrev + i⊙g, τ(c) and h = o⊙τ(c). Per element these
+// are the reference step's operations in its expression shapes — the
+// vector activations are bitwise equal to the scalar Sigmoid/Tanh — so
+// the cached rows match the per-window reference bit for bit.
 func lstmCellForward(gates, z, cPrev, c, tanhC, h []float64) {
 	H := len(c)
 	mathx.VSigmoid(gates[:3*H], z[:3*H])
@@ -391,11 +230,11 @@ func lstmCellForward(gates, z, cPrev, c, tanhC, h []float64) {
 	}
 }
 
-// lstmGateGrads is the gate-gradient loop of one BPTT step, shared by
-// both batched trainers and written in stepBackward's exact expression
-// shapes: from the cached activated gates, τ(c_t) and c_{t-1} and the
-// carries dh = ∂L/∂h_t and dc = ∂L/∂c_t it writes the pre-activation
-// gradient dz and updates dc in place to ∂L/∂c_{t-1}.
+// lstmGateGrads is the gate-gradient loop of one BPTT step, written in
+// the reference step's exact expression shapes: from the cached activated
+// gates, τ(c_t) and c_{t-1} and the carries dh = ∂L/∂h_t and
+// dc = ∂L/∂c_t it writes the pre-activation gradient dz and updates dc in
+// place to ∂L/∂c_{t-1}.
 func lstmGateGrads(dz, gates, tanhC, cPrev, dh, dc []float64) {
 	H := len(dh)
 	for j := 0; j < H; j++ {
@@ -427,6 +266,198 @@ func addRows(dst, rows []float64) {
 	for s := 0; w > 0 && s+w <= len(rows); s += w {
 		for j, v := range rows[s : s+w] {
 			dst[j] += v
+		}
+	}
+}
+
+// batchTrainer is the classifier's lock-step minibatch trainer: one
+// lstmTrace per stacked layer under the dense softmax head. It owns only
+// the head — its forward, loss and gradient rows — and the GradBuffer.
+// All buffers are allocated once per Train call, so the steady-state
+// training loop is allocation-free.
+//
+// A step with a negative target is not scored. The head caches each
+// scored step's dLogits and top-layer h row compactly, window ascending
+// and time descending (window w's from row soff[w]), so its weight
+// gradient is one AddOuterSeq too, and the whole minibatch is bitwise
+// identical to the per-window reference.
+type batchTrainer struct {
+	c      *Classifier
+	grads  *GradBuffer
+	layers []lstmTrace
+
+	lens     []int     // [B] window lengths
+	loss     []float64 // [B] per-window summed loss
+	soff, sc []int     // [B] first scored row, scored steps replayed so far
+
+	probs  []float64   // [rows·K] softmax rows at scored steps, by trace row
+	dlog   []float64   // [scored·K] dLogits rows
+	htop   []float64   // [scored·Htop] the matching top-layer h rows
+	logits []float64   // [B·K] lock-step logit rows
+	dst    []float64   // [B·maxH] head and input-gradient rows
+	xs     [][]float64 // [B] each active window's input row
+	rows   [][]float64 // [B] each scored window's head row
+	sact   []int       // [B] the scored windows
+}
+
+// newBatchTrainer sizes the trainer for minibatches of up to maxB windows
+// of up to maxT timesteps on classifier c.
+func newBatchTrainer(c *Classifier, maxB, maxT int) *batchTrainer {
+	maxB = max(maxB, 1)
+	K := c.Out.OutputSize
+	Htop := c.Out.InputSize
+	maxH := 0
+	bt := &batchTrainer{
+		c:      c,
+		grads:  c.NewGradBuffer(),
+		lens:   make([]int, maxB),
+		loss:   make([]float64, maxB),
+		soff:   make([]int, maxB),
+		sc:     make([]int, maxB),
+		probs:  make([]float64, maxB*maxT*K),
+		dlog:   make([]float64, maxB*maxT*K),
+		htop:   make([]float64, maxB*maxT*Htop),
+		logits: make([]float64, maxB*K),
+		xs:     make([][]float64, maxB),
+		rows:   make([][]float64, maxB),
+		sact:   make([]int, 0, maxB),
+	}
+	for _, l := range c.Layers {
+		bt.layers = append(bt.layers, newLSTMTrace(l, maxB, maxT))
+		maxH = max(maxH, l.HiddenSize)
+	}
+	bt.dst = make([]float64, maxB*maxH)
+	return bt
+}
+
+// run computes one minibatch's gradients into bt.grads and returns the
+// summed loss and scored-step count, bitwise identical to running the
+// per-window reference over the windows in order into one buffer.
+func (bt *batchTrainer) run(batch []Sequence) (float64, int) {
+	n, maxT, scored := len(batch), 0, 0
+	for w := range batch {
+		bt.lens[w] = len(batch[w].Inputs)
+		maxT = max(maxT, bt.lens[w])
+		bt.loss[w], bt.soff[w], bt.sc[w] = 0, scored, 0
+		for _, tgt := range batch[w].Targets {
+			if tgt >= 0 {
+				scored++
+			}
+		}
+	}
+	for l := range bt.layers {
+		bt.layers[l].reshape(bt.lens[:n])
+		bt.layers[l].start(n, nil)
+	}
+	bt.forward(batch, maxT)
+	bt.backward(batch, maxT)
+
+	g := bt.grads
+	g.Zero()
+	K, Htop := bt.c.Out.OutputSize, bt.c.Out.InputSize
+	g.dense.dW.AddOuterSeq(bt.dlog[:scored*K], bt.htop[:scored*Htop], scored)
+	addRows(g.dense.dB, bt.dlog[:scored*K])
+	for l := range bt.layers {
+		bt.layers[l].accumulate(g.lstm[l])
+	}
+	g.Steps = scored
+	var loss float64
+	for _, v := range bt.loss[:n] {
+		loss += v
+	}
+	return loss, scored
+}
+
+// forward runs the lock-step forward sweep through the stacked traces and
+// the head, caching the softmax rows of scored steps.
+func (bt *batchTrainer) forward(batch []Sequence, maxT int) {
+	out := bt.c.Out
+	K := out.OutputSize
+	top := &bt.layers[len(bt.layers)-1]
+	for t := 0; t < maxT; t++ {
+		act := top.active(t)
+		xs := bt.xs[:len(act)]
+		for a, w := range act {
+			xs[a] = batch[w].Inputs[t]
+		}
+		for l := range bt.layers {
+			tr := &bt.layers[l]
+			tr.forward(t, xs, nil)
+			for a, w := range act {
+				xs[a] = tr.h(w, t) // the next layer reads this layer's fresh h
+			}
+		}
+		sact, hs := bt.sact[:0], bt.rows[:0]
+		for a, w := range act {
+			if batch[w].Targets[t] >= 0 {
+				sact = append(sact, w)
+				hs = append(hs, xs[a])
+			}
+		}
+		if len(sact) == 0 {
+			continue
+		}
+		logits := bt.logits[:len(sact)*K]
+		out.W.MulRowsT(logits, hs)
+		for a, w := range sact {
+			row := logits[a*K : (a+1)*K]
+			for j := range row {
+				row[j] += out.B[j]
+			}
+			s := top.at(w, t)
+			p := bt.probs[s*K : (s+1)*K]
+			mathx.Softmax(p, row)
+			bt.loss[w] += -math.Log(math.Max(p[batch[w].Targets[t]], 1e-12))
+		}
+	}
+}
+
+// backward runs the lock-step BPTT sweep: at each timestep the head's
+// dLogits = p - onehot rows are cached for the replay and dLogits·W flows
+// into the top trace's carries, then each trace steps back and hands its
+// input-gradient rows to the carries of the layer below.
+func (bt *batchTrainer) backward(batch []Sequence, maxT int) {
+	out := bt.c.Out
+	K, Htop := out.OutputSize, out.InputSize
+	top := &bt.layers[len(bt.layers)-1]
+	for t := maxT - 1; t >= 0; t-- {
+		act := top.active(t)
+		sact, dls := bt.sact[:0], bt.rows[:0]
+		for _, w := range act {
+			tgt := batch[w].Targets[t]
+			if tgt < 0 {
+				continue
+			}
+			r, s := bt.soff[w]+bt.sc[w], top.at(w, t)
+			bt.sc[w]++
+			row := bt.dlog[r*K : (r+1)*K]
+			copy(row, bt.probs[s*K:(s+1)*K])
+			row[tgt] -= 1 // softmax cross-entropy gradient
+			copy(bt.htop[r*Htop:(r+1)*Htop], top.hs[s*Htop:(s+1)*Htop])
+			sact = append(sact, w)
+			dls = append(dls, row)
+		}
+		if len(sact) > 0 {
+			dst := bt.dst[:len(sact)*Htop]
+			out.W.MulRows(dst, dls)
+			for a, w := range sact {
+				mathx.Axpy(top.dh[w*Htop:(w+1)*Htop], 1, dst[a*Htop:(a+1)*Htop])
+			}
+		}
+		for l := len(bt.layers) - 1; l >= 0; l-- {
+			if l == 0 {
+				// The reference computes layer 0's dx too but discards
+				// it, so skipping it changes nothing.
+				bt.layers[0].backward(t, nil)
+				break
+			}
+			below := &bt.layers[l-1]
+			Hin := below.l.HiddenSize
+			dx := bt.dst[:len(act)*Hin]
+			bt.layers[l].backward(t, dx)
+			for a, w := range act {
+				mathx.Axpy(below.dh[w*Hin:(w+1)*Hin], 1, dx[a*Hin:(a+1)*Hin])
+			}
 		}
 	}
 }

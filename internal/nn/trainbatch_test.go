@@ -6,16 +6,16 @@ import (
 	"icsdetect/internal/mathx"
 )
 
-// trainTwin builds two identically initialized classifiers and trains one
-// with the given trainer kind, returning the model and final loss.
-func trainTwin(t *testing.T, data []Sequence, cfg TrainConfig, kind TrainerKind) (*Classifier, float64) {
+// trainTwin trains a fresh, identically initialized classifier with train
+// (Train or trainOracle), returning the model and final loss.
+func trainTwin(t *testing.T, data []Sequence, cfg TrainConfig,
+	train func(*Classifier, []Sequence, TrainConfig) (float64, error)) (*Classifier, float64) {
 	t.Helper()
 	c, err := NewClassifier(7, []int{10, 8}, 6, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Trainer = kind
-	loss, err := Train(c, data, cfg)
+	loss, err := train(c, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,21 +47,21 @@ func raggedData(rng *mathx.RNG, inputs, classes int) []Sequence {
 }
 
 // TestBatchedTrainerBitwiseEqualsReference is the headline invariant of the
-// batched training pipeline: for the same seed and window order, the
-// batched trainer must produce bitwise-identical parameters (and losses) to
-// the sequential reference trainer, across multiple epochs with gradient
-// clipping, LR decay, ragged windows, and skipped targets — on both the
-// SIMD and the pure-Go kernel paths.
+// training pipeline: for the same seed and window order, Train must
+// produce bitwise-identical parameters (and losses) to the per-window
+// oracle, across multiple epochs with gradient clipping, LR decay, ragged
+// windows, and skipped targets — on every kernel tier ("simd" is the
+// machine's default, AVX-512 where the CPU has it).
 func TestBatchedTrainerBitwiseEqualsReference(t *testing.T) {
 	run := func(t *testing.T) {
 		rng := mathx.NewRNG(21)
 		data := raggedData(rng, 7, 6)
 		cfg := TrainConfig{
 			Epochs: 4, Window: 9, BatchSize: 3, LR: 3e-3, ClipNorm: 1.5,
-			LRDecayEpoch: 2, LRDecayFactor: 0.5, Seed: 5, Workers: 1,
+			LRDecayEpoch: 2, LRDecayFactor: 0.5, Seed: 5,
 		}
-		ref, refLoss := trainTwin(t, data, cfg, TrainerReference)
-		bat, batLoss := trainTwin(t, data, cfg, TrainerBatched)
+		ref, refLoss := trainTwin(t, data, cfg, trainOracle)
+		bat, batLoss := trainTwin(t, data, cfg, Train)
 
 		if refLoss != batLoss {
 			t.Errorf("final losses diverge: reference %v, batched %v", refLoss, batLoss)
@@ -77,6 +77,11 @@ func TestBatchedTrainerBitwiseEqualsReference(t *testing.T) {
 		}
 	}
 	t.Run("simd", run)
+	t.Run("avx2", func(t *testing.T) {
+		prev := mathx.SetAVX512Enabled(false)
+		defer mathx.SetAVX512Enabled(prev)
+		run(t)
+	})
 	t.Run("scalar", func(t *testing.T) {
 		prev := mathx.SetSIMDEnabled(false)
 		defer mathx.SetSIMDEnabled(prev)
@@ -85,9 +90,14 @@ func TestBatchedTrainerBitwiseEqualsReference(t *testing.T) {
 }
 
 // TestBatchedTrainerGradientsMatchReference compares a single minibatch's
-// raw gradient buffer (before any optimizer state is involved), including
-// batch widths that exercise the 4-wide kernel tiles and their tails.
+// raw gradient buffer (before any optimizer state is involved) with the
+// oracle's, including batch widths that exercise the 4-wide kernel tiles
+// and their tails, on every kernel tier.
 func TestBatchedTrainerGradientsMatchReference(t *testing.T) {
+	forEachKernelTier(t, testBatchGradients)
+}
+
+func testBatchGradients(t *testing.T) {
 	rng := mathx.NewRNG(31)
 	for _, nWin := range []int{1, 3, 4, 7} {
 		c, err := NewClassifier(5, []int{9, 6}, 4, 13)
@@ -99,46 +109,17 @@ func TestBatchedTrainerGradientsMatchReference(t *testing.T) {
 			seq := raggedData(rng, 5, 4)[0]
 			batch = append(batch, Sequence{Inputs: seq.Inputs[:6+i], Targets: seq.Targets[:6+i]})
 		}
-
-		ref := c.NewGradBuffer()
-		var refLoss float64
-		var refSteps int
-		for i := range batch {
-			loss, steps := c.lossForwardBackward(&batch[i], ref)
-			refLoss += loss
-			refSteps += steps
-		}
-
-		bt := newBatchTrainer(c, len(batch), 16)
-		batLoss, batSteps := bt.run(batch)
-
-		if refLoss != batLoss || refSteps != batSteps {
-			t.Errorf("nWin=%d: loss/steps diverge: reference (%v, %d), batched (%v, %d)",
-				nWin, refLoss, refSteps, batLoss, batSteps)
-		}
-		if ref.Steps != bt.grads.Steps {
-			t.Errorf("nWin=%d: GradBuffer.Steps %d vs %d", nWin, ref.Steps, bt.grads.Steps)
-		}
-		rs, bs := ref.Slices(), bt.grads.Slices()
-		for i := range rs {
-			for j := range rs[i] {
-				if rs[i][j] != bs[i][j] {
-					t.Fatalf("nWin=%d: gradient tensor %d element %d diverged: %v vs %v",
-						nWin, i, j, rs[i][j], bs[i][j])
-				}
-			}
-		}
+		checkClassifierBatch(t, c, newBatchTrainer(c, len(batch), 16), batch)
 	}
 }
 
-// TestBatchedTrainerDeterministic: two identical batched runs must agree
-// bitwise (the property the reference trainer only has with Workers=1).
+// TestBatchedTrainerDeterministic: two identical runs must agree bitwise.
 func TestBatchedTrainerDeterministic(t *testing.T) {
 	rng := mathx.NewRNG(41)
 	data := raggedData(rng, 7, 6)
 	cfg := TrainConfig{Epochs: 3, Window: 8, BatchSize: 4, LR: 2e-3, ClipNorm: 5, Seed: 9}
-	a, lossA := trainTwin(t, data, cfg, TrainerBatched)
-	b, lossB := trainTwin(t, data, cfg, TrainerBatched)
+	a, lossA := trainTwin(t, data, cfg, Train)
+	b, lossB := trainTwin(t, data, cfg, Train)
 	if lossA != lossB {
 		t.Errorf("losses diverge across identical runs: %v vs %v", lossA, lossB)
 	}
@@ -152,35 +133,8 @@ func TestBatchedTrainerDeterministic(t *testing.T) {
 	}
 }
 
-func TestTrainRejectsUnknownTrainer(t *testing.T) {
-	c, _ := NewClassifier(3, []int{4}, 2, 1)
-	_, err := Train(c, []Sequence{{
-		Inputs:  [][]float64{{1, 0, 0}, {0, 1, 0}},
-		Targets: []int{0, 1},
-	}}, TrainConfig{Trainer: "turbo"})
-	if err == nil {
-		t.Error("unknown trainer accepted")
-	}
-}
-
-func TestParseTrainer(t *testing.T) {
-	for in, want := range map[string]TrainerKind{
-		"":          TrainerBatched,
-		"batched":   TrainerBatched,
-		"reference": TrainerReference,
-	} {
-		got, err := ParseTrainer(in)
-		if err != nil || got != want {
-			t.Errorf("ParseTrainer(%q) = (%v, %v), want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseTrainer("warp"); err == nil {
-		t.Error("ParseTrainer accepted garbage")
-	}
-}
-
 // TestEpochEndStats: the per-epoch callback reports coherent counts and
-// wall time alongside Progress.
+// wall time.
 func TestEpochEndStats(t *testing.T) {
 	rng := mathx.NewRNG(51)
 	data := raggedData(rng, 7, 6)
