@@ -494,14 +494,29 @@ func BenchmarkGeneratorThroughput(b *testing.B) {
 
 // ---- Ablation benches --------------------------------------------------------
 
+// evaluateLevels scores the test split through the stack the -levels list
+// names under first-hit fusion.
+func evaluateLevels(b *testing.B, fw *core.Framework, test []*dataset.Package, levels string) *core.Evaluation {
+	b.Helper()
+	spec, err := core.ParseStackSpec(levels, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	eval, err := fw.Evaluate(test, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eval
+}
+
 // BenchmarkAblationNoise compares test F1 with and without probabilistic
 // noise training (paper Figs. 6-7).
 func BenchmarkAblationNoise(b *testing.B) {
 	env := benchEnvironment(b)
 	var with, without *core.Evaluation
 	for i := 0; i < b.N; i++ {
-		with = env.Framework.Evaluate(env.Split.Test, core.ModeCombined)
-		without = env.Plain.Evaluate(env.Split.Test, core.ModeCombined)
+		with = evaluateLevels(b, env.Framework, env.Split.Test, "bloom,lstm")
+		without = evaluateLevels(b, env.Plain, env.Split.Test, "bloom,lstm")
 	}
 	b.ReportMetric(with.Summary.F1, "f1/noise")
 	b.ReportMetric(without.Summary.F1, "f1/plain")
@@ -513,9 +528,9 @@ func BenchmarkAblationLevels(b *testing.B) {
 	env := benchEnvironment(b)
 	var comb, pkg, ser *core.Evaluation
 	for i := 0; i < b.N; i++ {
-		comb = env.Framework.Evaluate(env.Split.Test, core.ModeCombined)
-		pkg = env.Framework.Evaluate(env.Split.Test, core.ModePackageOnly)
-		ser = env.Framework.Evaluate(env.Split.Test, core.ModeSeriesOnly)
+		comb = evaluateLevels(b, env.Framework, env.Split.Test, "bloom,lstm")
+		pkg = evaluateLevels(b, env.Framework, env.Split.Test, "bloom")
+		ser = evaluateLevels(b, env.Framework, env.Split.Test, "lstm")
 	}
 	b.ReportMetric(comb.Summary.F1, "f1/combined")
 	b.ReportMetric(pkg.Summary.F1, "f1/package")
@@ -598,33 +613,8 @@ func BenchmarkAblationDynamicK(b *testing.B) {
 	env := benchEnvironment(b)
 	var fixedF1, dynF1 float64
 	for i := 0; i < b.N; i++ {
-		fixed := env.Framework.Evaluate(env.Split.Test, core.ModeCombined)
-		fixedF1 = fixed.Summary.F1
-
-		sess, err := env.Framework.NewDynamicSession(
-			core.DefaultDynamicKConfig(env.Framework.Series.K))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var conf struct{ tp, fp, tn, fn int }
-		for _, p := range env.Split.Test {
-			v := sess.Classify(p)
-			switch {
-			case v.Anomaly && p.IsAttack():
-				conf.tp++
-			case v.Anomaly:
-				conf.fp++
-			case p.IsAttack():
-				conf.fn++
-			default:
-				conf.tn++
-			}
-		}
-		prec := float64(conf.tp) / float64(conf.tp+conf.fp+1)
-		rec := float64(conf.tp) / float64(conf.tp+conf.fn+1)
-		if prec+rec > 0 {
-			dynF1 = 2 * prec * rec / (prec + rec)
-		}
+		fixedF1 = evaluateLevels(b, env.Framework, env.Split.Test, "bloom,lstm").Summary.F1
+		dynF1 = evaluateLevels(b, env.Framework, env.Split.Test, "bloom,lstm-dynamic").Summary.F1
 	}
 	b.ReportMetric(fixedF1, "f1/fixedK")
 	b.ReportMetric(dynF1, "f1/dynamicK")

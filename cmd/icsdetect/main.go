@@ -3,14 +3,15 @@
 //
 // Usage:
 //
-//	icsdetect -model model.bin -in capture.arff [-mode combined] [-k 4]
-//	          [-alerts alerts.txt]
+//	icsdetect -model model.bin -in capture.arff [-k 4] [-alerts alerts.txt]
 //	icsdetect -model model.bin -in capture.arff -levels bloom,pca,lstm \
 //	          -fusion majority
+//	icsdetect -model model.bin -in capture.arff -levels lstm   # ablation
 //
-// -levels composes an arbitrary detection stack from the registered level
-// kinds (see -levels list); levels beyond the built-in two need their
-// stage models in the loaded framework (train them with icstrain -levels).
+// -levels composes a detection stack from the registered level kinds (see
+// -levels list; the default is the paper's bloom,lstm); levels beyond the
+// built-in two need their stage models in the loaded framework (train them
+// with icstrain -levels).
 package main
 
 import (
@@ -18,15 +19,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
+	"icsdetect/internal/cli"
 	"icsdetect/internal/core"
 	"icsdetect/internal/dataset"
 	"icsdetect/internal/metrics"
-
-	// Register the promoted baseline detection levels.
-	_ "icsdetect/internal/baselines"
-	_ "icsdetect/internal/recon"
 )
 
 func main() {
@@ -40,27 +37,19 @@ func run() error {
 	var (
 		modelPath = flag.String("model", "model.bin", "trained model path")
 		in        = flag.String("in", "", "input ARFF capture (required)")
-		mode      = flag.String("mode", "combined", "detector mode: combined, package, series")
-		levels    = flag.String("levels", "", "detection stack, e.g. bloom,pca,lstm (overrides -mode; registered: "+strings.Join(core.StageKinds(), ", ")+"); \"list\" prints the kinds")
-		fusion    = flag.String("fusion", "", "verdict fusion policy for -levels: first-hit, majority or weighted")
-		precision = flag.String("precision", "", "numeric tier: f64 (default) or f32 (float32 SIMD inference)")
 		k         = flag.Int("k", 0, "override top-k threshold (0 keeps the trained k)")
 		alerts    = flag.String("alerts", "", "write one line per detected anomaly to this file")
 	)
+	stack := cli.StackFlags(flag.CommandLine)
 	flag.Parse()
-	if *levels == "list" {
-		fmt.Println(strings.Join(core.StageKinds(), "\n"))
+	if stack.List(os.Stdout) {
 		return nil
 	}
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
-
-	spec, err := core.ResolveStackFlags(*levels, *fusion, *mode)
+	spec, err := stack.Spec()
 	if err != nil {
-		return err
-	}
-	if spec, err = spec.WithPrecision(*precision); err != nil {
 		return err
 	}
 
@@ -78,9 +67,8 @@ func run() error {
 			return err
 		}
 	}
-	if missing := fw.MissingStages(spec); len(missing) > 0 {
-		return fmt.Errorf("model has no trained stage models for %s (retrain with icstrain -levels %s)",
-			strings.Join(missing, ", "), *levels)
+	if err := cli.RequireTrained(fw, spec); err != nil {
+		return err
 	}
 
 	df, err := os.Open(*in)

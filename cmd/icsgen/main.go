@@ -7,11 +7,6 @@
 //	icsgen -packages 60000 -seed 1 -out capture.arff
 //	icsgen -scenario watertank -packages 60000 -out tank.arff
 //	icsgen -normal -packages 20000 -out clean.arff   # attack-free
-//
-// -levels/-fusion validate a detection-stack spec against the registered
-// level kinds before the capture is generated, so a gen→train→replay
-// pipeline fails on a stack typo immediately instead of after the (long)
-// generation step.
 package main
 
 import (
@@ -20,13 +15,10 @@ import (
 	"os"
 	"strings"
 
-	"icsdetect/internal/core"
 	"icsdetect/internal/dataset"
 	"icsdetect/internal/scenario"
 
-	_ "icsdetect/internal/baselines"
 	_ "icsdetect/internal/gaspipeline"
-	_ "icsdetect/internal/recon"
 	_ "icsdetect/internal/watertank"
 )
 
@@ -39,29 +31,15 @@ func main() {
 
 func run() error {
 	var (
-		name      = flag.String("scenario", scenario.Default, "testbed scenario: "+strings.Join(scenario.Names(), ", "))
-		packages  = flag.Int("packages", 60000, "approximate capture size in packages")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		ratio     = flag.Float64("attack-ratio", 0.219, "target fraction of attack packages")
-		normal    = flag.Bool("normal", false, "generate attack-free traffic")
-		out       = flag.String("out", "-", "output path (- for stdout)")
-		levels    = flag.String("levels", "", "validate this detection stack spec before generating (fail-fast for pipelines; registered: "+strings.Join(core.StageKinds(), ", ")+")")
-		fusion    = flag.String("fusion", "", "fusion policy for the -levels validation")
-		precision = flag.String("precision", "", "numeric tier for the -levels validation: f64 (default) or f32")
+		name     = flag.String("scenario", scenario.Default, "testbed scenario: "+strings.Join(scenario.Names(), ", "))
+		packages = flag.Int("packages", 60000, "approximate capture size in packages")
+		seed     = flag.Uint64("seed", 1, "random seed")
+		ratio    = flag.Float64("attack-ratio", 0.219, "target fraction of attack packages")
+		normal   = flag.Bool("normal", false, "generate attack-free traffic")
+		out      = flag.String("out", "-", "output path (- for stdout)")
 	)
 	flag.Parse()
 
-	if *levels != "" {
-		spec, err := core.ParseStackSpec(*levels, *fusion)
-		if err != nil {
-			return err
-		}
-		if _, err := spec.WithPrecision(*precision); err != nil {
-			return err
-		}
-	} else if _, err := core.ParsePrecision(*precision); err != nil {
-		return err
-	}
 	sc, err := scenario.Get(*name)
 	if err != nil {
 		return err

@@ -25,15 +25,14 @@ import (
 	"syscall"
 	"time"
 
+	"icsdetect/internal/cli"
 	"icsdetect/internal/core"
 	"icsdetect/internal/dataset"
 	"icsdetect/internal/engine"
 	"icsdetect/internal/scenario"
 	"icsdetect/internal/tap"
 
-	_ "icsdetect/internal/baselines"
 	_ "icsdetect/internal/gaspipeline"
-	_ "icsdetect/internal/recon"
 	_ "icsdetect/internal/watertank"
 )
 
@@ -55,11 +54,12 @@ func run() error {
 		epochs    = flag.Int("epochs", 10, "bootstrap training epochs")
 		quietSecs = flag.Int("stats-interval", 30, "seconds between summary lines")
 		shards    = flag.Int("shards", 0, "detection engine shards (0 = GOMAXPROCS)")
-		levels    = flag.String("levels", "", "detection stack, e.g. bloom,pca,lstm (registered: "+strings.Join(core.StageKinds(), ", ")+")")
-		fusion    = flag.String("fusion", "", "verdict fusion policy for -levels: first-hit, majority or weighted")
-		precision = flag.String("precision", "", "numeric tier: f64 (default) or f32 (float32 SIMD inference)")
 	)
+	stack := cli.StackFlags(flag.CommandLine)
 	flag.Parse()
+	if stack.List(os.Stdout) {
+		return nil
+	}
 	if *upstream == "" {
 		return fmt.Errorf("-upstream is required")
 	}
@@ -70,11 +70,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	spec, err := core.ResolveStackFlags(*levels, *fusion, "")
+	spec, err := stack.Spec()
 	if err != nil {
-		return err
-	}
-	if spec, err = spec.WithPrecision(*precision); err != nil {
 		return err
 	}
 
@@ -123,9 +120,8 @@ func run() error {
 	// goroutines, alerts logged from the engine's shard workers. Bounded
 	// shard queues push back on the relay path if classification ever
 	// falls behind.
-	if missing := fw.MissingStages(spec); len(missing) > 0 {
-		return fmt.Errorf("model has no trained stage models for %s (retrain with icstrain -levels %s)",
-			strings.Join(missing, ", "), *levels)
+	if err := cli.RequireTrained(fw, spec); err != nil {
+		return err
 	}
 	eng, err := engine.New(fw, engine.Config{Shards: *shards, Stack: spec}, func(r engine.Result) {
 		if r.Verdict.Anomaly {

@@ -31,15 +31,14 @@ import (
 	"strings"
 	"time"
 
+	"icsdetect/internal/cli"
 	"icsdetect/internal/core"
 	"icsdetect/internal/dataset"
 	"icsdetect/internal/engine"
 	"icsdetect/internal/scenario"
 	"icsdetect/internal/trace"
 
-	_ "icsdetect/internal/baselines"
 	_ "icsdetect/internal/gaspipeline"
-	_ "icsdetect/internal/recon"
 	_ "icsdetect/internal/watertank"
 )
 
@@ -64,14 +63,14 @@ func run() error {
 		shards    = flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS)")
 		timed     = flag.Bool("timed", false, "latency mode: replay on the trace's own timeline")
 		speed     = flag.Float64("speed", 1, "timeline scale for -timed (2 = twice as fast)")
-		modeName  = flag.String("mode", "combined", "detector mode: combined, package or series")
-		levels    = flag.String("levels", "", "detection stack, e.g. bloom,pca,lstm (overrides -mode; registered: "+strings.Join(core.StageKinds(), ", ")+")")
-		fusion    = flag.String("fusion", "", "verdict fusion policy for -levels: first-hit, majority or weighted")
-		precision = flag.String("precision", "", "numeric tier: f64 (default) or f32 (float32 SIMD inference)")
 		verify    = flag.String("verify", "", "golden verdict file to compare against (exit 1 on drift)")
 		verdicts  = flag.String("verdicts", "", "write the replay's verdicts to this golden file")
 	)
+	stack := cli.StackFlags(flag.CommandLine)
 	flag.Parse()
+	if stack.List(os.Stdout) {
+		return nil
+	}
 
 	if *recordDir != "" {
 		sc, err := scenario.Get(*scName)
@@ -84,11 +83,8 @@ func run() error {
 		return fmt.Errorf("either -record DIR, or -trace FILE with -model FILE, is required")
 	}
 
-	spec, err := core.ResolveStackFlags(*levels, *fusion, *modeName)
+	spec, err := stack.Spec()
 	if err != nil {
-		return err
-	}
-	if spec, err = spec.WithPrecision(*precision); err != nil {
 		return err
 	}
 	f, err := os.Open(*modelPath)
@@ -100,9 +96,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if missing := fw.MissingStages(spec); len(missing) > 0 {
-		return fmt.Errorf("model has no trained stage models for %s (retrain with icstrain -levels %s)",
-			strings.Join(missing, ", "), *levels)
+	if err := cli.RequireTrained(fw, spec); err != nil {
+		return err
 	}
 
 	tf, err := os.Open(*tracePath)

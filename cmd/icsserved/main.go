@@ -8,7 +8,7 @@
 //
 //	icsserved -model gaspipeline=model.bin [-model watertank=wt.bin]
 //	          [-ingest :1502] [-verdicts :1503] [-http :1504]
-//	          [-stack bloom,lstm] [-fusion first-hit] [-precision f64]
+//	          [-levels bloom,lstm] [-fusion first-hit] [-precision f64]
 //	          [-shards N] [-maxbatch 64] [-queue 256]
 //	          [-drain 5s] [-idle 0] [-subbuffer 1024] [-subwrite 0]
 //	          [-statsevery 0]
@@ -27,7 +27,8 @@
 //   - -http is the ops endpoint: GET /healthz, GET /stats (lifetime plus
 //     interval-delta engine counters), POST /swap?model=NAME&path=FILE
 //     (hot-swap a retrained icstrain -checkpoint snapshot behind an engine
-//     barrier, without restarting or disturbing live streams).
+//     barrier, without restarting or disturbing live streams; without
+//     path= the snapshot is the request body, at most 64 MiB).
 //
 // -statsevery additionally logs interval package rates to stderr. SIGTERM or
 // SIGINT drains gracefully: stop accepting, finish live connections (bounded
@@ -49,15 +50,14 @@ import (
 	"syscall"
 	"time"
 
+	"icsdetect/internal/cli"
 	"icsdetect/internal/core"
 	"icsdetect/internal/engine"
 	"icsdetect/internal/scenario"
 	"icsdetect/internal/serve"
 	"icsdetect/internal/tap"
 
-	_ "icsdetect/internal/baselines"
 	_ "icsdetect/internal/gaspipeline"
-	_ "icsdetect/internal/recon"
 	_ "icsdetect/internal/watertank"
 )
 
@@ -95,9 +95,6 @@ func run() error {
 		ingest     = flag.String("ingest", ":1502", "ingest listener address (device connections)")
 		verdicts   = flag.String("verdicts", ":1503", "verdict subscription listener address (empty disables)")
 		httpAddr   = flag.String("http", ":1504", "ops HTTP listener address (empty disables)")
-		stack      = flag.String("stack", "", "detection stack, e.g. bloom,lstm or bloom,pca,lstm (default: the paper's bloom,lstm)")
-		fusion     = flag.String("fusion", "", "verdict fusion policy for -stack")
-		precision  = flag.String("precision", "", "default numeric tier: f64 (default) or f32")
 		shards     = flag.Int("shards", 0, "engine worker shards (default GOMAXPROCS)")
 		maxBatch   = flag.Int("maxbatch", 0, "micro-batch width cap (default 64)")
 		queue      = flag.Int("queue", 0, "per-shard queue depth (default 4*maxbatch)")
@@ -109,32 +106,27 @@ func run() error {
 		selftest   = flag.Bool("selftest", false, "run the committed-corpus smoke drill and exit")
 		testdata   = flag.String("testdata", "testdata/traces", "golden corpus root for -selftest")
 	)
+	stack := cli.StackFlags(flag.CommandLine)
 	flag.Parse()
+	if stack.List(os.Stdout) {
+		return nil
+	}
+	spec, err := stack.Spec()
+	if err != nil {
+		return err
+	}
 
 	cfg := serve.Config{
 		Engine: engine.Config{
 			Shards:     *shards,
 			MaxBatch:   *maxBatch,
 			QueueDepth: *queue,
+			Stack:      spec,
 		},
 		DrainGrace:             *drain,
 		IdleTimeout:            *idle,
 		SubscriberBuffer:       *subBuffer,
 		SubscriberWriteTimeout: *subWrite,
-	}
-	if *stack != "" || *fusion != "" || *precision != "" {
-		spec, err := core.ParseStackSpec(*stack, *fusion)
-		if err != nil {
-			return err
-		}
-		if *precision != "" {
-			p, err := core.ParsePrecision(*precision)
-			if err != nil {
-				return err
-			}
-			spec.Precision = p
-		}
-		cfg.Engine.Stack = spec
 	}
 
 	if *selftest {

@@ -49,19 +49,17 @@ func main() {
 
 func run() error {
 	var (
-		in        = flag.String("in", "", "input ARFF capture (required)")
-		scName    = flag.String("scenario", scenario.Default, "testbed scenario the capture came from: "+strings.Join(scenario.Names(), ", "))
-		model     = flag.String("model", "model.bin", "output model path")
-		hidden    = flag.String("hidden", "64,64", "LSTM hidden sizes, comma separated")
-		epochs    = flag.Int("epochs", 12, "training epochs")
-		noNoise   = flag.Bool("no-noise", false, "disable probabilistic-noise training")
-		search    = flag.Bool("search", false, "run the granularity search instead of the scale heuristic")
-		lambda    = flag.Float64("lambda", 10, "noise frequency parameter λ")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		ckpt      = flag.String("checkpoint", "", "when set, write <prefix>-epochNNN.bin after every epoch")
-		levels    = flag.String("levels", "", "also train these promoted detection levels into the model, e.g. bloom,pca,lstm (registered: "+strings.Join(core.StageKinds(), ", ")+")")
-		fusion    = flag.String("fusion", "", "fusion policy used only to validate -levels")
-		precision = flag.String("precision", "", "numeric tier the trained stack will deploy at, validated fail-fast: f64 (default) or f32")
+		in      = flag.String("in", "", "input ARFF capture (required)")
+		scName  = flag.String("scenario", scenario.Default, "testbed scenario the capture came from: "+strings.Join(scenario.Names(), ", "))
+		model   = flag.String("model", "model.bin", "output model path")
+		hidden  = flag.String("hidden", "64,64", "LSTM hidden sizes, comma separated")
+		epochs  = flag.Int("epochs", 12, "training epochs")
+		noNoise = flag.Bool("no-noise", false, "disable probabilistic-noise training")
+		search  = flag.Bool("search", false, "run the granularity search instead of the scale heuristic")
+		lambda  = flag.Float64("lambda", 10, "noise frequency parameter λ")
+		seed    = flag.Uint64("seed", 1, "random seed")
+		ckpt    = flag.String("checkpoint", "", "when set, write <prefix>-epochNNN.bin after every epoch")
+		levels  = flag.String("levels", "", "also train these promoted detection levels into the model, e.g. bloom,pca,lstm (registered: "+strings.Join(core.StageKinds(), ", ")+")")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -115,16 +113,10 @@ func run() error {
 
 	var spec core.StackSpec
 	if *levels != "" {
-		if spec, err = core.ParseStackSpec(*levels, *fusion); err != nil {
+		// A typo in the stack fails here, before the (long) training step.
+		if spec, err = core.ParseStackSpec(*levels, ""); err != nil {
 			return err
 		}
-		// A deployment tier the stack cannot run is a pipeline typo; catch
-		// it before the (long) training step, like the stack spec itself.
-		if _, err := spec.WithPrecision(*precision); err != nil {
-			return err
-		}
-	} else if _, err := core.ParsePrecision(*precision); err != nil {
-		return err
 	}
 
 	start := time.Now()

@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 
 	"icsdetect"
-	"icsdetect/internal/core"
 	"icsdetect/internal/dataset"
 )
 
@@ -78,7 +77,10 @@ func run() error {
 		report.Signatures, report.ChosenK, report.PackageErrv)
 
 	// Evaluate per attack type, the paper's Table V view.
-	eval := det.Evaluate(split.Test, core.ModeCombined)
+	eval, err := det.Evaluate(split.Test, icsdetect.DefaultStack())
+	if err != nil {
+		return err
+	}
 	fmt.Printf("combined framework: %v\n", eval.Summary)
 	for _, at := range dataset.AttackTypes {
 		if eval.PerAttack.Total[at] > 0 {
@@ -88,10 +90,20 @@ func run() error {
 	}
 
 	// Ablation: how much does each level contribute?
-	pkgOnly := det.Evaluate(split.Test, core.ModePackageOnly)
-	serOnly := det.Evaluate(split.Test, core.ModeSeriesOnly)
-	fmt.Printf("package level only: %v\n", pkgOnly.Summary)
-	fmt.Printf("time-series level only: %v\n", serOnly.Summary)
+	for _, level := range []struct{ name, kind string }{
+		{"package level only", "bloom"},
+		{"time-series level only", "lstm"},
+	} {
+		spec, err := icsdetect.ParseStack(level.kind, "")
+		if err != nil {
+			return err
+		}
+		alone, err := det.Evaluate(split.Test, spec)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%s: %v\n", level.name, alone.Summary)
+	}
 
 	// Persist and reload; verdicts must be identical.
 	var buf bytes.Buffer
@@ -102,7 +114,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	again := restored.Evaluate(split.Test, core.ModeCombined)
+	again, err := restored.Evaluate(split.Test, icsdetect.DefaultStack())
+	if err != nil {
+		return err
+	}
 	if again.Confusion != eval.Confusion {
 		return fmt.Errorf("restored model disagrees: %+v vs %+v", again.Confusion, eval.Confusion)
 	}

@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"icsdetect"
-	"icsdetect/internal/core"
 	"icsdetect/internal/signature"
 )
 
@@ -84,7 +83,10 @@ func run() error {
 		return err
 	}
 	fmt.Printf("with θ=0.02 the rule picks k = %d\n", report2.ChosenK)
-	eval := det2.Evaluate(split.Test, core.ModeCombined)
+	eval, err := det2.Evaluate(split.Test, icsdetect.DefaultStack())
+	if err != nil {
+		return err
+	}
 	fmt.Printf("resulting test metrics: %v\n", eval.Summary)
 	return nil
 }

@@ -85,9 +85,6 @@ type (
 	TrainOptions = core.Config
 	// Granularity is the feature discretization setting (paper Table III).
 	Granularity = signature.Granularity
-	// Mode selects which detector levels a session or engine applies
-	// (legacy two-level API; StackSpec composes arbitrary level stacks).
-	Mode = core.Mode
 	// StageDetector is one pluggable level of the detection stack.
 	StageDetector = core.StageDetector
 	// StageResult is one level's pre-fusion opinion on one package.
@@ -109,23 +106,6 @@ type (
 	// run at: the f64 reference (default) or the opt-in f32 inference
 	// tier (see the README's "Precision tiers" section).
 	Precision = core.Precision
-	// DynamicKConfig tunes the adaptive top-k controller of the
-	// "lstm-dynamic" level.
-	DynamicKConfig = core.DynamicKConfig
-)
-
-// DefaultDynamicKConfig derives adaptive-k controller bounds from the
-// trained k.
-func DefaultDynamicKConfig(trainedK int) DynamicKConfig {
-	return core.DefaultDynamicKConfig(trainedK)
-}
-
-// Detector modes: the paper's combined two-level framework, or each level
-// alone for ablation.
-const (
-	ModeCombined    = core.ModeCombined
-	ModePackageOnly = core.ModePackageOnly
-	ModeSeriesOnly  = core.ModeSeriesOnly
 )
 
 // Fusion policies: the paper's first-hit short-circuit (default), strict
@@ -172,7 +152,7 @@ func DefaultStack() StackSpec { return core.DefaultStackSpec() }
 // ParseStack parses a detection stack from the -levels/-fusion flag
 // syntax: a comma-separated level list (each "kind" or "kind:weight") and
 // a fusion policy name ("first-hit", "majority" or "weighted"). Empty
-// levels means the default two-level stack.
+// levels means the default two-level stack under that fusion policy.
 //
 //	spec, err := icsdetect.ParseStack("bloom,pca,lstm", "majority")
 //	sess, err := det.NewStackSession(spec) // after det.TrainStages(spec, split, seed)
@@ -196,7 +176,8 @@ func RegisterStage(kind string, f StageFactory) { core.RegisterStage(kind, f) }
 type (
 	// Engine is the sharded multi-stream detection engine.
 	Engine = engine.Engine
-	// EngineConfig tunes shards, micro-batch width, queue depth and mode.
+	// EngineConfig tunes shards, micro-batch width, queue depth and the
+	// detection stack.
 	EngineConfig = engine.Config
 	// EngineResult is one classified package delivered to the handler.
 	EngineResult = engine.Result

@@ -8,20 +8,6 @@ import (
 	"icsdetect/internal/signature"
 )
 
-// Mode selects which of the paper's detector levels an evaluation session
-// applies; the paper's framework is ModeCombined, the others support
-// ablation. Mode is the legacy two-level API — it maps onto the composable
-// stack machinery through SpecForMode, and arbitrary level combinations
-// are described by StackSpec instead.
-type Mode int
-
-// Evaluation modes.
-const (
-	ModeCombined Mode = iota + 1
-	ModePackageOnly
-	ModeSeriesOnly
-)
-
 // Framework is the trained multi-level anomaly detection framework: the
 // paper's two built-in levels (§IV Bloom package detector, §V stacked LSTM
 // time-series detector) plus any promoted extra-level models, composed
@@ -91,16 +77,8 @@ func (s *Session) ReuseEvidence(on bool) {
 
 // NewSession starts a classification session over the default two-level
 // stack (bloom,lstm under first-hit fusion).
-func (f *Framework) NewSession() *Session { return f.NewSessionMode(ModeCombined) }
-
-// NewSessionMode starts a session with a legacy detector mode. Unknown
-// modes fall back to the combined pipeline.
-func (f *Framework) NewSessionMode(mode Mode) *Session {
-	spec, err := SpecForMode(mode)
-	if err != nil {
-		spec = DefaultStackSpec()
-	}
-	sess, err := f.NewStackSession(spec)
+func (f *Framework) NewSession() *Session {
+	sess, err := f.NewStackSession(DefaultStackSpec())
 	if err != nil {
 		// The built-in levels always resolve on a trained framework; an
 		// error here means the framework is structurally broken.
@@ -116,21 +94,6 @@ func (f *Framework) NewStackSession(spec StackSpec) (*Session, error) {
 		return nil, err
 	}
 	return st.NewSession(), nil
-}
-
-// Mode returns the legacy detector mode this session's stack corresponds
-// to, or ModeCombined when the stack has no mode equivalent.
-func (s *Session) Mode() Mode {
-	spec := s.stack.spec
-	if spec.fusion() == FusionFirstHit && len(spec.Stages) == 1 {
-		switch spec.Stages[0].Kind {
-		case StageBloom:
-			return ModePackageOnly
-		case StageLSTM:
-			return ModeSeriesOnly
-		}
-	}
-	return ModeCombined
 }
 
 // Stack returns the detection stack the session classifies against.
@@ -280,23 +243,9 @@ type Evaluation struct {
 	ByLevel map[Level]int
 }
 
-// Evaluate classifies every package of the test stream and scores the
-// verdicts against ground truth (§VIII-B).
-func (f *Framework) Evaluate(test []*dataset.Package, mode Mode) *Evaluation {
-	spec, err := SpecForMode(mode)
-	if err != nil {
-		spec = DefaultStackSpec()
-	}
-	eval, everr := f.EvaluateStack(test, spec)
-	if everr != nil {
-		panic(fmt.Sprintf("core: evaluate over built-in stack: %v", everr))
-	}
-	return eval
-}
-
-// EvaluateStack classifies every package of the test stream through an
-// arbitrary level stack and scores the verdicts against ground truth.
-func (f *Framework) EvaluateStack(test []*dataset.Package, spec StackSpec) (*Evaluation, error) {
+// Evaluate classifies every package of the test stream through a level
+// stack and scores the verdicts against ground truth (§VIII-B).
+func (f *Framework) Evaluate(test []*dataset.Package, spec StackSpec) (*Evaluation, error) {
 	sess, err := f.NewStackSession(spec)
 	if err != nil {
 		return nil, err

@@ -1,11 +1,5 @@
 package core
 
-import (
-	"fmt"
-
-	"icsdetect/internal/dataset"
-)
-
 // DynamicKConfig tunes the adaptive top-k controller. The paper lists
 // dynamically adjusted k as future work (§IX: "we will design effective
 // approaches to adjust the value of k dynamically based on previous
@@ -36,20 +30,6 @@ func DefaultDynamicKConfig(trainedK int) DynamicKConfig {
 	}
 }
 
-// Validate reports configuration errors.
-func (c *DynamicKConfig) Validate() error {
-	if c.MinK < 1 || c.MaxK < c.MinK {
-		return fmt.Errorf("core: dynamic k bounds invalid [%d, %d]", c.MinK, c.MaxK)
-	}
-	if c.TargetRate <= 0 || c.TargetRate >= 1 {
-		return fmt.Errorf("core: dynamic k target rate %g outside (0,1)", c.TargetRate)
-	}
-	if c.Window < 10 {
-		return fmt.Errorf("core: dynamic k window %d too small", c.Window)
-	}
-	return nil
-}
-
 // DynamicSeriesStage is the time-series level with the adaptive-k
 // controller folded into the stage stack (registry kind "lstm-dynamic"):
 // every stream carries its own adaptive k, so dynamic-k works identically
@@ -63,8 +43,8 @@ func (c *DynamicKConfig) Validate() error {
 // so stacks containing this stage always record evidence — which the
 // stack machinery guarantees, since the kind is not one of the built-in
 // two. Under first-hit fusion a package-level detection short-circuits
-// this stage and leaves no evidence entry, so — exactly like the legacy
-// DynamicSession — Bloom detections never influence the alert rate.
+// this stage and leaves no evidence entry, so Bloom detections never
+// influence the alert rate.
 type DynamicSeriesStage struct {
 	Series *SeriesStage
 	Cfg    DynamicKConfig
@@ -205,46 +185,3 @@ func (b *dynamicAdvanceBatch) Queue(state StageState, pc *PackageContext, v *Ver
 func (b *dynamicAdvanceBatch) Flush()   { b.inner.Flush() }
 func (b *dynamicAdvanceBatch) Len() int { return b.inner.Len() }
 func (b *dynamicAdvanceBatch) Cap() int { return b.inner.Cap() }
-
-// DynamicSession wraps a Session over the [bloom, lstm-dynamic] stack.
-//
-// Deprecated: DynamicSession predates the composable stack; the adaptive-k
-// controller now lives in DynamicSeriesStage, which any stack (and the
-// concurrent engine) can include via the "lstm-dynamic" kind. This shim
-// remains for callers of the original API and behaves identically.
-type DynamicSession struct {
-	sess  *Session
-	state *dynamicState
-}
-
-// NewDynamicSession starts an adaptive session in combined mode.
-func (f *Framework) NewDynamicSession(cfg DynamicKConfig) (*DynamicSession, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	stage := &DynamicSeriesStage{
-		Series: &SeriesStage{DB: f.DB, Detector: f.Series, Input: f.Input},
-		Cfg:    cfg,
-	}
-	spec := StackSpec{
-		Stages: []StageSpec{{Kind: StageBloom}, {Kind: StageLSTMDynamic}},
-		Fusion: FusionFirstHit,
-	}
-	stack, err := NewStackFromStages(f, spec, []StageDetector{
-		&PackageStage{Detector: f.Package}, stage,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sess := stack.NewSession()
-	return &DynamicSession{sess: sess, state: sess.states[1].(*dynamicState)}, nil
-}
-
-// K returns the current adaptive k.
-func (s *DynamicSession) K() int { return s.state.k }
-
-// Classify classifies the next package with the current k and updates the
-// controller.
-func (s *DynamicSession) Classify(cur *dataset.Package) Verdict {
-	return s.sess.Classify(cur)
-}

@@ -6,25 +6,22 @@ import (
 	"icsdetect/internal/core"
 )
 
+// TestDynamicKConfigValidation: the controller config the lstm-dynamic
+// level derives from a trained k is always usable — k bounds that contain
+// the trained k and never drop below 1, a target rate inside (0, 1), and
+// a window long enough to estimate it.
 func TestDynamicKConfigValidation(t *testing.T) {
-	bad := []core.DynamicKConfig{
-		{MinK: 0, MaxK: 5, TargetRate: 0.05, Window: 100},
-		{MinK: 5, MaxK: 2, TargetRate: 0.05, Window: 100},
-		{MinK: 1, MaxK: 5, TargetRate: 0, Window: 100},
-		{MinK: 1, MaxK: 5, TargetRate: 1.5, Window: 100},
-		{MinK: 1, MaxK: 5, TargetRate: 0.05, Window: 2},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d accepted: %+v", i, cfg)
+	for _, k := range []int{1, 2, 3, 4, 10} {
+		cfg := core.DefaultDynamicKConfig(k)
+		if cfg.MinK < 1 || cfg.MinK > k || cfg.MaxK <= k {
+			t.Errorf("k=%d: bounds [%d, %d] do not bracket it", k, cfg.MinK, cfg.MaxK)
 		}
-	}
-	good := core.DefaultDynamicKConfig(4)
-	if err := good.Validate(); err != nil {
-		t.Errorf("default config rejected: %v", err)
-	}
-	if good.MinK < 1 || good.MaxK <= good.MinK {
-		t.Errorf("default bounds broken: %+v", good)
+		if cfg.TargetRate <= 0 || cfg.TargetRate >= 1 {
+			t.Errorf("k=%d: target rate %g outside (0, 1)", k, cfg.TargetRate)
+		}
+		if cfg.Window < 10 {
+			t.Errorf("k=%d: window %d too small", k, cfg.Window)
+		}
 	}
 }
 
@@ -34,13 +31,15 @@ func TestDynamicSession(t *testing.T) {
 	}
 	fw, report, split := trainSmallFramework(t, true)
 
-	cfg := core.DefaultDynamicKConfig(report.ChosenK)
-	sess, err := fw.NewDynamicSession(cfg)
+	sess, err := fw.NewStackSession(core.StackSpec{
+		Stages: []core.StageSpec{{Kind: core.StageBloom}, {Kind: core.StageLSTMDynamic}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.K() != report.ChosenK {
-		t.Fatalf("initial k = %d, want %d", sess.K(), report.ChosenK)
+	cfg := core.DefaultDynamicKConfig(report.ChosenK)
+	if k := core.DynamicK(sess); k != report.ChosenK {
+		t.Fatalf("initial k = %d, want %d", k, report.ChosenK)
 	}
 
 	var alerts int
@@ -48,7 +47,7 @@ func TestDynamicSession(t *testing.T) {
 		if sess.Classify(p).Anomaly {
 			alerts++
 		}
-		if k := sess.K(); k < cfg.MinK || k > cfg.MaxK {
+		if k := core.DynamicK(sess); k < cfg.MinK || k > cfg.MaxK {
 			t.Fatalf("adaptive k %d escaped [%d, %d]", k, cfg.MinK, cfg.MaxK)
 		}
 	}
@@ -58,9 +57,5 @@ func TestDynamicSession(t *testing.T) {
 	// The trained framework's k must be untouched afterwards.
 	if fw.Series.K != report.ChosenK {
 		t.Errorf("dynamic session leaked k=%d into the framework", fw.Series.K)
-	}
-
-	if _, err := fw.NewDynamicSession(core.DynamicKConfig{}); err == nil {
-		t.Error("zero config accepted")
 	}
 }

@@ -57,7 +57,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	t.Logf("signatures=%d k=%d errv=%.4f loss=%.3f",
 		report.Signatures, report.ChosenK, report.PackageErrv, report.FinalLoss)
 
-	eval := fw.Evaluate(split.Test, core.ModeCombined)
+	eval := evaluate(t, fw, split.Test, combinedSpec)
 	t.Logf("combined: %v byLevel=%v n=%d", eval.Summary, eval.ByLevel, eval.Confusion.Total())
 
 	// The combined framework must beat chance decisively on simulated
@@ -86,7 +86,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	eval2 := fw2.Evaluate(split.Test, core.ModeCombined)
+	eval2 := evaluate(t, fw2, split.Test, combinedSpec)
 	if eval2.Confusion != eval.Confusion {
 		t.Errorf("loaded framework verdicts differ: %+v vs %+v", eval2.Confusion, eval.Confusion)
 	}

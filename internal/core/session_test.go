@@ -7,6 +7,31 @@ import (
 	"icsdetect/internal/dataset"
 )
 
+// The paper's framework and its §VIII single-level ablations, as stacks.
+var (
+	combinedSpec = core.DefaultStackSpec()
+	packageSpec  = core.StackSpec{Stages: []core.StageSpec{{Kind: core.StageBloom}}}
+	seriesSpec   = core.StackSpec{Stages: []core.StageSpec{{Kind: core.StageLSTM}}}
+)
+
+func newSession(t *testing.T, fw *core.Framework, spec core.StackSpec) *core.Session {
+	t.Helper()
+	sess, err := fw.NewStackSession(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+func evaluate(t *testing.T, fw *core.Framework, test []*dataset.Package, spec core.StackSpec) *core.Evaluation {
+	t.Helper()
+	eval, err := fw.Evaluate(test, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eval
+}
+
 func TestSessionBehaviour(t *testing.T) {
 	if testing.Short() {
 		t.Skip("session test uses the trained integration fixture")
@@ -30,18 +55,18 @@ func TestSessionBehaviour(t *testing.T) {
 	t.Run("ResetMatchesFreshSession", func(t *testing.T) {
 		// A reused session must be indistinguishable from a fresh one:
 		// every field of every verdict, not just the anomaly bit.
-		for _, mode := range []core.Mode{core.ModeCombined, core.ModePackageOnly, core.ModeSeriesOnly} {
-			reused := fw.NewSessionMode(mode)
+		for _, spec := range []core.StackSpec{combinedSpec, packageSpec, seriesSpec} {
+			reused := newSession(t, fw, spec)
 			for _, p := range split.Test[:150] {
 				reused.Classify(p)
 			}
 			reused.Reset()
-			fresh := fw.NewSessionMode(mode)
+			fresh := newSession(t, fw, spec)
 			for i, p := range split.Test[:150] {
 				got, want := reused.Classify(p), fresh.Classify(p)
 				if !got.Equal(want) {
-					t.Fatalf("mode %d verdict %d: reset session %+v, fresh session %+v",
-						mode, i, got, want)
+					t.Fatalf("stack %s verdict %d: reset session %+v, fresh session %+v",
+						spec, i, got, want)
 				}
 			}
 		}
@@ -59,8 +84,8 @@ func TestSessionBehaviour(t *testing.T) {
 	})
 
 	t.Run("ModesAreConsistent", func(t *testing.T) {
-		pkgEval := fw.Evaluate(split.Test, core.ModePackageOnly)
-		combEval := fw.Evaluate(split.Test, core.ModeCombined)
+		pkgEval := evaluate(t, fw, split.Test, packageSpec)
+		combEval := evaluate(t, fw, split.Test, combinedSpec)
 		// The combined framework flags everything the package level flags
 		// (Fig. 3: the Bloom filter is checked first and short-circuits).
 		if combEval.Confusion.TP+combEval.Confusion.FP <
@@ -69,13 +94,13 @@ func TestSessionBehaviour(t *testing.T) {
 				combEval.Confusion.TP+combEval.Confusion.FP,
 				pkgEval.Confusion.TP+pkgEval.Confusion.FP)
 		}
-		// Level attribution matches the mode.
+		// Level attribution matches the stack.
 		if pkgEval.ByLevel[core.LevelTimeSeries] != 0 {
-			t.Error("package-only mode attributed detections to the series level")
+			t.Error("package-only stack attributed detections to the series level")
 		}
-		serEval := fw.Evaluate(split.Test, core.ModeSeriesOnly)
+		serEval := evaluate(t, fw, split.Test, seriesSpec)
 		if serEval.ByLevel[core.LevelPackage] != 0 {
-			t.Error("series-only mode attributed detections to the package level")
+			t.Error("series-only stack attributed detections to the package level")
 		}
 	})
 
@@ -83,8 +108,8 @@ func TestSessionBehaviour(t *testing.T) {
 		// The package-only pipeline never consults the LSTM: no
 		// time-series levels, no ranks, and identical verdicts to the
 		// combined pipeline's package level on the same stream.
-		pkgOnly := fw.NewSessionMode(core.ModePackageOnly)
-		combined := fw.NewSessionMode(core.ModeCombined)
+		pkgOnly := newSession(t, fw, packageSpec)
+		combined := newSession(t, fw, combinedSpec)
 		for i, p := range split.Test[:300] {
 			pv, cv := pkgOnly.Classify(p), combined.Classify(p)
 			if pv.Level == core.LevelTimeSeries {
@@ -103,7 +128,7 @@ func TestSessionBehaviour(t *testing.T) {
 		// The series-only pipeline never fires the Bloom level, still
 		// never scores the first package, and ranks every scored package
 		// whose signature is in the database.
-		sess := fw.NewSessionMode(core.ModeSeriesOnly)
+		sess := newSession(t, fw, seriesSpec)
 		for i, p := range split.Test[:300] {
 			v := sess.Classify(p)
 			if v.Level == core.LevelPackage {
@@ -123,32 +148,33 @@ func TestSessionBehaviour(t *testing.T) {
 
 	t.Run("StagePipelinesPerMode", func(t *testing.T) {
 		cases := []struct {
-			mode   core.Mode
+			spec   core.StackSpec
 			levels []core.Level
 		}{
-			{core.ModeCombined, []core.Level{core.LevelPackage, core.LevelTimeSeries}},
-			{core.ModePackageOnly, []core.Level{core.LevelPackage}},
-			{core.ModeSeriesOnly, []core.Level{core.LevelTimeSeries}},
+			{combinedSpec, []core.Level{core.LevelPackage, core.LevelTimeSeries}},
+			{packageSpec, []core.Level{core.LevelPackage}},
+			{seriesSpec, []core.Level{core.LevelTimeSeries}},
 		}
 		for _, c := range cases {
-			stages, err := fw.Stages(c.mode)
+			st, err := fw.NewStack(c.spec)
 			if err != nil {
-				t.Fatalf("Stages(%d): %v", c.mode, err)
+				t.Fatalf("NewStack(%s): %v", c.spec, err)
 			}
+			stages := st.Stages()
 			if len(stages) != len(c.levels) {
-				t.Fatalf("Stages(%d) has %d stages, want %d", c.mode, len(stages), len(c.levels))
+				t.Fatalf("stack %s has %d stages, want %d", c.spec, len(stages), len(c.levels))
 			}
-			for i, st := range stages {
-				if st.Level() != c.levels[i] {
-					t.Errorf("Stages(%d)[%d] level = %v, want %v", c.mode, i, st.Level(), c.levels[i])
+			for i, stage := range stages {
+				if stage.Level() != c.levels[i] {
+					t.Errorf("stack %s stage %d level = %v, want %v", c.spec, i, stage.Level(), c.levels[i])
 				}
-				if st.Name() == "" {
-					t.Errorf("Stages(%d)[%d] has no name", c.mode, i)
+				if stage.Name() == "" {
+					t.Errorf("stack %s stage %d has no name", c.spec, i)
 				}
 			}
 		}
-		if _, err := fw.Stages(core.Mode(42)); err == nil {
-			t.Error("Stages accepted an unknown mode")
+		if _, err := fw.NewStack(core.StackSpec{Stages: []core.StageSpec{{Kind: "no-such-level"}}}); err == nil {
+			t.Error("NewStack accepted an unknown level")
 		}
 	})
 
@@ -227,7 +253,7 @@ func TestEndToEndNoNoiseAblation(t *testing.T) {
 		t.Skip("integration test skipped in -short mode")
 	}
 	fw, report, split := trainSmallFramework(t, false)
-	eval := fw.Evaluate(split.Test, core.ModeCombined)
+	eval := evaluate(t, fw, split.Test, combinedSpec)
 	t.Logf("no-noise: %v k=%d", eval.Summary, report.ChosenK)
 	if eval.Summary.F1 < 0.4 {
 		t.Errorf("no-noise framework F1 = %.3f, want >= 0.4", eval.Summary.F1)

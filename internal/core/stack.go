@@ -101,24 +101,10 @@ func DefaultStackSpec() StackSpec {
 	}
 }
 
-// SpecForMode maps a legacy ablation Mode onto its equivalent stack spec.
-func SpecForMode(mode Mode) (StackSpec, error) {
-	switch mode {
-	case ModeCombined:
-		return DefaultStackSpec(), nil
-	case ModePackageOnly:
-		return StackSpec{Stages: []StageSpec{{Kind: StageBloom}}, Fusion: FusionFirstHit}, nil
-	case ModeSeriesOnly:
-		return StackSpec{Stages: []StageSpec{{Kind: StageLSTM}}, Fusion: FusionFirstHit}, nil
-	default:
-		return StackSpec{}, fmt.Errorf("core: unknown mode %d", int(mode))
-	}
-}
-
 // ParseStackSpec parses a stack from a comma-separated level list (each
 // "kind" or "kind:weight") and a fusion policy name, the format of the
 // command-line -levels / -fusion flags. Empty levels means the default
-// two-level stack.
+// two-level stack under the given fusion policy.
 func ParseStackSpec(levels, fusion string) (StackSpec, error) {
 	f, err := ParseFusion(fusion)
 	if err != nil {
@@ -148,40 +134,6 @@ func ParseStackSpec(levels, fusion string) (StackSpec, error) {
 		spec.Stages = append(spec.Stages, ss)
 	}
 	return spec, spec.Validate()
-}
-
-// ParseModeName parses the legacy -mode flag vocabulary of the icsdetect
-// tools. The empty string means the combined two-level framework.
-func ParseModeName(name string) (Mode, error) {
-	switch name {
-	case "", "combined":
-		return ModeCombined, nil
-	case "package":
-		return ModePackageOnly, nil
-	case "series":
-		return ModeSeriesOnly, nil
-	default:
-		return 0, fmt.Errorf("core: unknown mode %q (combined, package or series)", name)
-	}
-}
-
-// ResolveStackFlags resolves the shared -levels/-fusion/-mode flag triple
-// of the icsdetect tools into a stack spec: an explicit -levels wins (with
-// -fusion applying to it), otherwise the legacy -mode decides and a
-// non-default -fusion without -levels is rejected — one implementation, so
-// the tools cannot drift on flag semantics.
-func ResolveStackFlags(levels, fusion, mode string) (StackSpec, error) {
-	if levels != "" {
-		return ParseStackSpec(levels, fusion)
-	}
-	if fusion != "" && fusion != "first-hit" {
-		return StackSpec{}, fmt.Errorf("core: -fusion %s needs -levels", fusion)
-	}
-	m, err := ParseModeName(mode)
-	if err != nil {
-		return StackSpec{}, err
-	}
-	return SpecForMode(m)
 }
 
 // Validate reports structural spec errors (unknown kinds surface later,

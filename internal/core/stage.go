@@ -80,22 +80,6 @@ type StageDetector interface {
 	Advance(st StageState, pc *PackageContext, v *Verdict)
 }
 
-// Stages returns the pipeline stage slice for a detector mode. ModeCombined
-// is the paper's two-level framework; the single-stage modes support
-// ablation. Session and the engine both resolve their pipelines through
-// the same stack machinery, so the two always agree on semantics.
-func (f *Framework) Stages(mode Mode) ([]StageDetector, error) {
-	spec, err := SpecForMode(mode)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.NewStack(spec)
-	if err != nil {
-		return nil, err
-	}
-	return st.Stages(), nil
-}
-
 // nopState is the shared state of stateless stages.
 type nopState struct{}
 

@@ -69,17 +69,22 @@ func TestEngineMatchesSequentialSessions(t *testing.T) {
 
 	for _, tc := range []struct {
 		shards, streams int
-		mode            core.Mode
+		levels          string
 	}{
-		{1, 1, core.ModeCombined},
-		{2, 1, core.ModeCombined},
-		{3, 13, core.ModeCombined},
-		{8, 64, core.ModeCombined},
-		{2, 5, core.ModeSeriesOnly},
-		{2, 5, core.ModePackageOnly},
+		{1, 1, "bloom,lstm"},
+		{2, 1, "bloom,lstm"},
+		{3, 13, "bloom,lstm"},
+		{8, 64, "bloom,lstm"},
+		{2, 5, "lstm"},
+		{2, 5, "bloom"},
 	} {
-		name := fmt.Sprintf("shards=%d/streams=%d/mode=%d", tc.shards, tc.streams, tc.mode)
+		name := fmt.Sprintf("shards=%d/streams=%d/levels=%s", tc.shards, tc.streams, tc.levels)
 		t.Run(name, func(t *testing.T) {
+			spec, err := core.ParseStackSpec(tc.levels, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+
 			// Expected verdicts: one sequential session per stream.
 			want := make(map[string][]core.Verdict)
 			sessions := make(map[string]*core.Session)
@@ -87,17 +92,15 @@ func TestEngineMatchesSequentialSessions(t *testing.T) {
 				key := streamKey(i, tc.streams)
 				sess := sessions[key]
 				if sess == nil {
-					sess = fw.NewSessionMode(tc.mode)
+					if sess, err = fw.NewStackSession(spec); err != nil {
+						t.Fatal(err)
+					}
 					sessions[key] = sess
 				}
 				want[key] = append(want[key], sess.Classify(p))
 			}
 
 			// Engine verdicts, collected per stream.
-			spec, err := core.SpecForMode(tc.mode)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var mu sync.Mutex
 			got := make(map[string][]core.Verdict)
 			e, err := engine.New(fw, engine.Config{

@@ -193,9 +193,17 @@ func RunFigure7(env *Env, maxK int) (*Figure7, error) {
 		if err := env.Plain.SetK(k); err != nil {
 			return nil, err
 		}
+		noise, err := env.Framework.Evaluate(env.Split.Test, core.DefaultStackSpec())
+		if err != nil {
+			return nil, err
+		}
+		plain, err := env.Plain.Evaluate(env.Split.Test, core.DefaultStackSpec())
+		if err != nil {
+			return nil, err
+		}
 		f.Ks = append(f.Ks, k)
-		f.Noise = append(f.Noise, env.Framework.Evaluate(env.Split.Test, core.ModeCombined).Summary)
-		f.Plain = append(f.Plain, env.Plain.Evaluate(env.Split.Test, core.ModeCombined).Summary)
+		f.Noise = append(f.Noise, noise.Summary)
+		f.Plain = append(f.Plain, plain.Summary)
 	}
 	return f, nil
 }

@@ -31,7 +31,10 @@ type TableIV struct {
 func RunTableIV(env *Env) (*TableIV, error) {
 	out := &TableIV{}
 
-	eval := env.Framework.Evaluate(env.Split.Test, core.ModeCombined)
+	eval, err := env.Framework.Evaluate(env.Split.Test, core.DefaultStackSpec())
+	if err != nil {
+		return nil, err
+	}
 	out.Rows = append(out.Rows, ModelResult{
 		Name:      "Our framework",
 		Summary:   eval.Summary,

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -114,7 +115,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(resp)
 }
 
-// handleSwap hot-swaps a model from a framework snapshot.
+// maxSwapBody caps a /swap request body. A snapshot of the paper's 2×256
+// f64 model is about 14 MB.
+const maxSwapBody = 64 << 20
+
+// handleSwap hot-swaps a model from a framework snapshot. A body over
+// s.swapLimit is answered 413 without being read further.
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -130,10 +136,14 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 			f.Close()
 		}
 	} else {
-		fw, err = core.Load(r.Body)
+		fw, err = core.Load(http.MaxBytesReader(w, r.Body, s.swapLimit))
 	}
 	if err != nil {
-		http.Error(w, fmt.Sprintf("load framework: %v", err), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("load framework: %v", err), status)
 		return
 	}
 	if err := s.SwapModel(name, fw); err != nil {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -869,5 +871,33 @@ func TestServeReplayRedialSameStream(t *testing.T) {
 		if active := srv.Engine().Stats().ActiveStreams(); active != 0 {
 			t.Fatalf("replay %d returned with %d engine streams still bound", i, active)
 		}
+	}
+}
+
+// TestServeSwapBodyLimit: a /swap body over the cap is refused with 413
+// before the snapshot is loaded; the same snapshot within the cap swaps.
+func TestServeSwapBodyLimit(t *testing.T) {
+	gas := loadCorpora(t)[0]
+	srv, err := serve.New(serve.Config{Models: []serve.Model{{Name: "gaspipeline", Framework: gas.fw}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Shutdown() })
+	var snapshot bytes.Buffer
+	if err := gas.fw.Save(&snapshot); err != nil {
+		t.Fatal(err)
+	}
+	swap := func(limit int64) *httptest.ResponseRecorder {
+		srv.SetSwapLimit(limit)
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/swap?model=gaspipeline", bytes.NewReader(snapshot.Bytes()))
+		srv.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := swap(int64(snapshot.Len()) - 1); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("body of limit+1 bytes: status %d, want 413 (%s)", rec.Code, rec.Body)
+	}
+	if rec := swap(int64(snapshot.Len())); rec.Code != http.StatusOK {
+		t.Errorf("body at the limit: status %d, want 200 (%s)", rec.Code, rec.Body)
 	}
 }

@@ -121,6 +121,8 @@ type Server struct {
 	// burst caps the packages one ingest admission carries (ingestBurst;
 	// tests lower it).
 	burst int
+	// swapLimit caps a /swap request body (maxSwapBody; tests lower it).
+	swapLimit int64
 	// frames holds, per engine shard, the frame accumulating the current
 	// tick's encoded events. Each slot is touched only by its shard's
 	// worker goroutine (handleResult and the TickEnd callback run there),
@@ -231,12 +233,13 @@ func New(cfg Config) (*Server, error) {
 		cfg.DrainGrace = 5 * time.Second
 	}
 	s := &Server{
-		cfg:      cfg,
-		hub:      newHub(cfg.SubscriberBuffer, cfg.SubscriberWriteTimeout),
-		models:   make(map[string]*modelEntry, len(cfg.Models)),
-		active:   make(map[string]net.Conn),
-		burst:    ingestBurst,
-		lastTime: time.Now(),
+		cfg:       cfg,
+		hub:       newHub(cfg.SubscriberBuffer, cfg.SubscriberWriteTimeout),
+		models:    make(map[string]*modelEntry, len(cfg.Models)),
+		active:    make(map[string]net.Conn),
+		burst:     ingestBurst,
+		swapLimit: maxSwapBody,
+		lastTime:  time.Now(),
 	}
 	// Coalesce verdict fan-out per shard tick: handleResult accumulates
 	// into per-shard frames, and the engine's TickEnd callback (on the

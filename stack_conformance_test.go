@@ -250,7 +250,7 @@ func TestStackConformanceRecon(t *testing.T) {
 // TestStackConformanceDynamicK: the adaptive-k controller folded onto the
 // stage stack (kind "lstm-dynamic") must work identically under the
 // batched engine and a sequential session — per-stream k adaptation
-// included — and must keep matching the legacy DynamicSession shim.
+// included.
 func TestStackConformanceDynamicK(t *testing.T) {
 	fx := loadStackFixture(t)
 	spec, err := icsdetect.ParseStack("bloom,lstm-dynamic", "first-hit")
@@ -293,24 +293,6 @@ func TestStackConformanceDynamicK(t *testing.T) {
 	}
 	if stats.Batches == 0 {
 		t.Error("dynamic-k stream never joined a batched LSTM pass")
-	}
-
-	// The legacy shim (same default controller config) agrees with the
-	// stack verdicts package for package.
-	shim, err := fx.det.NewDynamicSession(icsdetect.DefaultDynamicKConfig(fx.det.Series.K))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range pkgs {
-		v := shim.Classify(p)
-		// The shim records evidence too (its stack contains a promoted
-		// kind), so full verdict equality is the right comparison.
-		if !v.Equal(want[i]) {
-			t.Fatalf("package %d: shim %+v, stack session %+v", i, v, want[i])
-		}
-	}
-	if k := shim.K(); k < 1 {
-		t.Fatalf("shim adaptive k = %d", k)
 	}
 }
 
