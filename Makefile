@@ -69,11 +69,13 @@ serve-smoke:
 # for composed level stacks (freshly trained bloom,pca,lstm under
 # majority-vote, dynamic-k, all fusion policies, and the reconstruction
 # stages ae/seq2seq/cnn with watertank MPCI/MFCI detection parity) beyond
-# what the two-level goldens cover. The last line replays the goldens from
-# a GOAMD64=v3 build, where FMA instructions are available to the
-# compiler: the goldens hold only while it never fuses a*b+c on amd64.
+# what the two-level goldens cover. TestCorpusRebuild rebuilds both
+# corpora from their recipe and requires the committed files back. The
+# last line replays the goldens from a GOAMD64=v3 build, where FMA
+# instructions are available to the compiler: the goldens hold only while
+# it never fuses a*b+c on amd64.
 conformance:
-	$(GO) test -v -run 'TestTraceConformance|TestStackConformance' .
+	$(GO) test -v -run 'TestTraceConformance|TestStackConformance|TestCorpusRebuild' .
 	GOAMD64=v3 $(GO) test -run 'TestTraceConformance' .
 
 # The gated wire-to-verdict benchmark (benchmark/README.md, BENCHMARK.json):

@@ -25,10 +25,10 @@
 //     MBAP-framed Modbus/TCP, shedding admission).
 //   - -verdicts streams classified verdicts to any number of subscribers.
 //   - -http is the ops endpoint: GET /healthz, GET /stats (lifetime plus
-//     interval-delta engine counters), POST /swap?model=NAME&path=FILE
-//     (hot-swap a retrained icstrain -checkpoint snapshot behind an engine
-//     barrier, without restarting or disturbing live streams; without
-//     path= the snapshot is the request body, at most 64 MiB).
+//     interval-delta engine counters), POST /swap?model=NAME (hot-swap a
+//     retrained icstrain -checkpoint snapshot behind an engine barrier,
+//     without restarting or disturbing live streams; the snapshot is the
+//     request body, at most 64 MiB, and a path= is refused).
 //
 // -statsevery additionally logs interval package rates to stderr. SIGTERM or
 // SIGINT drains gracefully: stop accepting, finish live connections (bounded

@@ -165,12 +165,17 @@ func runSelftest(cfg serve.Config, root string) error {
 		}
 	}
 
-	// Mid-replay hot-swap through the ops endpoint: reload the default
-	// model from its own snapshot (same weights — the goldens stay valid).
+	// Mid-replay hot-swap through the ops endpoint: post the default
+	// model's own snapshot (same weights — the goldens stay valid).
 	<-swapAt
+	snapshot, err := os.Open(gas.modelPath)
+	if err != nil {
+		return fmt.Errorf("selftest hot-swap: %w", err)
+	}
+	defer snapshot.Close()
 	resp, err := http.Post(
-		fmt.Sprintf("http://%s/swap?model=gaspipeline&path=%s", ops, gas.modelPath),
-		"application/octet-stream", nil)
+		fmt.Sprintf("http://%s/swap?model=gaspipeline", ops),
+		"application/octet-stream", snapshot)
 	if err != nil {
 		return fmt.Errorf("selftest hot-swap: %w", err)
 	}

@@ -1,13 +1,18 @@
 package icsdetect_test
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"icsdetect/internal/core"
 	"icsdetect/internal/dataset"
 	"icsdetect/internal/gaspipeline"
+	"icsdetect/internal/scenario"
 	"icsdetect/internal/signature"
+	"icsdetect/internal/trace"
 )
 
 // trainedFingerprints pins what TestTrainDeterministic trains, so a change
@@ -91,4 +96,94 @@ func TestTrainDeterministic(t *testing.T) {
 		wide.Hidden = []int{256, 256}
 		check(t, "bloom-2x256", "bloom", wide)
 	})
+}
+
+// TestCorpusRebuild: the committed corpora are reproducible. Rebuilding
+// them with the recipe of `icsreplay -record` (seed 1, a 16,000-package
+// training capture) yields the committed traces, golden verdicts and fuzz
+// seed frames byte for byte, and a model with the committed fingerprint.
+// The model is compared by fingerprint because gob writes maps in random
+// order, so two saves of one model need not be equal bytes.
+//
+// It stays after TestTrainDeterministic: saving a framework assigns gob
+// type ids that the promoted levels' fingerprints then encode, so a save
+// earlier in the process shifts the fingerprints pinned there.
+func TestCorpusRebuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains both corpus models; skipped in -short mode")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the corpora were recorded on amd64 kernels")
+	}
+	for _, cd := range corpusDirs {
+		t.Run(cd.scenario, func(t *testing.T) {
+			sc, err := scenario.Get(cd.scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// icsreplay -record names the gas pipeline's fuzz seeds
+			// "corpus" and every other testbed's after the testbed.
+			prefix := "corpus"
+			if sc.Name() != scenario.Default {
+				prefix = sc.Name()
+			}
+			dir, frames := t.TempDir(), t.TempDir()
+			rep, err := trace.BuildCorpus(trace.CorpusConfig{
+				Scenario: sc, Dir: dir, FrameSeedDir: frames, SeedPrefix: prefix,
+				TrainPackages: 16000, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			f, err := os.Open(filepath.Join(cd.dir, "model.fw"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			committed, err := core.Load(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rep.Fingerprint, committed.Fingerprint(); got != want {
+				t.Fatalf("rebuilt model fingerprint %s, committed %s", got, want)
+			}
+
+			for _, name := range corpusEpisodes {
+				for _, ext := range []string{".trace", ".verdicts"} {
+					requireSameFile(t, filepath.Join(dir, name+ext), filepath.Join(cd.dir, name+ext))
+				}
+			}
+			rebuilt, err := filepath.Glob(filepath.Join(frames, prefix+"*.bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds, err := filepath.Glob(filepath.Join("internal", "modbus", "testdata", "frames", prefix+"*.bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rebuilt) != len(seeds) {
+				t.Fatalf("rebuilt %d fuzz seed frames, %d committed", len(rebuilt), len(seeds))
+			}
+			for _, p := range seeds {
+				requireSameFile(t, filepath.Join(frames, filepath.Base(p)), p)
+			}
+		})
+	}
+}
+
+// requireSameFile fails unless the files at got and want hold equal bytes.
+func requireSameFile(t *testing.T, got, want string) {
+	t.Helper()
+	g, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g, w) {
+		t.Fatalf("%s (%d bytes) differs from the committed %s (%d bytes)", got, len(g), want, len(w))
+	}
 }

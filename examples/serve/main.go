@@ -117,18 +117,23 @@ func main() {
 	}
 	wg.Wait()
 
-	// 5. Ops surface: scrape interval stats, then hot-swap the model from
-	//    its snapshot file (a retrained icstrain -checkpoint in production)
-	//    behind an engine barrier — no restart, live streams undisturbed.
+	// 5. Ops surface: scrape interval stats, then hot-swap the model by
+	//    posting its snapshot (a retrained icstrain -checkpoint in
+	//    production) behind an engine barrier — no restart, live streams
+	//    undisturbed.
 	resp, err := http.Get(fmt.Sprintf("http://%s/stats", ops))
 	if err != nil {
 		log.Fatal(err)
 	}
 	resp.Body.Close()
 	fmt.Printf("\nGET /stats -> %s\n", resp.Status)
-	resp, err = http.Post(fmt.Sprintf(
-		"http://%s/swap?model=gaspipeline&path=%s",
-		ops, filepath.Join("testdata", "traces", "model.fw")), "", nil)
+	snapshot, err := os.Open(filepath.Join("testdata", "traces", "model.fw"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer snapshot.Close()
+	resp, err = http.Post(fmt.Sprintf("http://%s/swap?model=gaspipeline", ops),
+		"application/octet-stream", snapshot)
 	if err != nil {
 		log.Fatal(err)
 	}

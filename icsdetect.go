@@ -78,8 +78,8 @@ type (
 	Session = core.Session
 	// Verdict is the per-package classification outcome.
 	Verdict = core.Verdict
-	// TrainReport captures training measurements (granularity, |S|, top-k
-	// curves, chosen k).
+	// TrainReport captures training measurements (granularity, |S|, the
+	// validation top-k curve, chosen k).
 	TrainReport = core.Report
 	// TrainOptions configures Train.
 	TrainOptions = core.Config

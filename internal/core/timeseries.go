@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"icsdetect/internal/dataset"
 	"icsdetect/internal/metrics"
@@ -70,39 +71,90 @@ func BuildSequences(enc *signature.Encoder, ienc *InputEncoder, db *signature.DB
 	return seqs
 }
 
+// topKGroup is the widest group of fragments TopKRanks steps together:
+// the engine's default micro-batch width.
+const topKGroup = 64
+
 // TopKRanks runs the model statefully over attack-free fragments and
 // returns the rank of every true next-signature, the raw material for the
-// top-k error curve err_k (§V-A-2). Ranks are computed over raw logits,
-// exactly as the deployed detector ranks them (SeriesStage), so the
-// calibrated k and the runtime top-k boundary always agree.
+// top-k error curve err_k (§V-A-2), fragment by fragment and package by
+// package; fragments shorter than two packages have no prediction to rank.
+// Ranks are computed over raw logits, exactly as the deployed detector
+// ranks them (SeriesStage), so the calibrated k and the runtime top-k
+// boundary always agree.
+//
+// The fragments are independent, so they run lock-step, longest first, in
+// groups of up to topKGroup, each on its own state, through the batched
+// one-hot step the engine runs; a group's active set shrinks as its
+// fragments end. The batched step is bitwise identical to the sequential
+// StepLogitsOneHot, so the ranks are those of a fragment-at-a-time pass.
 func (d *TimeSeriesDetector) TopKRanks(enc *signature.Encoder, ienc *InputEncoder,
 	db *signature.DB, frags []dataset.Fragment) []int {
-	var ranks []int
-	scores := make([]float64, d.Model.Classes())
-	xi := make([]int, 0, len(ienc.Buckets)+1)
+	type run struct {
+		frag dataset.Fragment
+		off  int // where the fragment's ranks start
+	}
+	var runs []run
+	total := 0
 	for _, frag := range frags {
-		if len(frag) < 2 {
-			continue
+		if len(frag) >= 2 {
+			runs = append(runs, run{frag, total})
+			total += len(frag) - 1
 		}
-		state := d.Model.NewState()
-		cs := enc.EncodeFragment(frag)
-		for t := 0; t < len(frag)-1; t++ {
-			// Same one-hot fast path as the deployed SeriesStage — the
-			// calibration ranks the exact bits the runtime will rank.
-			xi = ienc.EncodeSparse(xi, cs[t], false)
-			d.Model.StepLogitsOneHot(state, xi, scores)
-			nextSig := signature.Signature(cs[t+1])
-			class, ok := db.ClassOf(nextSig)
-			if !ok {
-				// Signature absent from the database can never be in S(k);
-				// record a rank beyond any k.
-				ranks = append(ranks, d.Model.Classes())
-				continue
+	}
+	// Longest first: a group's fragments end together, and its active set
+	// is always a prefix of the group.
+	slices.SortStableFunc(runs, func(a, b run) int { return len(b.frag) - len(a.frag) })
+
+	ranks := make([]int, total)
+	width := min(len(runs), topKGroup)
+	m := d.Model
+	buf := m.NewBatchBuffer(width)
+	cs := make([][][]int, width)
+	states := make([]*nn.State, width)
+	scores := make([][]float64, width)
+	idxs := make([][]int, width)
+	for i := range states {
+		states[i] = m.NewState()
+		scores[i] = make([]float64, m.Classes())
+		idxs[i] = make([]int, 0, len(ienc.Buckets)+1)
+	}
+	for g := 0; g < len(runs); g += width {
+		group := runs[g:min(g+width, len(runs))]
+		for i, r := range group {
+			cs[i] = enc.EncodeFragment(r.frag)
+			states[i].Reset()
+		}
+		for t, n := 0, len(group); ; t++ {
+			for n > 0 && len(group[n-1].frag) <= t+1 {
+				n--
 			}
-			ranks = append(ranks, rankOf(scores, class))
+			if n == 0 {
+				break
+			}
+			for i := range group[:n] {
+				// Same one-hot fast path as the deployed SeriesStage — the
+				// calibration ranks the exact bits the runtime will.
+				idxs[i] = ienc.EncodeSparse(idxs[i], cs[i][t], false)
+			}
+			m.StepBatchLogitsOneHot(buf, states[:n], idxs[:n], scores[:n])
+			for i, r := range group[:n] {
+				ranks[r.off+t] = nextRank(db, scores[i], cs[i][t+1])
+			}
 		}
 	}
 	return ranks
+}
+
+// nextRank is the rank among scores of the next package, given its
+// discretized vector. A signature absent from the database can never be in
+// S(k), so it ranks beyond any k.
+func nextRank(db *signature.DB, scores []float64, next []int) int {
+	class, ok := db.ClassOf(signature.Signature(next))
+	if !ok {
+		return len(scores)
+	}
+	return rankOf(scores, class)
 }
 
 // SelectK evaluates the top-k error curve on validation fragments and picks

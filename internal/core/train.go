@@ -80,7 +80,9 @@ func PaperScale() Config {
 }
 
 // Report captures everything the training pipeline measured, feeding the
-// experiment harness (Figs. 5 and 6, Table III).
+// experiment harness (Figs. 5 and 6, Table III). Training calibrates k on
+// the validation set only (§V-A-2), so the report holds no training-set
+// top-k curve; Fig. 6 computes that one itself with TopKRanks.
 type Report struct {
 	// Granularity is the discretization actually used.
 	Granularity signature.Granularity
@@ -91,8 +93,9 @@ type Report struct {
 	Signatures int
 	// FinalLoss is the mean per-step softmax loss after the last epoch.
 	FinalLoss float64
-	// TrainCurve and ValidationCurve are the top-k error curves (Fig. 6).
-	TrainCurve, ValidationCurve *metrics.TopKCurve
+	// ValidationCurve is the validation top-k error curve k is chosen on
+	// (Fig. 6); its length is the curve bound MaxK.
+	ValidationCurve *metrics.TopKCurve
 	// ChosenK is the selected k (paper: 4).
 	ChosenK int
 	// PackageErrv is the package-level validation error (expected FP rate).
@@ -191,13 +194,11 @@ func Train(split *dataset.Split, cfg Config) (*Framework, *Report, error) {
 
 	series := &TimeSeriesDetector{Model: model, K: 1}
 
-	// 4. Top-k error curves and k selection (§V-A-2, Fig. 6).
+	// 4. Validation top-k error curve and k selection (§V-A-2, Fig. 6).
 	maxK := cfg.MaxK
 	if maxK < 1 {
 		maxK = 10
 	}
-	report.TrainCurve = metrics.NewTopKCurve(
-		series.TopKRanks(enc, ienc, db, split.Train), maxK)
 	curve, k, err := series.SelectK(enc, ienc, db, split.Validation, cfg.ThetaSeries, maxK)
 	if err != nil {
 		return nil, nil, err

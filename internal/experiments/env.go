@@ -1,7 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§VIII) on the simulated gas pipeline dataset: Fig. 4 (feature
 // histograms), Fig. 5 (validation error vs discretization granularity),
-// Table III (chosen discretization), Fig. 6 (top-k error curves), Fig. 7
+// Table III (chosen discretization), Fig. 6 (top-k error curves, the
+// training-set ones computed here and not by training), Fig. 7
 // (combined-framework metrics vs k), Table IV (model comparison) and
 // Table V (per-attack detected ratios).
 //

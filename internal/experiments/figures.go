@@ -139,12 +139,18 @@ type Figure6 struct {
 	Theta                       float64
 }
 
-// RunFigure6 reads the curves from the training reports.
+// RunFigure6 reads the validation curves from the training reports and
+// computes the training-set curves, which training itself never needs, to
+// the same bound.
 func RunFigure6(env *Env) *Figure6 {
+	trainCurve := func(fw *core.Framework, rep *core.Report) *metrics.TopKCurve {
+		ranks := fw.Series.TopKRanks(fw.Encoder, fw.Input, fw.DB, env.Split.Train)
+		return metrics.NewTopKCurve(ranks, len(rep.ValidationCurve.Err))
+	}
 	return &Figure6{
-		NoiseTrain:      env.Report.TrainCurve,
+		NoiseTrain:      trainCurve(env.Framework, env.Report),
 		NoiseValidation: env.Report.ValidationCurve,
-		PlainTrain:      env.PlainRep.TrainCurve,
+		PlainTrain:      trainCurve(env.Plain, env.PlainRep),
 		PlainValidation: env.PlainRep.ValidationCurve,
 		ChosenK:         env.Report.ChosenK,
 		Theta:           env.Config.Core.ThetaSeries,

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"time"
 
 	"icsdetect/internal/core"
@@ -49,9 +48,10 @@ type statsResponse struct {
 }
 
 // Handler returns the ops endpoint: GET /healthz, GET /stats (JSON, see
-// statsResponse), POST /swap?model=NAME&path=FILE (hot-swap from an
-// icstrain -checkpoint snapshot on disk, or from a snapshot in the request
-// body when no path is given).
+// statsResponse), POST /swap?model=NAME (hot-swap to the framework
+// snapshot, e.g. an icstrain -checkpoint file, posted as the request
+// body). The endpoint never opens a file: a /swap that names one with
+// path= is refused.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -126,18 +126,12 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	name := r.URL.Query().Get("model")
-	var fw *core.Framework
-	var err error
-	if path := r.URL.Query().Get("path"); path != "" {
-		var f *os.File
-		if f, err = os.Open(path); err == nil {
-			fw, err = core.Load(f)
-			f.Close()
-		}
-	} else {
-		fw, err = core.Load(http.MaxBytesReader(w, r.Body, s.swapLimit))
+	if r.URL.Query().Has("path") {
+		http.Error(w, "path= is not accepted: post the snapshot as the request body", http.StatusBadRequest)
+		return
 	}
+	name := r.URL.Query().Get("model")
+	fw, err := core.Load(http.MaxBytesReader(w, r.Body, s.swapLimit))
 	if err != nil {
 		status := http.StatusBadRequest
 		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {

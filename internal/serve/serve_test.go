@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -899,5 +900,80 @@ func TestServeSwapBodyLimit(t *testing.T) {
 	}
 	if rec := swap(int64(snapshot.Len())); rec.Code != http.StatusOK {
 		t.Errorf("body at the limit: status %d, want 200 (%s)", rec.Code, rec.Body)
+	}
+}
+
+// TestServeSwapRefusesPath: the ops endpoint opens no file. A /swap that
+// names a readable snapshot with path= is refused with 400, and nothing is
+// swapped.
+func TestServeSwapRefusesPath(t *testing.T) {
+	gas := loadCorpora(t)[0]
+	srv, err := serve.New(serve.Config{Models: []serve.Model{{Name: "gaspipeline", Framework: gas.fw}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Shutdown() })
+	path := filepath.Join("..", "..", "testdata", "traces", "model.fw")
+	if _, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Stats().ModelSwaps
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/swap?model=gaspipeline&path="+path, nil))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("/swap with path=: status %d, want 400 (%s)", rec.Code, rec.Body)
+	}
+	if after := srv.Stats().ModelSwaps; after != before {
+		t.Errorf("/swap with path= swapped: ModelSwaps %d -> %d", before, after)
+	}
+}
+
+// TestServeStats: /stats reports what the daemon did. After one golden
+// trace is replayed, both scrapes count every record over the lifetime;
+// the second scrape's interval covers only the time since the first, so it
+// counts none; and every attached subscriber is listed.
+func TestServeStats(t *testing.T) {
+	gas := loadCorpora(t)[0]
+	srv, ingest, verdicts := newTestServer(t, serve.Config{}, []*serveCorpus{gas})
+	const subscribers = 2
+	for i := 0; i < subscribers; i++ {
+		sub, err := serve.Subscribe(verdicts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+	}
+	tr := gas.traces[0]
+	if n, err := serve.Replay(ingest, tr.raw, serve.ReplayOptions{Stream: "stats"}); err != nil || n != uint64(tr.records) {
+		t.Fatalf("replay: accepted %d of %d records (%v)", n, tr.records, err)
+	}
+	scrape := func() serve.StatsResponse {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /stats: status %d (%s)", rec.Code, rec.Body)
+		}
+		var resp serve.StatsResponse
+		if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	first, second := scrape(), scrape()
+	want := uint64(tr.records)
+	for i, st := range []serve.StatsResponse{first, second} {
+		if st.Lifetime.Packages != want {
+			t.Errorf("scrape %d: %d lifetime packages, want %d", i+1, st.Lifetime.Packages, want)
+		}
+		if len(st.Subscribers) != subscribers {
+			t.Errorf("scrape %d: %d subscribers listed, want %d", i+1, len(st.Subscribers), subscribers)
+		}
+	}
+	if first.Interval.Packages != want {
+		t.Errorf("first scrape: %d packages in the interval, want %d", first.Interval.Packages, want)
+	}
+	if second.Interval.Packages != 0 {
+		t.Errorf("second scrape: %d packages in the interval, want 0", second.Interval.Packages)
 	}
 }
