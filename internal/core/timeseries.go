@@ -139,22 +139,17 @@ func (d *TimeSeriesDetector) TopKRanks(enc *signature.Encoder, ienc *InputEncode
 			}
 			m.StepBatchLogitsOneHot(buf, states[:n], idxs[:n], scores[:n])
 			for i, r := range group[:n] {
-				ranks[r.off+t] = nextRank(db, scores[i], cs[i][t+1])
+				// A signature absent from the database can never be in
+				// S(k): it ranks beyond any k.
+				rank := m.Classes()
+				if class, ok := db.ClassOf(signature.Signature(cs[i][t+1])); ok {
+					rank = rankOf(scores[i], class)
+				}
+				ranks[r.off+t] = rank
 			}
 		}
 	}
 	return ranks
-}
-
-// nextRank is the rank among scores of the next package, given its
-// discretized vector. A signature absent from the database can never be in
-// S(k), so it ranks beyond any k.
-func nextRank(db *signature.DB, scores []float64, next []int) int {
-	class, ok := db.ClassOf(signature.Signature(next))
-	if !ok {
-		return len(scores)
-	}
-	return rankOf(scores, class)
 }
 
 // SelectK evaluates the top-k error curve on validation fragments and picks
