@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"icsdetect/internal/dataset"
@@ -72,8 +73,8 @@ func TestTopKRanksMatchesSequential(t *testing.T) {
 	if len(frags) <= topKGroup {
 		t.Fatalf("split has %d validation fragments, want more than %d", len(frags), topKGroup)
 	}
-	frags = append(frags[:5:5], append([]dataset.Fragment{frags[5][:1]}, frags[5:]...)...)
-	frags = append(frags[:topKGroup-1:topKGroup-1], append([]dataset.Fragment{{}}, frags[topKGroup-1:]...)...)
+	frags = slices.Insert(frags, 5, frags[5][:1])
+	frags = slices.Insert(frags, topKGroup-1, dataset.Fragment{})
 	lens := map[int]bool{}
 	for _, f := range frags {
 		lens[len(f)] = true
