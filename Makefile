@@ -33,13 +33,16 @@ race:
 # conformance tests under -race (neither Short-skips); the explicit
 # conformance line below guards that coverage against a future Short-gate.
 # The TestTraceConformance pattern also matches TestTraceConformanceF32, so
-# the f32 verdict-parity suite runs under -race here as well. Keep -race on
+# the f32 verdict-parity suite runs under -race here as well. The hub
+# tests run ten times over, to shake the subscriber writer's interleavings
+# with publish, close and abandon (a few seconds). Keep -race on
 # this quick subset only — a full -race sweep takes minutes on the 1-CPU CI
 # runner.
 race-quick:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/engine/
 	$(GO) test -race -short ./internal/serve/
+	$(GO) test -race -count=10 -run 'TestHub' ./internal/serve/
 	$(GO) test -race -run 'TestTraceConformance' .
 
 # The serving tests twenty times over under the race detector, verbose,

@@ -100,7 +100,7 @@ func run() error {
 		queue      = flag.Int("queue", 0, "per-shard queue depth (default 4*maxbatch)")
 		drain      = flag.Duration("drain", 5*time.Second, "shutdown grace for live connections")
 		idle       = flag.Duration("idle", 0, "ingest idle read deadline; a silent peer is dropped and its stream released (0 disables)")
-		subBuffer  = flag.Int("subbuffer", 0, "per-subscriber frame buffer (default 1024)")
+		subBuffer  = flag.Int("subbuffer", 0, "per-subscriber frame queue bound; memory follows the backlog, not the bound (default 1024)")
 		subWrite   = flag.Duration("subwrite", 0, "subscriber write deadline; a wedged subscriber is dropped and its queue counted as drops (0 disables)")
 		statsEvery = flag.Duration("statsevery", 0, "log interval package rates this often (0 disables)")
 		selftest   = flag.Bool("selftest", false, "run the committed-corpus smoke drill and exit")

@@ -10,25 +10,32 @@ import (
 )
 
 // frame is one published batch of pre-encoded verdict events: the unit the
-// hub fans out, so a subscriber pays one channel operation per batch
+// hub fans out, so a subscriber pays one queue operation per batch
 // instead of one per event. Frames are pooled and reference-counted — the
 // publisher sets refs to the subscriber count before fan-out, and every
 // way a frame can leave the fan-out (written to the wire, dropped at a
-// full queue, drained by abandon, flushed at writer exit) releases one
-// reference; the last release returns the frame and its encode buffer to
-// the pool, so steady-state publishing allocates nothing.
+// full queue, re-counted by abandon) releases one reference; the last
+// release returns the frame and its encode buffer to the pool, so
+// steady-state publishing allocates nothing.
 type frame struct {
 	buf    []byte
 	events int
 	refs   atomic.Int32
 }
 
+// spareFrames is the largest queue backing array a subscriber keeps
+// between batches. A burst grows the queue past it; once the burst has
+// been written the large array is let go, so an idle subscriber holds a
+// few hundred bytes whatever its bound.
+const spareFrames = 64
+
 // hub fans classified results out to verdict subscribers. Each subscriber
-// owns a bounded channel of frames and a writer goroutine; a subscriber
-// that cannot keep up loses whole frames (their events counted per
-// subscriber and hub-wide) instead of stalling the shard workers
-// publishing into the hub — the same shed-don't-stall discipline the live
-// ingest path applies to the engine queues.
+// owns a bounded FIFO of frames and a writer goroutine; a subscriber that
+// cannot keep up loses whole frames (their events counted per subscriber
+// and hub-wide) instead of stalling the shard workers publishing into the
+// hub — the same shed-don't-stall discipline the live ingest path applies
+// to the engine queues. The bound is a cap, not a reservation: a queue's
+// memory follows its backlog.
 type hub struct {
 	buffer int
 	// writeTimeout, when positive, bounds every subscriber socket write: a
@@ -60,8 +67,45 @@ type hub struct {
 // subscriber is one verdict stream consumer.
 type subscriber struct {
 	conn  net.Conn
-	ch    chan *frame
 	drops atomic.Uint64
+	// bell (capacity 1) wakes the writer after an enqueue or close.
+	bell chan struct{}
+
+	// mu guards the queue: frames published but not yet taken by the
+	// writer, in publish order. spare is the writer's last drained batch
+	// array (at most spareFrames slots), swapped in as the next queue.
+	mu     sync.Mutex
+	queue  []*frame
+	spare  []*frame
+	closed bool
+}
+
+// ring wakes the writer; a pending wake-up already covers this one.
+func (sub *subscriber) ring() {
+	select {
+	case sub.bell <- struct{}{}:
+	default:
+	}
+}
+
+// next hands back the writer's written batch done for reuse and returns
+// every queued frame, waiting for the first; it returns an empty batch once
+// the queue is closed and drained.
+func (sub *subscriber) next(done []*frame) []*frame {
+	clear(done)
+	sub.mu.Lock()
+	if cap(done) <= spareFrames {
+		sub.spare = done[:0]
+	}
+	for len(sub.queue) == 0 && !sub.closed {
+		sub.mu.Unlock()
+		<-sub.bell
+		sub.mu.Lock()
+	}
+	batch := sub.queue
+	sub.queue, sub.spare = sub.spare, nil
+	sub.mu.Unlock()
+	return batch
 }
 
 func newHub(buffer int, writeTimeout time.Duration) *hub {
@@ -104,7 +148,7 @@ func (h *hub) unref(f *frame) {
 // frame: a peer that waits for the ack is already counted in every publish
 // once it has read it. It reports false when the hub has already shut down.
 func (h *hub) add(conn net.Conn, ack []byte) bool {
-	sub := &subscriber{conn: conn, ch: make(chan *frame, h.buffer)}
+	sub := &subscriber{conn: conn, bell: make(chan struct{}, 1)}
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -117,46 +161,37 @@ func (h *hub) add(conn net.Conn, ack []byte) bool {
 	return true
 }
 
-// remove detaches a subscriber (writer error path). The writer goroutine
-// drains and exits on its own; no further frames are enqueued.
-func (h *hub) remove(sub *subscriber) {
-	h.mu.Lock()
-	delete(h.subs, sub)
-	h.mu.Unlock()
-}
-
 // abandon detaches a subscriber whose connection failed mid-write and
-// re-counts the events still queued behind the failure: they were counted
-// delivered when publishFrame enqueued them, but they will never reach
-// the wire, so each one moves from delivered to drops — keeping both the
-// drops+delivered conservation invariant and the close contract ("on the
-// wire or counted as drops") honest. Once remove returns no publisher can
-// enqueue (publishFrame holds the hub mutex the whole pass), so the
-// non-blocking drain below observes the final queue; a concurrent
-// hub.close may have closed the channel already, which the drain treats
-// as end of queue.
-func (h *hub) abandon(sub *subscriber) {
-	h.remove(sub)
-	for {
-		select {
-		case f, ok := <-sub.ch:
-			if !ok {
-				return
-			}
+// re-counts the frames that will never reach the wire: unwritten, the rest
+// of the writer's batch, and the frames still queued behind it. Each was
+// counted delivered when publishFrame enqueued it, so its events move from
+// delivered to drops — keeping both the drops+delivered conservation
+// invariant and the close contract ("on the wire or counted as drops")
+// honest. It holds the hub mutex throughout, so no publisher can enqueue
+// behind the queue taken below, and a caller that sees the subscriber
+// gone (count, subscriberStats) also sees its drops.
+func (h *hub) abandon(sub *subscriber, unwritten []*frame) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	delete(h.subs, sub)
+	sub.mu.Lock()
+	queued := sub.queue
+	sub.queue, sub.spare, sub.closed = nil, nil, true
+	sub.mu.Unlock()
+	for _, fs := range [2][]*frame{unwritten, queued} {
+		for _, f := range fs {
 			n := uint64(f.events)
 			sub.drops.Add(n)
 			h.drops.Add(n)
 			h.delivered.Add(^(n - 1))
 			h.unref(f)
-		default:
-			return
 		}
 	}
 }
 
 // publishFrame enqueues one frame of events to every subscriber — one
-// channel operation per subscriber per batch — dropping (and counting the
-// frame's events) for subscribers whose buffer is full. It takes
+// queue append per subscriber per batch — dropping (and counting the
+// frame's events) for subscribers whose queue is at its bound. It takes
 // ownership of f. It is called from shard worker goroutines: per-stream
 // event order is preserved because one stream publishes from one shard,
 // and a shard's frames are published in tick order.
@@ -172,10 +207,16 @@ func (h *hub) publishFrame(f *frame) {
 	h.publishedEvents.Add(n)
 	f.refs.Store(int32(len(h.subs)))
 	for sub := range h.subs {
-		select {
-		case sub.ch <- f:
+		sub.mu.Lock()
+		queued := len(sub.queue) < h.buffer
+		if queued {
+			sub.queue = append(sub.queue, f)
+		}
+		sub.mu.Unlock()
+		if queued {
 			h.delivered.Add(n)
-		default:
+			sub.ring()
+		} else {
 			sub.drops.Add(n)
 			h.drops.Add(n)
 			h.unref(f)
@@ -184,42 +225,49 @@ func (h *hub) publishFrame(f *frame) {
 	h.mu.Unlock()
 }
 
-// write is the per-subscriber writer loop: it writes ack, then streams
-// queued frames through a buffered writer, flushing whenever the queue runs
-// dry, and exits when the hub closes its channel (flushing first) or the
-// peer stops accepting writes — at the armed deadline, for a wedged peer
-// under a write timeout.
+// write is the per-subscriber writer loop: it writes ack, then takes the
+// whole queue at a time, writes its frames through a buffered writer and
+// flushes once per batch, and exits when the hub closes the queue (once
+// it is drained and flushed) or the peer stops accepting writes — at the
+// armed deadline, for a wedged peer under a write timeout.
 func (h *hub) write(sub *subscriber, ack []byte) {
 	defer h.wg.Done()
 	defer sub.conn.Close()
 	if len(ack) > 0 {
-		if h.writeTimeout > 0 {
-			sub.conn.SetWriteDeadline(time.Now().Add(h.writeTimeout))
-		}
+		h.armDeadline(sub)
 		if _, err := sub.conn.Write(ack); err != nil {
-			h.abandon(sub)
+			h.abandon(sub, nil)
 			return
 		}
 	}
 	bw := bufio.NewWriter(sub.conn)
-	for f := range sub.ch {
-		if h.writeTimeout > 0 {
-			sub.conn.SetWriteDeadline(time.Now().Add(h.writeTimeout))
-		}
-		_, err := bw.Write(f.buf)
-		if err == nil && len(sub.ch) == 0 {
-			err = bw.Flush()
-		}
-		h.unref(f)
-		if err != nil {
-			h.abandon(sub)
+	var batch []*frame
+	for {
+		batch = sub.next(batch)
+		if len(batch) == 0 {
 			return
 		}
+		for i, f := range batch {
+			h.armDeadline(sub)
+			_, err := bw.Write(f.buf)
+			h.unref(f)
+			if err == nil && i == len(batch)-1 {
+				err = bw.Flush()
+			}
+			if err != nil {
+				h.abandon(sub, batch[i+1:])
+				return
+			}
+		}
 	}
+}
+
+// armDeadline bounds the subscriber's next socket write by the write
+// timeout, if one is set.
+func (h *hub) armDeadline(sub *subscriber) {
 	if h.writeTimeout > 0 {
 		sub.conn.SetWriteDeadline(time.Now().Add(h.writeTimeout))
 	}
-	bw.Flush()
 }
 
 // count returns the number of attached subscribers.
@@ -234,8 +282,11 @@ func (h *hub) count() int {
 type SubscriberStats struct {
 	// Addr is the subscriber's remote address.
 	Addr string `json:"addr"`
-	// QueueDepth and QueueCap describe the subscriber's bounded frame
-	// queue at snapshot time.
+	// QueueDepth is the number of frames queued for the subscriber's
+	// writer at snapshot time; QueueCap is the queue's bound
+	// (Config.SubscriberBuffer). The bound is not preallocated: a queue
+	// holds memory for its backlog only, and keeps at most a small spare
+	// array once the backlog drains.
 	QueueDepth int `json:"queue_depth"`
 	QueueCap   int `json:"queue_cap"`
 	// Drops counts the events this subscriber lost — enqueue-time drops on
@@ -250,10 +301,13 @@ func (h *hub) subscriberStats() []SubscriberStats {
 	h.mu.Lock()
 	out := make([]SubscriberStats, 0, len(h.subs))
 	for sub := range h.subs {
+		sub.mu.Lock()
+		depth := len(sub.queue)
+		sub.mu.Unlock()
 		out = append(out, SubscriberStats{
 			Addr:       sub.conn.RemoteAddr().String(),
-			QueueDepth: len(sub.ch),
-			QueueCap:   cap(sub.ch),
+			QueueDepth: depth,
+			QueueCap:   h.buffer,
 			Drops:      sub.drops.Load(),
 		})
 	}
@@ -279,7 +333,10 @@ func (h *hub) close(grace time.Duration) {
 	subs := make([]*subscriber, 0, len(h.subs))
 	for sub := range h.subs {
 		subs = append(subs, sub)
-		close(sub.ch)
+		sub.mu.Lock()
+		sub.closed = true
+		sub.mu.Unlock()
+		sub.ring()
 	}
 	h.subs = make(map[*subscriber]struct{})
 	h.mu.Unlock()

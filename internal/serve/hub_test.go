@@ -175,54 +175,206 @@ func (c *wedgedConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *wedgedConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // TestHubWriterErrorDrainsQueue: when a subscriber's connection fails
-// mid-write, the events still queued behind the failure were counted
-// delivered but will never reach the wire — the writer must re-count
-// them as drops on its way out, or the documented conservation invariant
-// (delivered + drops = publishes × subscribers) silently breaks. This is
-// the regression test for the writer-error path abandoning sub.ch
-// without draining it.
+// mid-write, the frames behind the failure were counted delivered but will
+// never reach the wire — the writer must re-count them as drops on its way
+// out, or the documented conservation invariant (delivered + drops =
+// publishes × subscribers) silently breaks. The first case is the
+// regression test for the writer-error path abandoning its queue without
+// draining it; the second fails a write in the middle of a batch the
+// writer has already taken off the queue.
 func TestHubWriterErrorDrainsQueue(t *testing.T) {
-	h := newHub(8, 0)
-	conn := newWedgedConn()
-	if !h.add(conn, nil) {
-		t.Fatal("add")
-	}
+	t.Run("parked flush", func(t *testing.T) {
+		h := newHub(8, 0)
+		conn := newWedgedConn()
+		if !h.add(conn, nil) {
+			t.Fatal("add")
+		}
 
-	// First event: the writer dequeues it, the queue runs dry, and the
-	// flush parks inside conn.Write.
-	publishOne(h, testEvent("s", 0))
+		// First event: the writer takes it, and the flush parks inside
+		// conn.Write.
+		publishOne(h, testEvent("s", 0))
+		select {
+		case <-conn.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("writer never reached the connection write")
+		}
+
+		// Three more events queue up behind the parked writer, all counted
+		// delivered at publish time.
+		const queued = 3
+		for i := 1; i <= queued; i++ {
+			publishOne(h, testEvent("s", uint64(i)))
+		}
+		if d := h.delivered.Load(); d != 1+queued {
+			t.Fatalf("delivered = %d before failure, want %d", d, 1+queued)
+		}
+
+		// Release the connection: the parked flush fails and the writer exits.
+		conn.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for h.count() != 0 || h.drops.Load() != queued {
+			if time.Now().After(deadline) {
+				t.Fatalf("after writer error: drops = %d, delivered = %d, want %d queued events re-counted as drops",
+					h.drops.Load(), h.delivered.Load(), queued)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if d := h.delivered.Load(); d != 1 {
+			t.Errorf("delivered = %d after drain, want 1 (only the event that reached the writer)", d)
+		}
+		// Conservation: 4 publishes × 1 subscriber.
+		if got := h.delivered.Load() + h.drops.Load(); got != 1+queued {
+			t.Errorf("delivered+drops = %d, want %d", got, 1+queued)
+		}
+		h.close(time.Second)
+	})
+
+	t.Run("mid-batch write", func(t *testing.T) {
+		h := newHub(8, 0)
+		conn := newScriptedConn()
+		if !h.add(conn, nil) {
+			t.Fatal("add")
+		}
+		// Frames larger than the writer's buffer reach the connection one
+		// Write each.
+		big := make([]byte, 2*4096)
+
+		publishOne(h, testEvent("s", 0))
+		conn.await(t) // flush of frame 0
+		for i := 0; i < 3; i++ {
+			publishOne(h, big)
+		}
+		conn.answer <- nil
+		conn.await(t) // frame 1: the writer has taken frames 1-3 as one batch
+		const queued = 2
+		for i := 0; i < queued; i++ {
+			publishOne(h, big)
+		}
+		if st := h.subscriberStats(); len(st) != 1 || st[0].QueueDepth != queued {
+			t.Fatalf("subscriber stats %+v, want %d frames queued behind the batch", st, queued)
+		}
+		conn.answer <- nil
+		conn.await(t) // frame 2 fails
+		conn.answer <- fmt.Errorf("connection reset")
+
+		deadline := time.Now().Add(5 * time.Second)
+		for h.count() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("subscriber not abandoned after the failed write")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// Frames 0-2 reached the writer; frame 3 (the rest of the batch)
+		// and the two queued frames are re-counted as drops.
+		if d, dr := h.delivered.Load(), h.drops.Load(); d != 3 || dr != 1+queued {
+			t.Errorf("delivered = %d, drops = %d, want 3 and %d", d, dr, 1+queued)
+		}
+		if got, want := h.delivered.Load()+h.drops.Load(), h.publishedEvents.Load(); got != want || want != 6 {
+			t.Errorf("delivered+drops = %d, want %d = 6 publishes × 1 subscriber", got, want)
+		}
+		h.close(time.Second)
+	})
+}
+
+// scriptedConn is a net.Conn whose every Write reports itself on writes
+// and returns the error the test sends on answer.
+type scriptedConn struct {
+	writes chan struct{}
+	answer chan error
+}
+
+func newScriptedConn() *scriptedConn {
+	return &scriptedConn{writes: make(chan struct{}), answer: make(chan error)}
+}
+
+func (c *scriptedConn) Write(b []byte) (int, error) {
+	c.writes <- struct{}{}
+	if err := <-c.answer; err != nil {
+		return 0, err
+	}
+	return len(b), nil
+}
+
+// await waits for the writer's next Write to reach the connection.
+func (c *scriptedConn) await(t *testing.T) {
+	t.Helper()
 	select {
-	case <-conn.entered:
+	case <-c.writes:
 	case <-time.After(5 * time.Second):
 		t.Fatal("writer never reached the connection write")
 	}
+}
 
-	// Three more events queue up behind the parked writer, all counted
-	// delivered at publish time.
-	const queued = 3
-	for i := 1; i <= queued; i++ {
+func (c *scriptedConn) Read(b []byte) (int, error)         { return 0, io.EOF }
+func (c *scriptedConn) Close() error                       { return nil }
+func (c *scriptedConn) LocalAddr() net.Addr                { return pipeAddr{} }
+func (c *scriptedConn) RemoteAddr() net.Addr               { return pipeAddr{} }
+func (c *scriptedConn) SetDeadline(t time.Time) error      { return nil }
+func (c *scriptedConn) SetReadDeadline(t time.Time) error  { return nil }
+func (c *scriptedConn) SetWriteDeadline(t time.Time) error { return nil }
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
+// TestHubQueueFollowsBacklog: a subscriber's queue holds memory for its
+// backlog, not for its bound. Attaching to a hub bounded at 1<<20 frames
+// allocates a few KB (a preallocated queue of that bound is 8 MiB); a
+// stalled subscriber's queue holds its whole backlog; once a reader
+// drains it, the queue keeps at most spareFrames slots.
+func TestHubQueueFollowsBacklog(t *testing.T) {
+	const bound = 1 << 20
+	srv, cli := net.Pipe()
+	defer cli.Close()
+	ack := []byte("ack")
+	var h *hub
+	var added bool
+	if n := bytesAllocated(func() {
+		h = newHub(bound, 0)
+		added = h.add(srv, ack) // nobody reads yet: the writer parks on ack
+	}); n >= 64<<10 {
+		t.Errorf("newHub + add allocated %d bytes, want < 64 KB", n)
+	}
+	if !added {
+		t.Fatal("add")
+	}
+
+	const events = 10000
+	for i := 0; i < events; i++ {
 		publishOne(h, testEvent("s", uint64(i)))
 	}
-	if d := h.delivered.Load(); d != 1+queued {
-		t.Fatalf("delivered = %d before failure, want %d", d, 1+queued)
+	st := h.subscriberStats()
+	if len(st) != 1 || st[0].QueueDepth != events || st[0].QueueCap != bound {
+		t.Fatalf("stalled subscriber stats %+v, want depth %d, cap %d", st, events, bound)
 	}
 
-	// Release the connection: the parked flush fails and the writer exits.
-	conn.Close()
+	br := bufio.NewReader(cli)
+	if _, err := io.ReadFull(br, make([]byte, len(ack))); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < events; i++ {
+		ev, err := readEvent(br)
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		if ev.Seq != uint64(i) {
+			t.Fatalf("event %d arrived with seq %d", i, ev.Seq)
+		}
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for h.count() != 0 || h.drops.Load() != queued {
+	for {
+		st, slots := h.subscriberStats(), h.queueSlots()
+		if len(st) == 1 && st[0].QueueDepth == 0 && len(slots) == 1 && slots[0] <= spareFrames {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("after writer error: drops = %d, delivered = %d, want %d queued events re-counted as drops",
-				h.drops.Load(), h.delivered.Load(), queued)
+			t.Fatalf("drained subscriber keeps %v queue slots (stats %+v), want at most %d", slots, st, spareFrames)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if d := h.delivered.Load(); d != 1 {
-		t.Errorf("delivered = %d after drain, want 1 (only the event that reached the writer)", d)
-	}
-	// Conservation: 4 publishes × 1 subscriber.
-	if got := h.delivered.Load() + h.drops.Load(); got != 1+queued {
-		t.Errorf("delivered+drops = %d, want %d", got, 1+queued)
+	if d := h.delivered.Load(); d != events {
+		t.Errorf("delivered = %d, want %d", d, events)
 	}
 	h.close(time.Second)
 }

@@ -16,8 +16,9 @@
 //     protocol path).
 //   - Verdicts: a subscriber handshakes with its own magic and then
 //     receives every engine.Result as a length-prefixed binary event,
-//     through a per-subscriber bounded buffer with slow-consumer drop
-//     accounting (see hub.go).
+//     through a per-subscriber bounded queue with slow-consumer drop
+//     accounting (see hub.go). The queue holds memory for its backlog
+//     only, never for its whole bound.
 //   - HTTP ops: health, interval-delta metrics over engine.ShardStats,
 //     and model hot-swap (see http.go).
 //
@@ -372,23 +373,39 @@ func (c *eventCursor) f64(what string) float64 {
 }
 
 // readEvent parses the next event off a subscription stream. It returns
-// io.EOF at a clean end of stream.
+// io.EOF at a clean end of stream. A payload that fits the reader's buffer
+// is parsed in place; the event's strings and evidence are copies, so no
+// Event aliases the buffer.
 func readEvent(br *bufio.Reader) (Event, error) {
-	var ev Event
 	plen, err := readUvarint(br)
 	if err != nil {
 		if err == io.EOF {
-			return ev, io.EOF
+			return Event{}, io.EOF
 		}
-		return ev, fmt.Errorf("serve: event length: %w", err)
+		return Event{}, fmt.Errorf("serve: event length: %w", err)
 	}
 	if plen > maxEventLen {
-		return ev, fmt.Errorf("serve: event of %d bytes exceeds limit", plen)
+		return Event{}, fmt.Errorf("serve: event of %d bytes exceeds limit", plen)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return ev, fmt.Errorf("serve: truncated event: %w", err)
+	if plen > uint64(br.Size()) {
+		payload := make([]byte, plen)
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return Event{}, fmt.Errorf("serve: truncated event: %w", err)
+		}
+		return parseEvent(payload)
 	}
+	payload, err := br.Peek(int(plen))
+	if err != nil {
+		return Event{}, fmt.Errorf("serve: truncated event: %w", err)
+	}
+	ev, err := parseEvent(payload)
+	br.Discard(len(payload))
+	return ev, err
+}
+
+// parseEvent decodes one event payload.
+func parseEvent(payload []byte) (Event, error) {
+	var ev Event
 	c := eventCursor{b: payload}
 	ev.Stream = c.str("stream")
 	ev.Seq = c.uvarint("seq")
@@ -419,8 +436,5 @@ func readEvent(br *bufio.Reader) (Event, error) {
 	if c.err == nil && len(c.b) > 0 {
 		c.err = fmt.Errorf("serve: %d bytes after the event's last field", len(c.b))
 	}
-	if c.err != nil {
-		return ev, c.err
-	}
-	return ev, nil
+	return ev, c.err
 }

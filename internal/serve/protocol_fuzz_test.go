@@ -15,11 +15,11 @@ import (
 // headers) on top of the limits the wire format sets.
 const allocSlack = 16 << 10
 
-// decodeAllocs runs decode and returns the bytes it allocated.
-func decodeAllocs(decode func()) uint64 {
+// bytesAllocated runs fn and returns the bytes allocated meanwhile.
+func bytesAllocated(fn func()) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	decode()
+	fn()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
 }
@@ -45,7 +45,7 @@ func FuzzReadHello(f *testing.F) {
 		br := bufio.NewReader(r)
 		var h hello
 		var err error
-		if n := decodeAllocs(func() { h, err = readHello(br) }); n > 6*maxStringLen+allocSlack {
+		if n := bytesAllocated(func() { h, err = readHello(br) }); n > 6*maxStringLen+allocSlack {
 			t.Fatalf("readHello allocated %d bytes", n)
 		}
 		if err != nil {
@@ -78,7 +78,7 @@ func FuzzReadEvent(f *testing.F) {
 		br := bufio.NewReader(r)
 		var ev Event
 		var err error
-		if n := decodeAllocs(func() { ev, err = readEvent(br) }); n > limit {
+		if n := bytesAllocated(func() { ev, err = readEvent(br) }); n > limit {
 			t.Fatalf("readEvent allocated %d bytes", n)
 		}
 		if err != nil {

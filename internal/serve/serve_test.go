@@ -931,21 +931,50 @@ func TestServeSwapRefusesPath(t *testing.T) {
 // TestServeStats: /stats reports what the daemon did. After one golden
 // trace is replayed, both scrapes count every record over the lifetime;
 // the second scrape's interval covers only the time since the first, so it
-// counts none; and every attached subscriber is listed.
+// counts none; and every attached subscriber is listed with the default
+// queue bound and, once it has read every verdict, an empty queue.
 func TestServeStats(t *testing.T) {
 	gas := loadCorpora(t)[0]
 	srv, ingest, verdicts := newTestServer(t, serve.Config{}, []*serveCorpus{gas})
 	const subscribers = 2
-	for i := 0; i < subscribers; i++ {
+	subs := make([]*serve.Subscription, subscribers)
+	for i := range subs {
 		sub, err := serve.Subscribe(verdicts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sub.Close()
+		subs[i] = sub
 	}
 	tr := gas.traces[0]
 	if n, err := serve.Replay(ingest, tr.raw, serve.ReplayOptions{Stream: "stats"}); err != nil || n != uint64(tr.records) {
 		t.Fatalf("replay: accepted %d of %d records (%v)", n, tr.records, err)
+	}
+	read := make(chan error, subscribers)
+	for _, sub := range subs {
+		go func(sub *serve.Subscription) {
+			for i := 0; i < tr.records; i++ {
+				ev, err := sub.Next()
+				if err == nil && ev.Seq != uint64(i) {
+					err = fmt.Errorf("verdict %d arrived with seq %d", i, ev.Seq)
+				}
+				if err != nil {
+					read <- err
+					return
+				}
+			}
+			read <- nil
+		}(sub)
+	}
+	for range subs {
+		select {
+		case err := <-read:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("subscribers did not receive every verdict")
+		}
 	}
 	scrape := func() serve.StatsResponse {
 		t.Helper()
@@ -968,6 +997,11 @@ func TestServeStats(t *testing.T) {
 		}
 		if len(st.Subscribers) != subscribers {
 			t.Errorf("scrape %d: %d subscribers listed, want %d", i+1, len(st.Subscribers), subscribers)
+		}
+		for _, sub := range st.Subscribers {
+			if sub.QueueCap != 1024 || sub.QueueDepth != 0 {
+				t.Errorf("scrape %d: subscriber %+v, want queue cap 1024 and depth 0", i+1, sub)
+			}
 		}
 	}
 	if first.Interval.Packages != want {

@@ -44,7 +44,9 @@ type Config struct {
 	// SubscriberBuffer bounds each verdict subscriber's frame queue (a
 	// frame carries the coalesced events of one shard tick); a subscriber
 	// that falls further behind loses frames (their events counted, never
-	// blocking the engine). Default: 1024.
+	// blocking the engine). The bound costs memory only while a backlog
+	// exists: a queue grows with the frames waiting in it, 8 bytes a
+	// frame, and shrinks back once its writer drains it. Default: 1024.
 	SubscriberBuffer int
 	// SubscriberWriteTimeout, when positive, bounds every subscriber
 	// socket write. A wedged subscriber (a peer that stopped reading)
