@@ -176,7 +176,7 @@ func (h *hub) abandon(sub *subscriber, unwritten []*frame) {
 	delete(h.subs, sub)
 	sub.mu.Lock()
 	queued := sub.queue
-	sub.queue, sub.spare, sub.closed = nil, nil, true
+	sub.queue = nil
 	sub.mu.Unlock()
 	for _, fs := range [2][]*frame{unwritten, queued} {
 		for _, f := range fs {

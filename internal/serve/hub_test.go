@@ -487,9 +487,11 @@ func TestHubAddAfterClose(t *testing.T) {
 }
 
 // TestEventRoundTrip pins the event wire encoding: encode → decode is
-// identity, including evidence, and the decoder rejects oversized frames.
+// identity, including evidence, both for an event parsed in place and for
+// one longer than the reader's buffer, read back to back, and the decoder
+// rejects oversized frames.
 func TestEventRoundTrip(t *testing.T) {
-	want := engine.Result{
+	short := engine.Result{
 		Stream: "plc-7",
 		Seq:    42,
 		Verdict: core.Verdict{
@@ -503,25 +505,40 @@ func TestEventRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	framed, _ := appendEvent(nil, nil, want)
-	ev, err := readEvent(bufio.NewReader(bytes.NewReader(framed)))
-	if err != nil {
-		t.Fatal(err)
+	long := short
+	long.Seq++
+	long.Verdict.Evidence = nil
+	for i := 0; i < 300; i++ { // about 10 KB, past bufio's default 4 KB
+		long.Verdict.Evidence = append(long.Verdict.Evidence, short.Verdict.Evidence...)
 	}
-	if ev.Stream != want.Stream || ev.Seq != want.Seq {
-		t.Errorf("round trip identity: got %q/%d", ev.Stream, ev.Seq)
+	var framed []byte
+	for _, r := range []engine.Result{short, long} {
+		framed, _ = appendEvent(framed, nil, r)
 	}
-	v, wv := ev.Verdict, want.Verdict
-	if v.Anomaly != wv.Anomaly || v.Level != wv.Level || v.Rank != wv.Rank || v.Signature != wv.Signature {
-		t.Errorf("verdict mismatch: %+v", v)
-	}
-	if len(v.Evidence) != len(wv.Evidence) {
-		t.Fatalf("evidence count %d, want %d", len(v.Evidence), len(wv.Evidence))
-	}
-	for i, e := range v.Evidence {
-		if e != wv.Evidence[i] {
-			t.Errorf("evidence %d: %+v, want %+v", i, e, wv.Evidence[i])
+	br := bufio.NewReader(bytes.NewReader(framed))
+	for _, want := range []engine.Result{short, long} {
+		ev, err := readEvent(br)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if ev.Stream != want.Stream || ev.Seq != want.Seq {
+			t.Errorf("round trip identity: got %q/%d", ev.Stream, ev.Seq)
+		}
+		v, wv := ev.Verdict, want.Verdict
+		if v.Anomaly != wv.Anomaly || v.Level != wv.Level || v.Rank != wv.Rank || v.Signature != wv.Signature {
+			t.Errorf("verdict mismatch: %+v", v)
+		}
+		if len(v.Evidence) != len(wv.Evidence) {
+			t.Fatalf("evidence count %d, want %d", len(v.Evidence), len(wv.Evidence))
+		}
+		for i, e := range v.Evidence {
+			if e != wv.Evidence[i] {
+				t.Errorf("evidence %d: %+v, want %+v", i, e, wv.Evidence[i])
+			}
+		}
+	}
+	if _, err := readEvent(br); err != io.EOF {
+		t.Errorf("after both events: err = %v, want io.EOF", err)
 	}
 
 	huge := make([]byte, 0, 10)

@@ -399,7 +399,7 @@ func readEvent(br *bufio.Reader) (Event, error) {
 		return Event{}, fmt.Errorf("serve: truncated event: %w", err)
 	}
 	ev, err := parseEvent(payload)
-	br.Discard(len(payload))
+	br.Discard(len(payload)) // cannot fail: Peek buffered the payload
 	return ev, err
 }
 
