@@ -35,15 +35,18 @@ race:
 # The TestTraceConformance pattern also matches TestTraceConformanceF32, so
 # the f32 verdict-parity suite runs under -race here as well. The hub
 # tests run ten times over, to shake the subscriber writer's interleavings
-# with publish, close and abandon (a few seconds). Keep -race on
-# this quick subset only — a full -race sweep takes minutes on the 1-CPU CI
-# runner.
+# with publish, close and abandon (a few seconds). The trainer tests run
+# three times over: they set GOMAXPROCS up to 4 themselves, so nn.Train's
+# sweep groups and gradient replays run on concurrent workers under -race
+# even on a 1-CPU runner (about 30 s). Keep -race on this quick subset
+# only — a full -race sweep takes minutes on the 1-CPU CI runner.
 race-quick:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/engine/
 	$(GO) test -race -short ./internal/serve/
 	$(GO) test -race -count=10 -run 'TestHub' ./internal/serve/
 	$(GO) test -race -run 'TestTraceConformance' .
+	$(GO) test -race -count=3 -run 'TestBatchedTrainer|TestTrainAllocations|TestTrainWorkersExit' ./internal/nn/
 
 # The serving tests twenty times over under the race detector, verbose,
 # into stress-serve.log (git-ignored), so an intermittent failure keeps

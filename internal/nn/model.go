@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"sync/atomic"
 
 	"icsdetect/internal/mathx"
@@ -74,7 +75,7 @@ func (c *Classifier) Params() []Param {
 	var out []Param
 	for i, l := range c.Layers {
 		for _, p := range l.params() {
-			p.Name = fmt.Sprintf("lstm%d.%s", i, p.Name)
+			p.Name = "lstm" + strconv.Itoa(i) + "." + p.Name
 			out = append(out, p)
 		}
 	}
@@ -158,8 +159,9 @@ func (c *Classifier) StepLogits(state *State, x, scores []float64) {
 // GradBuffer accumulates gradients for every parameter of a classifier
 // over one minibatch.
 type GradBuffer struct {
-	lstm  []*lstmGrads
-	dense *denseGrads
+	lstm    []*lstmGrads
+	dense   *denseGrads
+	tensors [][]float64 // every tensor above, in Classifier.Params order
 	// Steps counts the timesteps accumulated, used to normalize.
 	Steps int
 }
@@ -168,21 +170,18 @@ type GradBuffer struct {
 func (c *Classifier) NewGradBuffer() *GradBuffer {
 	g := &GradBuffer{dense: newDenseGrads(c.Out)}
 	for _, l := range c.Layers {
-		g.lstm = append(g.lstm, newLSTMGrads(l))
+		lg := newLSTMGrads(l)
+		g.lstm = append(g.lstm, lg)
+		g.tensors = append(g.tensors, lg.slices()...)
 	}
+	g.tensors = append(g.tensors, g.dense.slices()...)
 	return g
 }
 
 // Slices returns the flat gradient tensors in the same order as
-// Classifier.Params.
-func (g *GradBuffer) Slices() [][]float64 {
-	var out [][]float64
-	for _, lg := range g.lstm {
-		out = append(out, lg.slices()...)
-	}
-	out = append(out, g.dense.slices()...)
-	return out
-}
+// Classifier.Params. The list is built once and shared by every call, so
+// callers must not modify it.
+func (g *GradBuffer) Slices() [][]float64 { return g.tensors }
 
 // Zero clears the buffer.
 func (g *GradBuffer) Zero() {

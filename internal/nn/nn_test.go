@@ -59,6 +59,7 @@ func TestGradientCheck(t *testing.T) {
 		t.Fatalf("oracle scored %d steps", steps)
 	}
 	bt := newBatchTrainer(c, 1, len(seq.Inputs))
+	defer bt.stop()
 	if _, steps := bt.run([]Sequence{*seq}); steps != 7 {
 		t.Fatalf("lock-step pass scored %d steps", steps)
 	}

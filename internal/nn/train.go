@@ -95,11 +95,15 @@ func MakeWindows(seqs []Sequence, window int) []Sequence {
 }
 
 // Train fits the classifier on the given full sequences with Adam over
-// shuffled minibatches of truncated-BPTT windows. Each minibatch runs as
-// one lock-step pass of all its windows (batchTrainer), bitwise identical
-// to running the per-window reference over the windows in order, so the
-// trained parameters are a function of the data and the seed. It returns
-// the mean per-step loss of the final epoch.
+// shuffled minibatches of truncated-BPTT windows. Each minibatch is cut
+// into up to GOMAXPROCS contiguous groups of windows, each group swept
+// lock-step on its own goroutine, and its gradient is then replayed one
+// tensor per goroutine (batchTrainer). That is bitwise identical to
+// running the per-window reference over the windows in order, at any
+// GOMAXPROCS, so the trained parameters are a function of the data and
+// the seed. The worker goroutines start once per call and have exited
+// when Train returns; EpochEnd runs between minibatches, while no sweep
+// is in flight. It returns the mean per-step loss of the final epoch.
 func Train(c *Classifier, seqs []Sequence, cfg TrainConfig) (float64, error) {
 	cfg.defaults()
 	for _, s := range seqs {
@@ -127,6 +131,7 @@ func Train(c *Classifier, seqs []Sequence, cfg TrainConfig) (float64, error) {
 	params := c.Params()
 
 	bt := newBatchTrainer(c, min(cfg.BatchSize, len(windows)), cfg.Window)
+	defer bt.stop()
 
 	var finalLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {

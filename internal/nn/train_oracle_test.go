@@ -297,6 +297,7 @@ func fuzzClassifierBatch(t *testing.T, T, D, H, N, B int, seed uint64) {
 			t.Fatal(err)
 		}
 		bt := newBatchTrainer(c, B, T)
+		defer bt.stop()
 		for start := 0; start < N; start += B {
 			checkClassifierBatch(t, c, bt, batch[start:min(start+B, N)])
 		}

@@ -2,6 +2,9 @@ package nn
 
 import (
 	"math"
+	"runtime"
+	"slices"
+	"sync"
 
 	"icsdetect/internal/mathx"
 )
@@ -24,8 +27,9 @@ import (
 //   - Weight-gradient accumulation — the only place where batching would
 //     naturally reorder a floating-point reduction across windows — is
 //     deferred: the lock-step backward sweep only caches dz rows, and
-//     accumulate replays them after the sweep, one AddOuterSeq per tensor
-//     over the whole minibatch.
+//     replay adds them after the sweep, one AddOuterSeq per tensor per
+//     pass. Passes replayed in turn chain, so a minibatch swept as several
+//     passes replays as one.
 //
 //   - Rows are step-major in the reference's accumulation order: window
 //     w's timestep t is row off[w] + lens[w]-1-t, so windows ascend, time
@@ -201,10 +205,29 @@ func (tr *lstmTrace) backward(t int, dx []float64) {
 // accumulate replays the pass's cached rows into g, rows in the reference
 // order.
 func (tr *lstmTrace) accumulate(g *lstmGrads) {
+	for k := 0; k < lstmTensors; k++ {
+		tr.replay(g, k)
+	}
+}
+
+// lstmTensors is the number of an LSTM layer's gradient tensors: dW, dU
+// and dB, in lstmGrads.slices order.
+const lstmTensors = 3
+
+// replay adds the pass's cached rows into g's tensor k (0 dW, 1 dU,
+// 2 dB), rows in the reference order. Each element's chain carries
+// through g, so replaying consecutive passes in turn is one chain over
+// all their rows.
+func (tr *lstmTrace) replay(g *lstmGrads, k int) {
 	N, H, I, G := tr.rows, tr.l.HiddenSize, tr.l.InputSize, numGates*tr.l.HiddenSize
-	g.dW.AddOuterSeq(tr.dz[:N*G], tr.in[:N*I], N)
-	g.dU.AddOuterSeq(tr.dz[:N*G], tr.hprev[:N*H], N)
-	addRows(g.dB, tr.dz[:N*G])
+	switch k {
+	case 0:
+		g.dW.AddOuterSeq(tr.dz[:N*G], tr.in[:N*I], N)
+	case 1:
+		g.dU.AddOuterSeq(tr.dz[:N*G], tr.hprev[:N*H], N)
+	default:
+		addRows(g.dB, tr.dz[:N*G])
+	}
 }
 
 // lstmCellForward is the training forward's gate epilogue: it activates
@@ -270,25 +293,181 @@ func addRows(dst, rows []float64) {
 	}
 }
 
-// batchTrainer is the classifier's lock-step minibatch trainer: one
-// lstmTrace per stacked layer under the dense softmax head. It owns only
-// the head — its forward, loss and gradient rows — and the GradBuffer.
-// All buffers are allocated once per Train call, so the steady-state
-// training loop is allocation-free.
+// batchTrainer is the classifier's minibatch trainer. It cuts each
+// minibatch into up to P contiguous groups of windows, in window order,
+// and sweeps each group lock-step, forward then backward, through its own
+// groupSweep: group 0 on the caller, the others on worker goroutines.
+// After the join it replays the cached rows into the GradBuffer, each
+// tensor whole on one goroutine, the tensors dealt across the goroutines,
+// each replay chaining the groups' rows in group order.
+//
+// The result is bitwise that of one lock-step pass over the whole
+// minibatch, at any P. A window's sweep reads nothing of the other
+// windows in its pass. AddOuterSeq and addRows carry each element's chain
+// through the tensor, so the groups' rows chained in group order are the
+// same chain as one call over all of them, and the loss is summed per
+// window in window order.
+//
+// P is min(GOMAXPROCS, maxB), read when the trainer is made; P = 1 runs
+// everything on the caller. The P-1 workers live until stop. All buffers
+// are allocated here and the hand-offs carry plain values, so the
+// steady-state training loop is allocation-free.
+type batchTrainer struct {
+	grads  *GradBuffer
+	groups []*groupSweep // [P]
+	share  [][]int       // the gradient tensors each goroutine replays, by Slices index
+	loss   []float64     // [maxB] per-window summed loss
+
+	batch []Sequence // the current minibatch
+	n     int        // and the number of groups it is cut into
+
+	work []chan trainJob // [P-1] hand-offs to workers 1..P-1
+	// done receives one value per finished worker job. It has a slot per
+	// worker, so no worker blocks on it after a panic on the caller.
+	done   chan struct{}
+	exited sync.WaitGroup
+}
+
+// trainJob is what a worker does next: sweep its group or replay its
+// share of the tensors.
+type trainJob uint8
+
+const (
+	sweepJob trainJob = iota
+	replayJob
+)
+
+// newBatchTrainer sizes the trainer for minibatches of up to maxB windows
+// of up to maxT timesteps on classifier c and starts its workers.
+func newBatchTrainer(c *Classifier, maxB, maxT int) *batchTrainer {
+	maxB = max(maxB, 1)
+	P := min(runtime.GOMAXPROCS(0), maxB)
+	bt := &batchTrainer{
+		grads: c.NewGradBuffer(),
+		loss:  make([]float64, maxB),
+		done:  make(chan struct{}, P-1),
+	}
+	bt.share = replayShares(bt.grads.Slices(), P)
+	for i := 0; i < P; i++ {
+		bt.groups = append(bt.groups, newGroupSweep(c, (maxB+P-1)/P, maxT))
+	}
+	for i := 1; i < P; i++ {
+		work := make(chan trainJob)
+		bt.work = append(bt.work, work)
+		bt.exited.Add(1)
+		go bt.worker(i, work)
+	}
+	return bt
+}
+
+// replayShares deals the gradient tensors to up to P goroutines, largest
+// first, each to the goroutine with the fewest elements so far.
+func replayShares(tensors [][]float64, P int) [][]int {
+	order := make([]int, len(tensors))
+	for k := range order {
+		order[k] = k
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return len(tensors[b]) - len(tensors[a]) })
+	share, load := make([][]int, min(P, len(tensors))), make([]int, min(P, len(tensors)))
+	for _, k := range order {
+		i := 0
+		for j := range load {
+			if load[j] < load[i] {
+				i = j
+			}
+		}
+		share[i] = append(share[i], k)
+		load[i] += len(tensors[k])
+	}
+	return share
+}
+
+// run computes one minibatch's gradients into bt.grads and returns the
+// summed loss and scored-step count, bitwise identical to running the
+// per-window reference over the windows in order into one buffer.
+func (bt *batchTrainer) run(batch []Sequence) (float64, int) {
+	bt.batch, bt.n = batch, min(len(bt.groups), len(batch))
+	bt.do(sweepJob, bt.n)
+	bt.do(replayJob, len(bt.share))
+	var loss float64
+	for _, v := range bt.loss[:len(batch)] {
+		loss += v
+	}
+	scored := 0
+	for _, sw := range bt.groups[:bt.n] {
+		scored += sw.scored
+	}
+	bt.grads.Steps = scored
+	return loss, scored
+}
+
+// do runs job on goroutines 0..on-1, 0 being the caller, and returns once
+// all of them have finished it.
+func (bt *batchTrainer) do(job trainJob, on int) {
+	for _, work := range bt.work[:on-1] {
+		work <- job
+	}
+	bt.exec(0, job)
+	for i := 1; i < on; i++ {
+		<-bt.done
+	}
+}
+
+// exec is goroutine i's part of job.
+func (bt *batchTrainer) exec(i int, job trainJob) {
+	if job == replayJob {
+		for _, k := range bt.share[i] {
+			bt.replay(k)
+		}
+		return
+	}
+	n := len(bt.batch)
+	lo, hi := i*n/bt.n, (i+1)*n/bt.n
+	bt.groups[i].sweep(bt.batch[lo:hi], bt.loss[lo:hi])
+}
+
+// replay sets gradient tensor k to the chain of every group's cached
+// rows, groups in window order.
+func (bt *batchTrainer) replay(k int) {
+	mathx.Fill(bt.grads.Slices()[k], 0)
+	for _, sw := range bt.groups[:bt.n] {
+		sw.replay(bt.grads, k)
+	}
+}
+
+// worker runs worker i's jobs until stop.
+func (bt *batchTrainer) worker(i int, work <-chan trainJob) {
+	defer bt.exited.Done()
+	for job := range work {
+		bt.exec(i, job)
+		bt.done <- struct{}{}
+	}
+}
+
+// stop ends the workers and returns once they have exited.
+func (bt *batchTrainer) stop() {
+	for _, work := range bt.work {
+		close(work)
+	}
+	bt.exited.Wait()
+}
+
+// groupSweep is one group's lock-step pass: one lstmTrace per stacked
+// layer under the dense softmax head. It owns only the head — its
+// forward, loss and gradient rows.
 //
 // A step with a negative target is not scored. The head caches each
 // scored step's dLogits and top-layer h row compactly, window ascending
 // and time descending (window w's from row soff[w]), so its weight
-// gradient is one AddOuterSeq too, and the whole minibatch is bitwise
-// identical to the per-window reference.
-type batchTrainer struct {
-	c      *Classifier
-	grads  *GradBuffer
+// gradient is one AddOuterSeq too.
+type groupSweep struct {
+	out    *Dense
 	layers []lstmTrace
 
 	lens     []int     // [B] window lengths
-	loss     []float64 // [B] per-window summed loss
+	loss     []float64 // [B] per-window summed loss: the group's part of batchTrainer.loss
 	soff, sc []int     // [B] first scored row, scored steps replayed so far
+	scored   int       // scored steps of the current pass
 
 	probs  []float64   // [rows·K] softmax rows at scored steps, by trace row
 	dlog   []float64   // [scored·K] dLogits rows
@@ -300,18 +479,15 @@ type batchTrainer struct {
 	sact   []int       // [B] the scored windows
 }
 
-// newBatchTrainer sizes the trainer for minibatches of up to maxB windows
-// of up to maxT timesteps on classifier c.
-func newBatchTrainer(c *Classifier, maxB, maxT int) *batchTrainer {
-	maxB = max(maxB, 1)
+// newGroupSweep sizes a sweep for up to maxB windows of up to maxT
+// timesteps on classifier c.
+func newGroupSweep(c *Classifier, maxB, maxT int) *groupSweep {
 	K := c.Out.OutputSize
 	Htop := c.Out.InputSize
 	maxH := 0
-	bt := &batchTrainer{
-		c:      c,
-		grads:  c.NewGradBuffer(),
+	sw := &groupSweep{
+		out:    c.Out,
 		lens:   make([]int, maxB),
-		loss:   make([]float64, maxB),
 		soff:   make([]int, maxB),
 		sc:     make([]int, maxB),
 		probs:  make([]float64, maxB*maxT*K),
@@ -323,71 +499,72 @@ func newBatchTrainer(c *Classifier, maxB, maxT int) *batchTrainer {
 		sact:   make([]int, 0, maxB),
 	}
 	for _, l := range c.Layers {
-		bt.layers = append(bt.layers, newLSTMTrace(l, maxB, maxT))
+		sw.layers = append(sw.layers, newLSTMTrace(l, maxB, maxT))
 		maxH = max(maxH, l.HiddenSize)
 	}
-	bt.dst = make([]float64, maxB*maxH)
-	return bt
+	sw.dst = make([]float64, maxB*maxH)
+	return sw
 }
 
-// run computes one minibatch's gradients into bt.grads and returns the
-// summed loss and scored-step count, bitwise identical to running the
-// per-window reference over the windows in order into one buffer.
-func (bt *batchTrainer) run(batch []Sequence) (float64, int) {
-	n, maxT, scored := len(batch), 0, 0
+// sweep runs batch's lock-step forward and backward passes: it leaves
+// each window's summed loss in loss and caches the gradient rows for
+// replay.
+func (sw *groupSweep) sweep(batch []Sequence, loss []float64) {
+	n, maxT := len(batch), 0
+	sw.loss, sw.scored = loss, 0
 	for w := range batch {
-		bt.lens[w] = len(batch[w].Inputs)
-		maxT = max(maxT, bt.lens[w])
-		bt.loss[w], bt.soff[w], bt.sc[w] = 0, scored, 0
+		sw.lens[w] = len(batch[w].Inputs)
+		maxT = max(maxT, sw.lens[w])
+		sw.loss[w], sw.soff[w], sw.sc[w] = 0, sw.scored, 0
 		for _, tgt := range batch[w].Targets {
 			if tgt >= 0 {
-				scored++
+				sw.scored++
 			}
 		}
 	}
-	for l := range bt.layers {
-		bt.layers[l].reshape(bt.lens[:n])
-		bt.layers[l].start(n, nil)
+	for l := range sw.layers {
+		sw.layers[l].reshape(sw.lens[:n])
+		sw.layers[l].start(n, nil)
 	}
-	bt.forward(batch, maxT)
-	bt.backward(batch, maxT)
+	sw.forward(batch, maxT)
+	sw.backward(batch, maxT)
+}
 
-	g := bt.grads
-	g.Zero()
-	K, Htop := bt.c.Out.OutputSize, bt.c.Out.InputSize
-	g.dense.dW.AddOuterSeq(bt.dlog[:scored*K], bt.htop[:scored*Htop], scored)
-	addRows(g.dense.dB, bt.dlog[:scored*K])
-	for l := range bt.layers {
-		bt.layers[l].accumulate(g.lstm[l])
+// replay adds the last sweep's cached rows into g's tensor k, indexed as
+// in GradBuffer.Slices.
+func (sw *groupSweep) replay(g *GradBuffer, k int) {
+	if l := k / lstmTensors; l < len(sw.layers) {
+		sw.layers[l].replay(g.lstm[l], k%lstmTensors)
+		return
 	}
-	g.Steps = scored
-	var loss float64
-	for _, v := range bt.loss[:n] {
-		loss += v
+	K, Htop := sw.out.OutputSize, sw.out.InputSize
+	if k == lstmTensors*len(sw.layers) {
+		g.dense.dW.AddOuterSeq(sw.dlog[:sw.scored*K], sw.htop[:sw.scored*Htop], sw.scored)
+		return
 	}
-	return loss, scored
+	addRows(g.dense.dB, sw.dlog[:sw.scored*K])
 }
 
 // forward runs the lock-step forward sweep through the stacked traces and
 // the head, caching the softmax rows of scored steps.
-func (bt *batchTrainer) forward(batch []Sequence, maxT int) {
-	out := bt.c.Out
+func (sw *groupSweep) forward(batch []Sequence, maxT int) {
+	out := sw.out
 	K := out.OutputSize
-	top := &bt.layers[len(bt.layers)-1]
+	top := &sw.layers[len(sw.layers)-1]
 	for t := 0; t < maxT; t++ {
 		act := top.active(t)
-		xs := bt.xs[:len(act)]
+		xs := sw.xs[:len(act)]
 		for a, w := range act {
 			xs[a] = batch[w].Inputs[t]
 		}
-		for l := range bt.layers {
-			tr := &bt.layers[l]
+		for l := range sw.layers {
+			tr := &sw.layers[l]
 			tr.forward(t, xs, nil)
 			for a, w := range act {
 				xs[a] = tr.h(w, t) // the next layer reads this layer's fresh h
 			}
 		}
-		sact, hs := bt.sact[:0], bt.rows[:0]
+		sact, hs := sw.sact[:0], sw.rows[:0]
 		for a, w := range act {
 			if batch[w].Targets[t] >= 0 {
 				sact = append(sact, w)
@@ -397,7 +574,7 @@ func (bt *batchTrainer) forward(batch []Sequence, maxT int) {
 		if len(sact) == 0 {
 			continue
 		}
-		logits := bt.logits[:len(sact)*K]
+		logits := sw.logits[:len(sact)*K]
 		out.W.MulRowsT(logits, hs)
 		for a, w := range sact {
 			row := logits[a*K : (a+1)*K]
@@ -405,9 +582,9 @@ func (bt *batchTrainer) forward(batch []Sequence, maxT int) {
 				row[j] += out.B[j]
 			}
 			s := top.at(w, t)
-			p := bt.probs[s*K : (s+1)*K]
+			p := sw.probs[s*K : (s+1)*K]
 			mathx.Softmax(p, row)
-			bt.loss[w] += -math.Log(math.Max(p[batch[w].Targets[t]], 1e-12))
+			sw.loss[w] += -math.Log(math.Max(p[batch[w].Targets[t]], 1e-12))
 		}
 	}
 }
@@ -416,45 +593,45 @@ func (bt *batchTrainer) forward(batch []Sequence, maxT int) {
 // dLogits = p - onehot rows are cached for the replay and dLogits·W flows
 // into the top trace's carries, then each trace steps back and hands its
 // input-gradient rows to the carries of the layer below.
-func (bt *batchTrainer) backward(batch []Sequence, maxT int) {
-	out := bt.c.Out
+func (sw *groupSweep) backward(batch []Sequence, maxT int) {
+	out := sw.out
 	K, Htop := out.OutputSize, out.InputSize
-	top := &bt.layers[len(bt.layers)-1]
+	top := &sw.layers[len(sw.layers)-1]
 	for t := maxT - 1; t >= 0; t-- {
 		act := top.active(t)
-		sact, dls := bt.sact[:0], bt.rows[:0]
+		sact, dls := sw.sact[:0], sw.rows[:0]
 		for _, w := range act {
 			tgt := batch[w].Targets[t]
 			if tgt < 0 {
 				continue
 			}
-			r, s := bt.soff[w]+bt.sc[w], top.at(w, t)
-			bt.sc[w]++
-			row := bt.dlog[r*K : (r+1)*K]
-			copy(row, bt.probs[s*K:(s+1)*K])
+			r, s := sw.soff[w]+sw.sc[w], top.at(w, t)
+			sw.sc[w]++
+			row := sw.dlog[r*K : (r+1)*K]
+			copy(row, sw.probs[s*K:(s+1)*K])
 			row[tgt] -= 1 // softmax cross-entropy gradient
-			copy(bt.htop[r*Htop:(r+1)*Htop], top.hs[s*Htop:(s+1)*Htop])
+			copy(sw.htop[r*Htop:(r+1)*Htop], top.hs[s*Htop:(s+1)*Htop])
 			sact = append(sact, w)
 			dls = append(dls, row)
 		}
 		if len(sact) > 0 {
-			dst := bt.dst[:len(sact)*Htop]
+			dst := sw.dst[:len(sact)*Htop]
 			out.W.MulRows(dst, dls)
 			for a, w := range sact {
 				mathx.Axpy(top.dh[w*Htop:(w+1)*Htop], 1, dst[a*Htop:(a+1)*Htop])
 			}
 		}
-		for l := len(bt.layers) - 1; l >= 0; l-- {
+		for l := len(sw.layers) - 1; l >= 0; l-- {
 			if l == 0 {
 				// The reference computes layer 0's dx too but discards
 				// it, so skipping it changes nothing.
-				bt.layers[0].backward(t, nil)
+				sw.layers[0].backward(t, nil)
 				break
 			}
-			below := &bt.layers[l-1]
+			below := &sw.layers[l-1]
 			Hin := below.l.HiddenSize
-			dx := bt.dst[:len(act)*Hin]
-			bt.layers[l].backward(t, dx)
+			dx := sw.dst[:len(act)*Hin]
+			sw.layers[l].backward(t, dx)
 			for a, w := range act {
 				mathx.Axpy(below.dh[w*Hin:(w+1)*Hin], 1, dx[a*Hin:(a+1)*Hin])
 			}
