@@ -230,6 +230,7 @@ func BenchmarkTrainThroughput(b *testing.B) {
 	}
 	nWindows := len(nn.MakeWindows(trimmed, benchWindow))
 
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		model, err := nn.NewClassifier(fw.Input.Dim, []int{256, 256}, fw.DB.Size(), 1)
 		if err != nil {

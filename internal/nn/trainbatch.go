@@ -379,6 +379,9 @@ func replayShares(tensors [][]float64, P int) [][]int {
 		share[i] = append(share[i], k)
 		load[i] += len(tensors[k])
 	}
+	for _, ks := range share {
+		slices.Sort(ks) // a layer's tensors in turn, while its rows are warm
+	}
 	return share
 }
 
